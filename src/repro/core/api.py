@@ -26,12 +26,9 @@ from repro.operators.spec import (
     parse_operator,
     shared_operator,
 )
-from repro.tuner.dp import VCycleTuner
 from repro.tuner.executor import PlanExecutor
-from repro.tuner.full_mg import FullMGTuner
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan
-from repro.tuner.timing import CostModelTiming
-from repro.tuner.training import TrainingData
+from repro.tuner.spec import TuneKey, TuneSpec, tune
 from repro.workloads.distributions import make_problem
 from repro.workloads.problem import PoissonProblem
 
@@ -109,23 +106,6 @@ def close_default_registry(path: str | None = None) -> int:
     return len(doomed)
 
 
-def _trial_executor(jobs: int | None):
-    """Context-managed executor for a ``jobs=`` argument.
-
-    Executors built here from an int are closed when the ``with`` block
-    exits; an already-constructed :class:`~repro.parallel.TrialExecutor`
-    passes through without being closed (the caller owns its lifecycle,
-    e.g. a warm pool reused across tunes).
-    """
-    from contextlib import nullcontext
-
-    from repro.parallel import TrialExecutor, resolve_executor
-
-    if isinstance(jobs, TrialExecutor):
-        return nullcontext(jobs)
-    return resolve_executor(jobs)
-
-
 def _resolve_registry(store: object) -> "PlanRegistry":
     from repro.store.registry import PlanRegistry
     from repro.store.trialdb import TrialDB
@@ -157,6 +137,34 @@ def _resolve_operator_ndim(
             f"(a {spec.ndim}-D family)"
         )
     return spec
+
+
+def _profile(machine: str | MachineProfile) -> MachineProfile:
+    return get_preset(machine) if isinstance(machine, str) else machine
+
+
+def _tune_key(
+    kind: str,
+    max_level: int,
+    distribution: str,
+    accuracies: tuple[float, ...],
+    instances: int,
+    seed: int | None,
+    operator: OperatorSpec | str | None,
+    ndim: int | None,
+    backend: str,
+) -> TuneKey:
+    """The tuning key every one-call tuning wrapper describes."""
+    return TuneKey(
+        kind=kind,
+        distribution=distribution,
+        max_level=max_level,
+        accuracies=tuple(accuracies),
+        seed=seed,
+        instances=instances,
+        operator=_resolve_operator_ndim(operator, ndim).canonical(),
+        backend=backend,
+    )
 
 
 def poisson_problem(
@@ -204,33 +212,11 @@ def autotune(
     model-guided BO search (:mod:`repro.modeltuner`) instead of the
     exhaustive DP — same plan surface, a fraction of the trial budget.
     """
-    profile = get_preset(machine) if isinstance(machine, str) else machine
-    training = TrainingData(
-        distribution=distribution, instances=instances, seed=seed,
-        operator=_resolve_operator_ndim(operator, ndim),
+    key = _tune_key(
+        "multigrid-v", max_level, distribution, accuracies, instances, seed,
+        operator, ndim, backend,
     )
-    with _trial_executor(jobs) as executor:
-        if tuner == "model":
-            from repro.modeltuner import BOSearch
-
-            return BOSearch(
-                max_level=max_level,
-                accuracies=accuracies,
-                training=training,
-                profile=profile,
-                backend=backend,
-                trial_executor=executor,
-            ).tune()
-        if tuner != "dp":
-            raise ValueError(f"unknown tuner {tuner!r}; use 'dp' or 'model'")
-        return VCycleTuner(
-            max_level=max_level,
-            accuracies=accuracies,
-            training=training,
-            timing=CostModelTiming(profile),
-            trial_executor=executor,
-            backend=backend,
-        ).tune()
+    return tune(TuneSpec(key, profile=_profile(machine)), jobs, tuner=tuner)
 
 
 def autotune_full_mg(
@@ -253,28 +239,11 @@ def autotune_full_mg(
     per-level kernel backends carry over to the full-MG plan, so
     ``backend`` only matters when the V plan is tuned here.
     """
-    profile = get_preset(machine) if isinstance(machine, str) else machine
-    training = TrainingData(
-        distribution=distribution, instances=instances, seed=seed,
-        operator=_resolve_operator_ndim(operator, ndim),
+    key = _tune_key(
+        "full-multigrid", max_level, distribution, accuracies, instances, seed,
+        operator, ndim, backend,
     )
-    with _trial_executor(jobs) as executor:
-        if vplan is None:
-            vplan = VCycleTuner(
-                max_level=max_level,
-                accuracies=accuracies,
-                training=training,
-                timing=CostModelTiming(profile),
-                trial_executor=executor,
-                backend=backend,
-            ).tune()
-        tuner = FullMGTuner(
-            vplan=vplan,
-            training=training,
-            timing=CostModelTiming(profile),
-            trial_executor=executor,
-        )
-        return tuner.tune(max_level)
+    return tune(TuneSpec(key, profile=_profile(machine)), jobs, vplan=vplan)
 
 
 def solve(
@@ -368,22 +337,11 @@ def autotune_cached(
     :class:`~repro.store.trialdb.TrialDB`, or database path; default is
     :func:`default_registry`.
     """
-    from repro.store.registry import TuneKey
-
-    profile = get_preset(machine) if isinstance(machine, str) else machine
-    registry = _resolve_registry(store)
-    key = TuneKey(
-        kind=kind,
-        distribution=distribution,
-        max_level=max_level,
-        accuracies=tuple(accuracies),
-        seed=seed,
-        instances=instances,
-        operator=_resolve_operator_ndim(operator, ndim).canonical(),
-        backend=backend,
+    key = _tune_key(
+        kind, max_level, distribution, accuracies, instances, seed, operator, ndim, backend
     )
-    return registry.get_or_tune(
-        profile, key, allow_nearest=allow_nearest, jobs=jobs, tuner=tuner
+    return _resolve_registry(store).get_or_tune(
+        _profile(machine), key, allow_nearest=allow_nearest, jobs=jobs, tuner=tuner
     ).plan
 
 
@@ -412,10 +370,9 @@ def solve_service(
     Returns (solution, meter, registry hit) so callers can log where
     their plan came from.
     """
-    from repro.store.registry import TuneKey
     from repro.tuner.dynamic import resolve_distribution
 
-    profile = get_preset(machine) if isinstance(machine, str) else machine
+    profile = _profile(machine)
     registry = _resolve_registry(store)
     dist = resolve_distribution(problem, distribution)
     key = TuneKey(

@@ -21,11 +21,14 @@ autotuners in Wu et al. (arXiv:2010.08040) spend benchmark evaluations:
 * the DIRECT candidate is exact and needs no iteration training, so it
   is always evaluated free and every slot is guaranteed feasible.
 
-Every candidate evaluation — serial or parallel — routes through the
-picklable :class:`~repro.parallel.model_tasks.ModelCandidateTask`
-worker with an infinite pruning budget, so a given seed selects a
-byte-identical plan at any ``jobs`` count.  The returned plan carries
-``tuner="model"`` metadata with the trial budget actually spent.
+Every candidate evaluation — serial or parallel — is the DP's own
+pool task, a :class:`~repro.parallel.tasks.CandidateTask` carrying this
+search's :class:`~repro.tuner.spec.TuneSpec`, evaluated with an infinite
+pruning budget, so a given seed selects a byte-identical plan at any
+``jobs`` count.  The spec prices evaluation with the profile whenever
+one is given; the learned model then only steers acquisition.  The
+returned plan carries ``tuner="model"`` metadata with the trial budget
+actually spent.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from repro.machines.meter import OpMeter, backend_op, dim_op
 from repro.machines.profile import MachineProfile
 from repro.modeltuner.costmodel import CostModel, ModelTiming
 from repro.tuner.choices import Choice, DirectChoice
-from repro.tuner.dp import VCycleTuner, tuning_metadata
+from repro.tuner.dp import select_fastest, tuning_metadata
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan, recurse_wrapper_meter
+from repro.tuner.spec import TuneSpec
 from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
 from repro.util.validation import size_of_level
@@ -92,7 +96,6 @@ class BOSearch:
     max_recurse_iters: int = 64
     aggregate: str = "max"
     backend: str = "numpy"
-    threads: int | None = None
     #: optional :class:`repro.store.sink.TrialSink` (same hook as the DP)
     sink: Any | None = None
     #: optional :class:`repro.parallel.TrialExecutor`
@@ -105,29 +108,25 @@ class BOSearch:
             raise ValueError("BOSearch tunes levels >= 2")
         if self.explore < 1 or self.exploit < 1:
             raise ValueError("explore and exploit must be >= 1")
-        if self.profile is not None:
-            self._timing: CostModelTiming = CostModelTiming(self.profile, self.threads)
-        else:
-            self._timing = ModelTiming(self.model, self.threads)
-        # Acquisition pricing: the learned model when available (its
-        # predictions are the point of the exercise), else the profile.
-        if self.model is not None:
-            self._acq: CostModelTiming = ModelTiming(self.model, self.threads)
-        else:
-            self._acq = self._timing
-        # Parent-side tuner: owns meters, backend placement, and plan
-        # metadata.  Workers rebuild an identical one from task data.
-        self._tuner = VCycleTuner(
+        #: what every evaluation task carries (and prices by)
+        self.spec = TuneSpec.from_training(
+            self.training,
+            profile=self.profile,
+            model=self.model,
             max_level=self.max_level,
             accuracies=self.accuracies,
-            training=self.training,
-            timing=self._timing,
+            backend=self.backend,
+            aggregate=self.aggregate,
             max_sor_iters=self.max_sor_iters,
             max_recurse_iters=self.max_recurse_iters,
-            aggregate=self.aggregate,  # type: ignore[arg-type]
-            keep_audit=False,
-            backend=self.backend,
         )
+        # Parent-side tuner: owns meters, backend placement, and plan
+        # metadata; workers build the same one from the spec.
+        self._tuner = self.spec.build(self.training)
+        self._timing: CostModelTiming = self.spec.timing()
+        # Acquisition pricing: the learned model when available (its
+        # predictions are the point of the exercise), else the profile.
+        self._acq = ModelTiming(self.model) if self.model is not None else self._timing
         #: (kind, acc_index, sub_j) -> (level, iterations) observations;
         #: iterations is math.inf for trained-but-infeasible arms
         self._observed: dict[tuple[str, int, int | None], tuple[int, float]] = {}
@@ -219,10 +218,7 @@ class BOSearch:
 
     def _slot_candidates(self) -> list[tuple[str, int | None]]:
         """Trained candidates in the DP's enumeration order (no DIRECT)."""
-        m = len(self.accuracies)
-        out: list[tuple[str, int | None]] = [("recurse", j) for j in range(m - 1, -1, -1)]
-        out.append(("sor", None))
-        return out
+        return self._tuner._candidate_order()[1:]
 
     def _acquire_slot(
         self,
@@ -339,51 +335,22 @@ class BOSearch:
     ) -> list[list[tuple[tuple[str, int | None], Any]]]:
         """Evaluate per-slot candidate picks (plus DIRECT on the first
         round) through the picklable worker path, in deterministic order."""
-        from repro.parallel.model_tasks import (
-            ModelCandidateTask,
-            evaluate_model_candidate,
-        )
+        from repro.parallel.tasks import CandidateTask, evaluate_candidate
 
         frozen_table = tuple(sorted(table.items()))
-        payload = self.model.to_json() if self.model is not None else None
-        task_profile = (
-            self.profile if self.profile is not None else self.model.base
-        )
-        tasks: list[ModelCandidateTask] = []
-        slots: list[tuple[int, tuple[str, int | None]]] = []
+        tasks: list[CandidateTask] = []
         m = len(self.accuracies)
         for i in range(m):
             for kind, j in picks[i]:
-                tasks.append(
-                    ModelCandidateTask(
-                        profile=task_profile,
-                        threads=self.threads,
-                        distribution=self.training.distribution,
-                        instances=self.training.instances,
-                        seed=self.training.seed,
-                        accuracies=self.accuracies,
-                        aggregate=str(self.aggregate),
-                        max_sor_iters=self.max_sor_iters,
-                        max_recurse_iters=self.max_recurse_iters,
-                        level=level,
-                        table=frozen_table,
-                        acc_index=i,
-                        kind=kind,
-                        sub_accuracy=j,
-                        operator=self.training.operator_name,
-                        backend=self._tuner.backend,
-                        model_payload=payload,
-                    )
-                )
-                slots.append((i, (kind, j)))
+                tasks.append(CandidateTask(self.spec, level, frozen_table, i, kind, j))
                 if kind != "direct":
                     self.trials_used += 1
-        outcomes = executor.map(evaluate_model_candidate, tasks)
+        outcomes = executor.map(evaluate_candidate, tasks)
         per_slot: list[list[tuple[tuple[str, int | None], Any]]] = [
             [] for _ in range(m)
         ]
-        for (i, cand), outcome in zip(slots, outcomes):
-            per_slot[i].append((cand, outcome))
+        for task, outcome in zip(tasks, outcomes):
+            per_slot[task.acc_index].append(((task.kind, task.sub_accuracy), outcome))
         return per_slot
 
     def _record_observations(
@@ -407,22 +374,11 @@ class BOSearch:
         acc_index: int,
         outcomes: list[tuple[tuple[str, int | None], Any]],
     ) -> Choice:
-        """Fold evaluated outcomes with a strict ``<`` in the DP's
+        """Fold evaluated outcomes as the DP does: a strict ``<`` in its
         candidate enumeration order (direct, recurse m-1..0, sor)."""
-        order = {("direct", None): -1}
-        for idx, cand in enumerate(self._slot_candidates()):
-            order[cand] = idx
-        best_choice: Choice | None = None
-        best_time = math.inf
-        for cand, outcome in sorted(outcomes, key=lambda pair: order[pair[0]]):
-            if outcome.feasible and outcome.seconds < best_time:
-                best_choice, best_time = outcome.choice, outcome.seconds
-        if best_choice is None:
-            raise RuntimeError(
-                f"no feasible candidate at level {level}, "
-                f"accuracy index {acc_index}"
-            )
-        return best_choice
+        order = self._tuner._candidate_order()
+        ranked = sorted(outcomes, key=lambda pair: order.index(pair[0]))
+        return select_fastest(level, acc_index, [outcome for _, outcome in ranked])
 
     # -- plan assembly ----------------------------------------------------
 

@@ -361,13 +361,13 @@ class ModelTiming(CostModelTiming):
 
     Subclasses :class:`CostModelTiming` (keeping ``.profile`` = the
     model's base profile) so the DP's deterministic-pricing checks —
-    backend placement in :meth:`VCycleTuner._backend_at`, the parallel
-    path's ``_require_cost_model`` — accept it, while every price comes
-    from the fitted model instead of the analytic profile.
+    backend placement in :meth:`VCycleTuner._backend_at` and
+    :meth:`TuneSpec.of` for pool work — accept it, while every price
+    comes from the fitted model instead of the analytic profile.
     """
 
-    def __init__(self, model: CostModel, threads: int | None = None) -> None:
-        super().__init__(model.base, threads)
+    def __init__(self, model: CostModel) -> None:
+        super().__init__(model.base)
         self.model = model
 
     def time_candidate(self, unit_meter, run, starts) -> float:

@@ -11,14 +11,16 @@ module connects them to the store so the whole fleet benefits:
   schema-v6 ``model_artifacts`` row when one exists, otherwise fit and
   store it, so one worker's fit becomes every worker's warm start;
 * :func:`model_plan_for_key` is what ``PlanRegistry.get_or_tune(...,
-  tuner="model")`` runs on a cold key: fetch-or-fit the model, run the
-  budgeted :class:`~repro.modeltuner.bo.BOSearch` instead of the
-  exhaustive DP, and (for full-multigrid keys) finish with the standard
-  full-MG pass on top of the model-selected V plans.
+  tuner="model")`` runs on a cold key: fetch-or-fit the model, then
+  :func:`repro.tuner.spec.tune` the key's spec with the budgeted
+  :class:`~repro.modeltuner.bo.BOSearch` instead of the exhaustive DP
+  (for full-multigrid keys it finishes with the standard full-MG pass on
+  top of the model-selected V plans).  The machine profile prices every
+  evaluated candidate; the fitted model steers which candidates train.
 
 Cold-machine behaviour is graceful by construction: with an empty store
 and no profiler, the fitted model has no laws and calibration 1.0, so
-it prices exactly like the analytic profile — the search still runs,
+it steers exactly like the analytic profile — the search still runs,
 just without learned corrections.
 """
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.machines.profile import MachineProfile
-from repro.modeltuner.bo import BOSearch
 from repro.modeltuner.costmodel import CostModel
 
 __all__ = [
@@ -114,55 +115,13 @@ def model_plan_for_key(
     plan identity).  Returns a plan whose metadata carries
     ``tuner="model"`` plus the trial budget actually spent.
     """
-    from repro.tuner.training import TrainingData
+    from repro.tuner.spec import TuneSpec, tune
 
     if model is None:
         model = model_for_profile(
             registry, profile, key.operator, key.ndim, key.backend
         )
-    executor = None
-    if jobs is not None and jobs > 1:
-        from repro.parallel import resolve_executor
-
-        executor = resolve_executor(jobs)
-    try:
-        training = TrainingData(
-            distribution=key.distribution,
-            instances=key.instances,
-            seed=key.seed,
-            operator=key.operator,
-        )
-        search = BOSearch(
-            max_level=key.max_level,
-            accuracies=tuple(key.accuracies),
-            training=training,
-            profile=profile,
-            model=model,
-            seed=seed,
-            backend=key.backend,
-            trial_executor=executor,
-        )
-        vplan = search.tune()
-        if key.kind == "multigrid-v":
-            return vplan
-        from repro.tuner.full_mg import FullMGTuner
-        from repro.tuner.timing import CostModelTiming
-
-        plan = FullMGTuner(
-            vplan=vplan,
-            training=training,
-            timing=CostModelTiming(profile),
-            keep_audit=False,
-            trial_executor=executor,
-        ).tune(key.max_level)
-        # The full-MG pass stamps its own metadata; keep the model
-        # tuner's identity and budget accounting on the composite plan.
-        plan.metadata["tuner"] = "model"
-        plan.metadata["search_seed"] = seed
-        plan.metadata["trials_used"] = search.trials_used
-        if "model_fingerprint" in vplan.metadata:
-            plan.metadata["model_fingerprint"] = vplan.metadata["model_fingerprint"]
-        return plan
-    finally:
-        if executor is not None:
-            executor.close()
+    return tune(
+        TuneSpec(key, profile=profile), jobs, tuner="model", model=model,
+        search_seed=seed,
+    )

@@ -5,14 +5,20 @@ candidate timings are independent of each other, and campaign cells are
 independent tuning problems.  This subsystem exposes both axes:
 
 * :class:`~repro.parallel.executor.TrialExecutor` — the interface the
-  DP tuners (:class:`~repro.tuner.dp.VCycleTuner`,
-  :class:`~repro.tuner.full_mg.FullMGTuner`) use to evaluate candidate
+  tuners (:class:`~repro.tuner.dp.VCycleTuner`,
+  :class:`~repro.tuner.full_mg.FullMGTuner`,
+  :class:`~repro.modeltuner.bo.BOSearch`) use to evaluate candidate
   batches.  :class:`~repro.parallel.executor.SerialExecutor` is the
   bit-identical in-process default; :class:`~repro.parallel.executor.
   ProcessPoolTrialExecutor` fans batches across worker processes.
-  Every task is pure data (profile, training seed, partial plan table),
-  so workers reconstruct identical training instances and the parallel
-  tuner selects exactly the plan the serial tuner would.
+* :mod:`~repro.parallel.tasks` — the pool work itself.  Every task
+  carries the :class:`~repro.tuner.spec.TuneSpec` of its tune: one
+  :class:`~repro.parallel.tasks.CandidateTask` per V-cycle candidate
+  (DP and BOSearch alike) and one
+  :class:`~repro.parallel.tasks.EstimateTask` per full-MG estimate.
+  Workers rebuild the tuner from the spec exactly as a serial tune
+  builds it, so the parallel tuner selects exactly the plan the serial
+  tuner would.
 * :func:`~repro.parallel.campaigns.run_cells_parallel` — campaign-cell
   fan-out.  Each worker opens its own WAL-mode
   :class:`~repro.store.trialdb.TrialDB` connection on the shared store
@@ -25,11 +31,11 @@ Entry points for callers: ``Campaign.run(jobs=N)``,
 """
 
 from repro.parallel.campaigns import run_cells_parallel
-from repro.parallel.dp_tasks import (
-    FMGEstimateTask,
-    VCandidateTask,
-    evaluate_fmg_estimate,
-    evaluate_v_candidate,
+from repro.parallel.tasks import (
+    CandidateTask,
+    EstimateTask,
+    evaluate_candidate,
+    evaluate_estimate,
 )
 from repro.parallel.executor import (
     ProcessPoolTrialExecutor,
@@ -39,13 +45,13 @@ from repro.parallel.executor import (
 )
 
 __all__ = [
-    "FMGEstimateTask",
+    "CandidateTask",
+    "EstimateTask",
     "ProcessPoolTrialExecutor",
     "SerialExecutor",
     "TrialExecutor",
-    "VCandidateTask",
-    "evaluate_fmg_estimate",
-    "evaluate_v_candidate",
+    "evaluate_candidate",
+    "evaluate_estimate",
     "resolve_executor",
     "run_cells_parallel",
 ]

@@ -347,21 +347,16 @@ class PlanCache:
         DP's time — cheap enough to serve a cold key's first request.
         """
         from repro.tuner.heuristics import HeuristicStrategy, tune_heuristic
-        from repro.tuner.timing import CostModelTiming
-        from repro.tuner.training import TrainingData
+        from repro.tuner.spec import TuneSpec
 
+        spec = TuneSpec(self.tune_key(key), profile=profile)
         final = len(self.accuracies) - 1
         plan = tune_heuristic(
             HeuristicStrategy(sub_index=final, final_index=final),
             max_level=key.level,
             accuracies=self.accuracies,
-            training=TrainingData(
-                distribution=key.distribution,
-                instances=self.instances,
-                seed=self.seed,
-                operator=key.operator,
-            ),
-            timing=CostModelTiming(profile),
+            training=spec.training(),
+            timing=spec.timing(),
         )
         plan.metadata["serve_fallback"] = True
         return plan

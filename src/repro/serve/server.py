@@ -692,12 +692,12 @@ class SolveServer:
         # trial record) — never the DP tune itself, so other cold keys
         # keep resolving while this one tunes.
         try:
-            from repro.store.registry import _default_tuner
+            from repro.tuner.spec import TuneSpec, tune
 
             tune_key = self.cache.tune_key(key)
 
             def tuner():
-                plan = _default_tuner(profile, tune_key, jobs=self.tune_jobs)
+                plan = tune(TuneSpec(tune_key, profile=profile), self.tune_jobs)
                 # Swap provenance rides inside the plan JSON, so the
                 # trial row the registry records carries it durably.
                 swap_meta = {

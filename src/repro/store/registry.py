@@ -37,7 +37,8 @@ from repro.store.trialdb import (
     canonical_seed,
 )
 from repro.tuner.config import plan_from_dict, plan_to_dict
-from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan
+from repro.tuner.plan import TunedFullMGPlan, TunedVPlan
+from repro.tuner.spec import TuneKey, TuneSpec, tune
 
 __all__ = [
     "PlanRegistry",
@@ -46,9 +47,6 @@ __all__ = [
     "build_provenance",
     "profile_distance",
 ]
-
-PLAN_KINDS = ("multigrid-v", "full-multigrid")
-
 
 def build_provenance(
     worker: str | None = None,
@@ -73,68 +71,6 @@ def build_provenance(
         out["duration_s"] = float(duration_s)
     out.update(extra)
     return out
-
-
-@dataclass(frozen=True)
-class TuneKey:
-    """Keyfields identifying one tuning problem (machine excluded).
-
-    ``operator`` is the canonical operator spec string (see
-    :func:`repro.operators.parse_operator`); it defaults to the
-    constant-coefficient Poisson operator every pre-operator-layer plan
-    implicitly meant, and is normalized on construction so equivalent
-    spellings produce the same storage key.  ``ndim`` is the grid
-    dimensionality; ``None`` derives it from the operator's family, and
-    an explicit value must match it (3-D plans can never shadow 2-D
-    ones, or vice versa).  ``backend`` is the kernel backend the tune
-    prices against; ``"auto"`` resolves to the best backend available on
-    this host at construction (so the stored key always names a concrete
-    backend), and the default ``'numpy'`` is what every pre-backend plan
-    implicitly meant.
-    """
-
-    kind: str = "multigrid-v"
-    distribution: str = "unbiased"
-    max_level: int = 6
-    accuracies: tuple[float, ...] = DEFAULT_ACCURACIES
-    seed: int | None = 0
-    instances: int = 3
-    operator: str = "poisson"
-    ndim: int | None = None
-    backend: str = "numpy"
-
-    def __post_init__(self) -> None:
-        if self.kind not in PLAN_KINDS:
-            raise ValueError(f"kind must be one of {PLAN_KINDS}, not {self.kind!r}")
-        from repro.kernels import resolve_backend
-        from repro.operators.spec import parse_operator
-
-        spec = parse_operator(self.operator)
-        object.__setattr__(self, "operator", spec.canonical())
-        if self.ndim is None:
-            object.__setattr__(self, "ndim", spec.ndim)
-        elif self.ndim != spec.ndim:
-            raise ValueError(
-                f"ndim={self.ndim} does not match operator "
-                f"{spec.canonical()!r} (a {spec.ndim}-D family)"
-            )
-        object.__setattr__(self, "backend", resolve_backend(self.backend))
-
-    def storage_key(self, fingerprint: str) -> str:
-        return "|".join(
-            [
-                fingerprint,
-                self.kind,
-                self.distribution,
-                str(self.max_level),
-                canonical_accuracies(self.accuracies),
-                canonical_seed(self.seed),
-                str(self.instances),
-                self.operator,
-                str(self.ndim),
-                self.backend,
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -402,18 +338,14 @@ class PlanRegistry:
         hit = self.get(profile, key, allow_nearest, max_distance)
         if hit is not None:
             return hit
-        if isinstance(tuner, str):
-            if tuner == "model":
-                from repro.modeltuner.warmstart import model_plan_for_key
+        if tuner is None or tuner == "dp":
+            tuner = lambda: tune(TuneSpec(key, profile=profile), jobs)
+        elif tuner == "model":
+            from repro.modeltuner.warmstart import model_plan_for_key
 
-                registry, the_key = self, key
-                tuner = lambda: model_plan_for_key(  # noqa: E731
-                    registry, profile, the_key, jobs=jobs
-                )
-            elif tuner == "dp":
-                tuner = None
-            else:
-                raise ValueError(f"unknown tuner {tuner!r}; use 'dp' or 'model'")
+            tuner = lambda: model_plan_for_key(self, profile, key, jobs=jobs)
+        elif isinstance(tuner, str):
+            raise ValueError(f"unknown tuner {tuner!r}; use 'dp' or 'model'")
         from repro.obs.runtime import get_tracer
 
         start = time.perf_counter()
@@ -425,7 +357,7 @@ class PlanRegistry:
             max_level=key.max_level,
             backend=key.backend,
         ):
-            plan = (tuner or (lambda: _default_tuner(profile, key, jobs=jobs)))()
+            plan = tuner()
         wall = time.perf_counter() - start
         return self.record_tuned_plan(
             profile, key, plan, wall, record_trial=record_trial,
@@ -529,52 +461,3 @@ class PlanRegistry:
         with self.db.lock:
             (n,) = self.db.conn.execute("SELECT COUNT(*) FROM plans").fetchone()
         return int(n)
-
-
-def _default_tuner(
-    profile: MachineProfile, key: TuneKey, jobs: int | None = None
-) -> TunedVPlan | TunedFullMGPlan:
-    """Cold path: run the DP tuner(s) exactly as core.autotune does.
-
-    ``jobs`` > 1 evaluates candidate trials on a process pool shared by
-    the V-cycle and (for full-MG keys) the full-MG pass; trial tasks are
-    deterministically seeded, so the result matches a serial tune.
-    """
-    from repro.tuner.dp import VCycleTuner
-    from repro.tuner.full_mg import FullMGTuner
-    from repro.tuner.timing import CostModelTiming
-    from repro.tuner.training import TrainingData
-
-    executor = None
-    if jobs is not None and jobs > 1:
-        from repro.parallel import resolve_executor
-
-        executor = resolve_executor(jobs)
-    try:
-        training = TrainingData(
-            distribution=key.distribution,
-            instances=key.instances,
-            seed=key.seed,
-            operator=key.operator,
-        )
-        vplan = VCycleTuner(
-            max_level=key.max_level,
-            accuracies=tuple(key.accuracies),
-            training=training,
-            timing=CostModelTiming(profile),
-            keep_audit=False,
-            trial_executor=executor,
-            backend=key.backend,
-        ).tune()
-        if key.kind == "multigrid-v":
-            return vplan
-        return FullMGTuner(
-            vplan=vplan,
-            training=training,
-            timing=CostModelTiming(profile),
-            keep_audit=False,
-            trial_executor=executor,
-        ).tune(key.max_level)
-    finally:
-        if executor is not None:
-            executor.close()

@@ -45,6 +45,7 @@ __all__ = [
     "VCycleTuner",
     "operator_sor_step",
     "plan_level_backends",
+    "select_fastest",
     "tuning_metadata",
 ]
 
@@ -194,6 +195,45 @@ class _TableView:
         return self.backends.get(level, "numpy")
 
 
+def select_fastest(
+    level: int,
+    acc_index: int,
+    outcomes: Sequence[CandidateOutcome],
+    audit: list[CandidateReport] | None = None,
+) -> Choice:
+    """The fastest feasible outcome of one slot.
+
+    Folds in the given (enumeration) order with a strict ``<``, the
+    tie-break every tuner shares — serial or parallel, DP or BO — so all
+    of them pick the same winner from the same outcomes.  Appends one
+    audit record per outcome when ``audit`` is given.
+    """
+    best_choice: Choice | None = None
+    best_time = math.inf
+    for outcome in outcomes:
+        if outcome.feasible and outcome.seconds < best_time:
+            best_choice, best_time = outcome.choice, outcome.seconds
+    if best_choice is None:
+        raise RuntimeError(
+            f"no feasible candidate at level {level}, accuracy index {acc_index} "
+            f"(candidate_filter too restrictive?)"
+        )
+    if audit is not None:
+        chosen = best_choice.describe()
+        audit.extend(
+            CandidateReport(
+                level,
+                acc_index,
+                outcome.description,
+                outcome.seconds,
+                outcome.feasible,
+                chosen=(outcome.feasible and outcome.description == chosen),
+            )
+            for outcome in outcomes
+        )
+    return best_choice
+
+
 @dataclass
 class VCycleTuner:
     """Tunes the MULTIGRID-V_i family up to ``max_level``.
@@ -319,7 +359,7 @@ class VCycleTuner:
         audit: list[CandidateReport],
     ) -> None:
         if _parallel(self.trial_executor):
-            from repro.parallel.dp_tasks import tune_v_level_parallel
+            from repro.parallel.tasks import tune_v_level_parallel
 
             tune_v_level_parallel(self, level, table, audit)
             return
@@ -328,26 +368,10 @@ class VCycleTuner:
         view = _TableView(table, level, self._backends_through(level))
         m = len(self.accuracies)
         sub_meters = [self._meter_below(table, level, j) for j in range(m)]
+        kept = audit if self.keep_audit else None
         for i, target in enumerate(self.accuracies):
-            best_choice, best_time, reports = self._evaluate_slot(
-                level, i, target, n, bundle, view, sub_meters
-            )
-            table[(level, i)] = best_choice
-            if self.keep_audit:
-                for rep in reports:
-                    audit.append(
-                        CandidateReport(
-                            level=rep.level,
-                            acc_index=rep.acc_index,
-                            description=rep.description,
-                            seconds=rep.seconds,
-                            feasible=rep.feasible,
-                            chosen=(
-                                rep.feasible
-                                and rep.description == _describe(best_choice)
-                            ),
-                        )
-                    )
+            outcomes = self._evaluate_slot(level, i, target, n, bundle, view, sub_meters)
+            table[(level, i)] = select_fastest(level, i, outcomes, kept)
 
     def _meter_below(
         self, table: dict[tuple[int, int], Choice], level: int, acc_index: int
@@ -393,9 +417,10 @@ class VCycleTuner:
         bundle,
         view: _TableView,
         sub_meters: Sequence[OpMeter],
-    ) -> tuple[Choice, float, list[CandidateReport]]:
-        reports: list[CandidateReport] = []
-        best_choice: Choice | None = None
+    ) -> list[CandidateOutcome]:
+        """Every unfiltered candidate of one slot, in enumeration order,
+        each pruned against the fastest feasible one before it."""
+        outcomes: list[CandidateOutcome] = []
         best_time = math.inf
         for kind, j in self._candidate_order():
             outcome = self._evaluate_candidate(
@@ -403,20 +428,10 @@ class VCycleTuner:
             )
             if outcome is None:
                 continue
-            reports.append(
-                CandidateReport(
-                    level, acc_index, outcome.description, outcome.seconds,
-                    outcome.feasible,
-                )
-            )
-            if outcome.feasible and outcome.seconds < best_time:
-                best_choice, best_time = outcome.choice, outcome.seconds
-        if best_choice is None:
-            raise RuntimeError(
-                f"no feasible candidate at level {level}, accuracy index {acc_index} "
-                f"(candidate_filter too restrictive?)"
-            )
-        return best_choice, best_time, reports
+            outcomes.append(outcome)
+            if outcome.feasible:
+                best_time = min(best_time, outcome.seconds)
+        return outcomes
 
     def _evaluate_candidate(
         self,

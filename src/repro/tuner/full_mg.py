@@ -42,6 +42,7 @@ from repro.tuner.dp import (
     CandidateReport,
     _parallel,
     operator_sor_step,
+    select_fastest,
     tuning_metadata,
 )
 from repro.tuner.executor import PlanExecutor
@@ -218,7 +219,7 @@ class FullMGTuner:
         audit: list[CandidateReport],
     ) -> None:
         if _parallel(self.trial_executor):
-            from repro.parallel.dp_tasks import tune_fmg_level_parallel
+            from repro.parallel.tasks import tune_fmg_level_parallel
 
             tune_fmg_level_parallel(self, level, table, audit)
             return
@@ -235,13 +236,12 @@ class FullMGTuner:
         ]
         estimate_meters = [self._estimate_meter(table, level, j) for j in range(m)]
 
+        kept = audit if self.keep_audit else None
         for i, target in enumerate(accuracies):
-            choice, reports = self._evaluate_slot(
+            outcomes = self._evaluate_slot(
                 level, i, target, n, bundle, estimate_states, estimate_meters
             )
-            table[(level, i)] = choice
-            if self.keep_audit:
-                audit.extend(reports)
+            table[(level, i)] = select_fastest(level, i, outcomes, kept)
 
     def _run_estimate(self, view: _FullTableView, x, b, level: int, j: int) -> None:
         """Apply ESTIMATE_j to (x, b) in place using the partial table."""
@@ -269,25 +269,12 @@ class FullMGTuner:
         bundle,
         estimate_states,
         estimate_meters,
-    ) -> tuple[Choice, list[CandidateReport]]:
-        m = len(self.vplan.accuracies)
-        reports: list[CandidateReport] = []
-        best_choice: Choice | None = None
-        best_time = math.inf
-
-        def fold(outcome: CandidateOutcome) -> None:
-            nonlocal best_choice, best_time
-            reports.append(
-                CandidateReport(
-                    level, acc_index, outcome.description, outcome.seconds,
-                    outcome.feasible, False,
-                )
-            )
-            if outcome.feasible and outcome.seconds < best_time:
-                best_choice, best_time = outcome.choice, outcome.seconds
-
-        fold(self._evaluate_direct(n, bundle))
-        for j in range(m):
+    ) -> list[CandidateOutcome]:
+        """Direct, then every ESTIMATE_j + solver variant, each pruned
+        against the fastest feasible candidate before it."""
+        outcomes = [self._evaluate_direct(n, bundle)]
+        best_time = outcomes[0].seconds  # direct is always feasible
+        for j in range(len(self.vplan.accuracies)):
             for kind, sub in self._variant_order():
                 outcome = self._evaluate_variant(
                     level, acc_index, target, n, bundle, j, kind, sub,
@@ -295,22 +282,10 @@ class FullMGTuner:
                 )
                 if outcome is None:
                     continue
-                fold(outcome)
-
-        assert best_choice is not None  # direct is always considered
-        final = best_choice
-        out: list[CandidateReport] = [
-            CandidateReport(
-                r.level,
-                r.acc_index,
-                r.description,
-                r.seconds,
-                r.feasible,
-                chosen=(r.feasible and r.description == final.describe()),
-            )
-            for r in reports
-        ]
-        return final, out
+                outcomes.append(outcome)
+                if outcome.feasible:
+                    best_time = min(best_time, outcome.seconds)
+        return outcomes
 
     def _evaluate_direct(self, n: int, bundle) -> CandidateOutcome:
         """The always-feasible direct candidate for one slot."""

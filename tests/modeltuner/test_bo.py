@@ -1,13 +1,19 @@
 """BOSearch: plan validity, budget accounting, determinism, modes."""
 
+import dataclasses
+
 import pytest
 
+from repro.kernels import get_backend
+from repro.kernels.cnative import CNativeBackend
 from repro.machines.presets import INTEL_HARPERTOWN
 from repro.modeltuner import BOSearch, CostModel, dp_trial_budget
+from repro.parallel import SerialExecutor
 from repro.store.sink import CollectingSink
 from repro.tuner.choices import DirectChoice
 from repro.tuner.config import plan_to_dict
 from repro.tuner.training import TrainingData
+from repro.util.validation import size_of_level
 
 
 def search(max_level=4, **kwargs):
@@ -123,3 +129,64 @@ class TestSink:
         assert trial.kind == "multigrid-v"
         assert trial.tuner == "model"
         assert trial.simulated_cost > 0.0
+
+
+class _Recorder(SerialExecutor):
+    """Serial executor that keeps every (task, outcome) pair."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        outcomes = super().map(fn, tasks)
+        self.pairs.extend(zip(tasks, outcomes))
+        return outcomes
+
+
+class TestEvaluation:
+    def test_profile_prices_evaluation_when_a_model_steers(self):
+        # A model priced at 3x the profile steers acquisition only: every
+        # evaluated candidate is still priced by the profile, exactly as
+        # the parent prices placement, metadata and the stored cost.
+        recorder = _Recorder()
+        search(
+            max_level=3,
+            model=CostModel(base=INTEL_HARPERTOWN, calibration=3.0),
+            trial_executor=recorder,
+        ).tune()
+        direct = [
+            (task.level, outcome.seconds)
+            for task, outcome in recorder.pairs
+            if outcome.description == DirectChoice().describe()
+        ]
+        assert direct
+        for level, seconds in direct:
+            assert seconds == INTEL_HARPERTOWN.op_time("direct", size_of_level(level))
+
+    def test_cnative_search_trains_on_cnative_kernels(self, monkeypatch):
+        if not get_backend("cnative").available():
+            pytest.skip("cnative backend unavailable on this host")
+        calls = []
+        bind = CNativeBackend.bind
+
+        def spying_bind(self, op):
+            kernels = bind(self, op)
+
+            def sor_sweeps(*args, **kwargs):
+                calls.append(op.n)
+                return kernels.sor_sweeps(*args, **kwargs)
+
+            return dataclasses.replace(kernels, sor_sweeps=sor_sweeps)
+
+        monkeypatch.setattr(CNativeBackend, "bind", spying_bind)
+        # A training seed no other test uses: a fresh spec, so the tuner
+        # (and its kernel bindings) is built while the spy is in place.
+        # Levels >= 5 place cnative on this profile.
+        plan = search(
+            max_level=5,
+            backend="cnative",
+            training=TrainingData(distribution="unbiased", instances=1, seed=4242),
+        ).tune()
+        assert "cnative" in plan.backends.values()
+        assert calls, "recursion training ran no cnative relaxation"
