@@ -35,9 +35,10 @@ import numpy as np
 from repro.core.api import autotune, solve
 from repro.grids.norms import residual_norm
 from repro.machines.presets import get_preset
-from repro.multigrid.cycles import vcycle
+from repro.multigrid import v_plan
 from repro.operators import shared_operator
 from repro.store.sink import plan_cycle_shape
+from repro.tuner.executor import PlanExecutor
 from repro.tuner.heuristics import HeuristicStrategy, tune_heuristic
 from repro.tuner.plan import DEFAULT_ACCURACIES
 from repro.tuner.timing import CostModelTiming
@@ -85,10 +86,11 @@ def measure_convergence_factor(operator: str, level: int, seed: int) -> list[flo
     rng = np.random.default_rng(seed)
     u = np.zeros((n,) * 3)
     b = rng.uniform(-1.0, 1.0, size=(n,) * 3)
+    executor, plan = PlanExecutor(operator=operator), v_plan(level, ndim=3)
     prev = residual_norm(op.residual(u, b))
     factors = []
     for _ in range(6):
-        vcycle(u, b, operator=op)
+        executor.run_v(plan, u, b, 0)
         cur = residual_norm(op.residual(u, b))
         if cur == 0.0 or prev == 0.0:
             break

@@ -19,9 +19,10 @@ from pathlib import Path
 
 from repro.core import autotune, poisson_problem, solve, solve_service
 from repro.grids.norms import residual_norm
-from repro.multigrid.cycles import vcycle
+from repro.multigrid import v_plan
 from repro.operators import shared_operator
 from repro.store.sink import plan_cycle_shape
+from repro.tuner.executor import PlanExecutor
 from repro.tuner.heuristics import HeuristicStrategy, tune_heuristic
 from repro.tuner.plan import DEFAULT_ACCURACIES
 from repro.tuner.timing import CostModelTiming
@@ -38,10 +39,11 @@ def main() -> None:
     print("1) standard V(1,1) cycles on 3-D Poisson:")
     problem = poisson_problem("unbiased", n=n, seed=7, ndim=3)
     op = shared_operator("poisson3d", n)
+    executor, plan = PlanExecutor(operator="poisson3d"), v_plan(MAX_LEVEL, ndim=3)
     x = problem.initial_guess()
     prev = residual_norm(op.residual(x, problem.b))
     for cycle in range(1, 5):
-        vcycle(x, problem.b, operator=op)
+        executor.run_v(plan, x, problem.b, 0)
         cur = residual_norm(op.residual(x, problem.b))
         print(f"   cycle {cycle}: residual {cur:.3e}  (factor {cur / prev:.3f})")
         prev = cur

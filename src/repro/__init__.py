@@ -2,9 +2,11 @@
 
 The package builds every system the paper relies on, in Python:
 
-* numerical substrates: grids, band-Cholesky direct solver, red-black SOR,
-  reference multigrid (:mod:`repro.grids`, :mod:`repro.linalg`,
-  :mod:`repro.relax`, :mod:`repro.multigrid`);
+* numerical substrates: grids, band-Cholesky direct solver, red-black SOR
+  (:mod:`repro.grids`, :mod:`repro.linalg`, :mod:`repro.relax`);
+* the paper's reference V, full-MG and SOR baselines, expressed as fixed
+  plans and run by the same plan executor as every tuned plan
+  (:mod:`repro.multigrid`);
 * the accuracy metric and training machinery (:mod:`repro.accuracy`,
   :mod:`repro.workloads`);
 * pluggable problem operators — constant/variable-coefficient and

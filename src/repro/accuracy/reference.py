@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.grids.norms import residual_norm
 from repro.linalg.direct import DirectSolver
-from repro.multigrid.cycles import full_multigrid_cycle, vcycle
 from repro.operators.spec import shared_operator
+from repro.util.validation import level_of_size
 from repro.workloads.problem import PoissonProblem
 
 __all__ = ["ReferenceSolutionCache", "reference_solution"]
@@ -87,12 +87,21 @@ def reference_solution(
     default_poisson = problem.operator.is_default_poisson
     # Only the non-default quality gate reads the initial residual.
     initial = 0.0 if default_poisson else residual_norm(op.residual(x, b, out=scratch))
-    full_multigrid_cycle(x, b, pre_sweeps=1, post_sweeps=1, operator=op)
+    # Imported here: the tuner package imports this module (training
+    # data), so a top-level import would re-enter it half-initialized.
+    from repro.multigrid.solver import full_mg_plan, v_plan
+    from repro.tuner.executor import PlanExecutor
+
+    # One executor per solve: its caches are not shared across threads.
+    executor = PlanExecutor(operator=problem.operator)
+    level = level_of_size(problem.n)
+    executor.run_full_mg(full_mg_plan(level, ndim), x, b, 0)
+    vplan = v_plan(level, ndim)
     prev = residual_norm(op.residual(x, b, out=scratch))
     cur = prev
     weak_cycles = 0
     for _ in range(100):
-        vcycle(x, b, pre_sweeps=1, post_sweeps=1, operator=op)
+        executor.run_v(vplan, x, b, 0)
         cur = residual_norm(op.residual(x, b, out=scratch))
         if cur == 0.0:
             break

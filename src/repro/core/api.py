@@ -24,7 +24,6 @@ from repro.operators.spec import (
     OperatorSpec,
     default_operator_spec,
     parse_operator,
-    shared_operator,
 )
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan
@@ -296,11 +295,10 @@ def solve_reference(
     x = problem.initial_guess()
     judge = AccuracyJudge(x, x_opt)
     meter = OpMeter()
-    op = shared_operator(problem.operator, problem.n)
     solver = {
-        "v": ReferenceVSolver(operator=op),
-        "full-mg": ReferenceFullMGSolver(operator=op),
-        "sor": SORSolver(operator=op),
+        "v": ReferenceVSolver(operator=problem.operator),
+        "full-mg": ReferenceFullMGSolver(operator=problem.operator),
+        "sor": SORSolver(operator=problem.operator),
     }[method]
     iters = solver.solve(x, problem.b, judge.accuracy_of, target_accuracy, meter)
     return x, meter, iters
@@ -403,8 +401,8 @@ def open_server(
     immediately and the object is a context manager (``with
     core.open_server() as server: ...`` drains and shuts down on exit).
     Keyword options pass through — ``workers``, ``queue_size``,
-    ``batch_size``, ``tune_jobs``, ``scheduler``, the tuning
-    configuration (``kind``, ``accuracies``, ``seed``, ``instances``),
+    ``batch_size``, ``tune_jobs``, the tuning configuration (``kind``,
+    ``accuracies``, ``seed``, ``instances``),
     the SLO controls (``slo_p99_s``, ...), and the observability hooks
     (``tracer``/``profiler`` in-process, ``trace=True`` sharded — see
     :mod:`repro.obs`).

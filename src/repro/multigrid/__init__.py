@@ -1,22 +1,30 @@
-"""Reference multigrid algorithms — the paper's baselines.
+"""The paper's reference algorithms, run as fixed plans.
 
-* :func:`vcycle` — MULTIGRID-V-SIMPLE from section 2.1: one pre-relaxation,
-  coarse-grid correction by recursion, one post-relaxation, direct solve at
-  the 3x3 base case.
-* :func:`wcycle` — the W-shaped variant (two coarse corrections per level).
-* :func:`full_multigrid_cycle` — the standard full multigrid cycle of
-  Figure 3 (estimation phase by recursion, then a V-cycle).
-* :class:`ReferenceVSolver` / :class:`ReferenceFullMGSolver` — the two
-  reference algorithms of section 4.2.2: iterate standard V cycles until an
-  accuracy target is reached, optionally preceded by one full-MG cycle.
+MULTIGRID-V-SIMPLE (section 2.1), the standard full multigrid cycle
+(Figure 3) and iterated SOR are single points in the choice space the
+autotuner searches, so they are expressed as fixed plans and executed by
+the same :class:`~repro.tuner.executor.PlanExecutor` as every tuned plan:
+
+* :func:`v_plan` — direct solve at level 1 (3x3), one RECURSE_0 (one
+  pre-relaxation, the coarse correction by recursion, one
+  post-relaxation) at every level above it;
+* :func:`full_mg_plan` — ESTIMATE_0 then one RECURSE_0 above level 1,
+  with :func:`v_plan` as the solve phase;
+* :func:`sor_plan` — one SOR(omega_opt) sweep;
+* :class:`ReferenceVSolver` / :class:`ReferenceFullMGSolver` /
+  :class:`SORSolver` — the comparison points of section 4.2.2 and
+  Figure 6: iterate those plans until an accuracy target is reached
+  (the full-MG solver starts with one full-MG cycle, then V cycles).
 """
 
-from repro.multigrid.cycles import full_multigrid_cycle, vcycle, wcycle
 from repro.multigrid.solver import (
     IterationLimit,
     ReferenceFullMGSolver,
     ReferenceVSolver,
     SORSolver,
+    full_mg_plan,
+    sor_plan,
+    v_plan,
 )
 
 __all__ = [
@@ -24,7 +32,7 @@ __all__ = [
     "ReferenceFullMGSolver",
     "ReferenceVSolver",
     "SORSolver",
-    "full_multigrid_cycle",
-    "vcycle",
-    "wcycle",
+    "full_mg_plan",
+    "sor_plan",
+    "v_plan",
 ]

@@ -1,10 +1,12 @@
-"""Reference solvers that iterate until an accuracy target is met.
+"""The paper's reference algorithms as fixed plans, and the solvers that
+iterate them until an accuracy target is met.
 
-These are the paper's comparison points: iterated SOR(omega_opt) and the
-"reference V" / "reference full MG" algorithms of section 4.2.2.  Each takes
-an ``accuracy_of`` callable — typically
-:meth:`repro.accuracy.AccuracyJudge.accuracy_of` — so the stopping rule is
-the same error-ratio metric the tuner optimizes for.
+The plans run on the same :class:`~repro.tuner.executor.PlanExecutor` as
+every tuned plan and carry the one-rung
+:data:`~repro.tuner.plan.FIXED_LADDER`.  Each solver step runs one fixed
+plan; ``accuracy_of`` — typically
+:meth:`repro.accuracy.AccuracyJudge.accuracy_of`, the error-ratio metric
+the tuner optimizes for — decides when to stop.
 """
 
 from __future__ import annotations
@@ -14,21 +16,48 @@ from typing import Callable
 
 import numpy as np
 
-from repro.linalg.direct import DirectSolver
-from repro.machines.meter import NULL_METER, OpMeter, dim_op
-from repro.multigrid.cycles import full_multigrid_cycle, vcycle
-from repro.operators.base import StencilOperator
-from repro.operators.poisson import const_poisson
-from repro.relax.weights import OMEGA_RECURSE
+from repro.machines.meter import NULL_METER, OpMeter
+from repro.operators.spec import OperatorSpec, parse_operator
+from repro.tuner.choices import (
+    Choice,
+    DirectChoice,
+    EstimateChoice,
+    RecurseChoice,
+    SORChoice,
+)
+from repro.tuner.executor import PlanExecutor
+from repro.tuner.plan import FIXED_LADDER, TunedFullMGPlan, TunedVPlan, fixed_vplan
+from repro.util.validation import level_of_size
 
 __all__ = [
     "IterationLimit",
     "ReferenceFullMGSolver",
     "ReferenceVSolver",
     "SORSolver",
+    "full_mg_plan",
+    "sor_plan",
+    "v_plan",
 ]
 
 AccuracyFn = Callable[[np.ndarray], float]
+
+
+def v_plan(level: int, ndim: int = 2) -> TunedVPlan:
+    """The standard V(1,1) cycle from ``level`` down to a 3x3 direct solve."""
+    return fixed_vplan([DirectChoice()] + [RecurseChoice(0, 1)] * (level - 1), ndim)
+
+
+def full_mg_plan(level: int, ndim: int = 2) -> TunedFullMGPlan:
+    """The standard full multigrid cycle: estimate by recursion, then one V."""
+    table: dict[tuple[int, int], Choice] = {(1, 0): DirectChoice()}
+    for k in range(2, level + 1):
+        table[(k, 0)] = EstimateChoice(0, RecurseChoice(0, 1))
+    return TunedFullMGPlan(FIXED_LADDER, level, table, v_plan(level, ndim), ndim=ndim)
+
+
+def sor_plan(level: int, ndim: int = 2) -> TunedVPlan:
+    """One SOR(omega_opt) sweep at ``level``."""
+    return fixed_vplan([SORChoice(1)] * level, ndim)
 
 
 class IterationLimit(RuntimeError):
@@ -37,9 +66,14 @@ class IterationLimit(RuntimeError):
 
 @dataclass
 class _IterativeSolverBase:
-    """Common driver: apply `self._step` until accuracy_of(x) >= target."""
+    """Run fixed plans on ``x`` until ``accuracy_of(x) >= target``.
+
+    ``operator`` is the operator spec (or canonical string); None means
+    constant-coefficient Poisson of the input's dimensionality.
+    """
 
     max_iters: int = 10_000
+    operator: OperatorSpec | str | None = None
 
     def solve(
         self,
@@ -53,8 +87,19 @@ class _IterativeSolverBase:
         iteration count."""
         if accuracy_of(x) >= target:
             return 0
+        spec = parse_operator(
+            "poisson3d" if self.operator is None and x.ndim == 3 else self.operator
+        )
+        if spec.ndim != x.ndim:
+            raise ValueError(f"operator is {spec.ndim}-D, input grid has ndim={x.ndim}")
+        executor = PlanExecutor(operator=spec)
+        first, step = self._plans(level_of_size(x.shape[0]), x.ndim)
         for it in range(1, self.max_iters + 1):
-            self._step(x, b, meter)
+            plan = first if it == 1 else step
+            if isinstance(plan, TunedFullMGPlan):
+                executor.run_full_mg(plan, x, b, 0, meter)
+            else:
+                executor.run_v(plan, x, b, 0, meter)
             if accuracy_of(x) >= target:
                 return it
         raise IterationLimit(
@@ -62,58 +107,27 @@ class _IterativeSolverBase:
             f"{self.max_iters} iterations (n={x.shape[0]})"
         )
 
-    def _step(self, x: np.ndarray, b: np.ndarray, meter: OpMeter) -> None:
+    def _plans(self, level: int, ndim: int) -> tuple[TunedVPlan | TunedFullMGPlan, TunedVPlan]:
+        """The plans of the first and of every later iteration."""
         raise NotImplementedError
 
 
 @dataclass
 class SORSolver(_IterativeSolverBase):
-    """Iterated red-black SOR with the size-optimal weight (Figure 6's "SOR").
+    """Iterated red-black SOR with the size-optimal weight (Figure 6's "SOR")."""
 
-    ``omega`` of None means: use omega_opt for the grid size at solve time.
-    ``operator`` of None means the constant-coefficient Poisson default.
-    """
-
-    omega: float | None = None
-    operator: StencilOperator | None = None
-
-    def _step(self, x: np.ndarray, b: np.ndarray, meter: OpMeter) -> None:
-        op = self.operator
-        if op is None:
-            if x.ndim == 3:
-                from repro.operators.poisson3d import const_poisson3d
-
-                op = const_poisson3d(x.shape[0])
-            else:
-                op = const_poisson(x.shape[0])
-        w = self.omega if self.omega is not None else op.omega_opt()
-        op.sor_sweeps(x, b, w, 1)
-        meter.charge(dim_op("relax", x.ndim), x.shape[0])
+    def _plans(self, level: int, ndim: int) -> tuple[TunedVPlan, TunedVPlan]:
+        plan = sor_plan(level, ndim)
+        return plan, plan
 
 
 @dataclass
 class ReferenceVSolver(_IterativeSolverBase):
     """Standard V cycles until the accuracy target is reached."""
 
-    pre_sweeps: int = 1
-    post_sweeps: int = 1
-    omega: float = OMEGA_RECURSE
-    base_size: int = 3
-    direct: DirectSolver | None = None
-    operator: StencilOperator | None = None
-
-    def _step(self, x: np.ndarray, b: np.ndarray, meter: OpMeter) -> None:
-        vcycle(
-            x,
-            b,
-            pre_sweeps=self.pre_sweeps,
-            post_sweeps=self.post_sweeps,
-            omega=self.omega,
-            base_size=self.base_size,
-            direct=self.direct,
-            meter=meter,
-            operator=self.operator,
-        )
+    def _plans(self, level: int, ndim: int) -> tuple[TunedVPlan, TunedVPlan]:
+        plan = v_plan(level, ndim)
+        return plan, plan
 
 
 @dataclass
@@ -124,54 +138,5 @@ class ReferenceFullMGSolver(_IterativeSolverBase):
     multigrid cycle as in Figure 3, followed by standard V cycles.
     """
 
-    pre_sweeps: int = 1
-    post_sweeps: int = 1
-    omega: float = OMEGA_RECURSE
-    base_size: int = 3
-    direct: DirectSolver | None = None
-    operator: StencilOperator | None = None
-
-    def solve(
-        self,
-        x: np.ndarray,
-        b: np.ndarray,
-        accuracy_of: AccuracyFn,
-        target: float,
-        meter: OpMeter = NULL_METER,
-    ) -> int:
-        if accuracy_of(x) >= target:
-            return 0
-        full_multigrid_cycle(
-            x,
-            b,
-            pre_sweeps=self.pre_sweeps,
-            post_sweeps=self.post_sweeps,
-            omega=self.omega,
-            base_size=self.base_size,
-            direct=self.direct,
-            meter=meter,
-            operator=self.operator,
-        )
-        if accuracy_of(x) >= target:
-            return 1
-        for it in range(2, self.max_iters + 1):
-            self._step(x, b, meter)
-            if accuracy_of(x) >= target:
-                return it
-        raise IterationLimit(
-            f"reference full MG did not reach accuracy {target:g} in "
-            f"{self.max_iters} iterations (n={x.shape[0]})"
-        )
-
-    def _step(self, x: np.ndarray, b: np.ndarray, meter: OpMeter) -> None:
-        vcycle(
-            x,
-            b,
-            pre_sweeps=self.pre_sweeps,
-            post_sweeps=self.post_sweeps,
-            omega=self.omega,
-            base_size=self.base_size,
-            direct=self.direct,
-            meter=meter,
-            operator=self.operator,
-        )
+    def _plans(self, level: int, ndim: int) -> tuple[TunedFullMGPlan, TunedVPlan]:
+        return full_mg_plan(level, ndim), v_plan(level, ndim)

@@ -345,6 +345,8 @@ class PlanCache:
         accuracy) is the strongest of the Figure 7 heuristics and needs
         no per-level accuracy search, so it trains in a fraction of the
         DP's time — cheap enough to serve a cold key's first request.
+        It is placed on the key's kernel backend, like the tuned plan
+        that replaces it.
         """
         from repro.tuner.heuristics import HeuristicStrategy, tune_heuristic
         from repro.tuner.spec import TuneSpec
@@ -357,6 +359,7 @@ class PlanCache:
             accuracies=self.accuracies,
             training=spec.training(),
             timing=spec.timing(),
+            backend=key.backend,
         )
         plan.metadata["serve_fallback"] = True
         return plan

@@ -14,11 +14,6 @@ call into a long-running system shaped like production serving:
   the swap provenance persisted into the trial log;
 * **telemetry** — per-request latency histograms, cache counters,
   queue depth, and swap events (:mod:`repro.serve.telemetry`).
-
-Batches can optionally run on the work-stealing runtime
-(:mod:`repro.runtime.scheduler`) instead of sequentially inside one
-worker thread, connecting the serving layer to the paper's parallel
-execution model.
 """
 
 from __future__ import annotations
@@ -112,10 +107,6 @@ class SolveServer:
     tune_jobs:
         Worker *processes* for background DP tunes (None/1 = in the
         tuner thread).
-    scheduler:
-        Optional :mod:`repro.runtime` scheduler (``SerialScheduler`` or
-        ``WorkStealingScheduler``); batches of >1 request then execute
-        as a task graph instead of a sequential loop.
     clock:
         Injectable :class:`~repro.util.clock.Clock` used for every
         *measured duration* (queue wait, solve time, request latency,
@@ -159,7 +150,6 @@ class SolveServer:
         instances: int = 3,
         tune_jobs: int | None = None,
         allow_nearest: bool = True,
-        scheduler: Any | None = None,
         telemetry: Telemetry | None = None,
         clock: Clock | None = None,
         backend: str = "numpy",
@@ -207,7 +197,6 @@ class SolveServer:
         )
         self.batch_size = batch_size
         self.tune_jobs = tune_jobs
-        self.scheduler = scheduler
         self._queue: RequestQueue[SolveRequest] = RequestQueue(queue_size)
         self._state = threading.Condition()
         self._closed = False
@@ -465,55 +454,11 @@ class SolveServer:
         if len(batch) > 1:
             self.telemetry.incr("batched_requests", len(batch))
         executor = self._executor_for(head.key)
-        if self.scheduler is not None and len(batch) > 1:
-            # One request per distinct accuracy index runs inline first:
-            # each distinct index exercises its own plan path, so this
-            # populates every per-level operator instance and direct
-            # factorization the batch needs, and the parallel tail only
-            # reads those caches.  Requests whose target is off the
-            # ladder also stay inline (they fail fast in _solve_one).
-            inline, tail = [], []
-            seen: set[int] = set()
-            for request in batch:
-                try:
-                    acc_index = entry.plan.accuracy_index(request.target_accuracy)
-                except ValueError:
-                    acc_index = None
-                if acc_index is None or acc_index not in seen:
-                    if acc_index is not None:
-                        seen.add(acc_index)
-                    inline.append(request)
-                else:
-                    tail.append(request)
-            for request in inline:
-                self._solve_one(
-                    request, entry, executor, len(batch),
-                    parent=batch_span if request is head else None,
-                )
-            if tail:
-                self._run_on_scheduler(tail, entry, executor, len(batch))
-        else:
-            for request in batch:
-                self._solve_one(
-                    request, entry, executor, len(batch),
-                    parent=batch_span if request is head else None,
-                )
-
-    def _run_on_scheduler(
-        self, requests: list[SolveRequest], entry: CacheEntry, executor: PlanExecutor,
-        batch_size: int,
-    ) -> None:
-        from repro.runtime.task import TaskGraph
-
-        graph = TaskGraph()
-        for i, request in enumerate(requests):
-            graph.add(
-                f"solve-{i}",
-                # bind loop vars; _solve_one never raises (it resolves the
-                # request future), so scheduler error paths stay clean
-                fn=lambda r=request: self._solve_one(r, entry, executor, batch_size),
+        for request in batch:
+            self._solve_one(
+                request, entry, executor, len(batch),
+                parent=batch_span if request is head else None,
             )
-        self.scheduler.run(graph)
 
     def _solve_one(
         self,

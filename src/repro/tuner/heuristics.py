@@ -57,12 +57,15 @@ def tune_heuristic(
     timing: TimingStrategy,
     max_recurse_iters: int = 128,
     force_direct_max_level: int | None = None,
+    backend: str = "numpy",
 ) -> TunedVPlan:
     """Train the given fixed strategy and return it as an executable plan.
 
     ``force_direct_max_level`` pins the direct call at levels <= the given
     level (the paper's Strategy 10^9 hard-codes the base case at N = 65,
     i.e. level 6); None lets cost decide, as for the 10^x/10^9 strategies.
+    ``backend`` is the kernel backend the strategy is priced and placed
+    on, as for :class:`VCycleTuner`.
     """
     if not 0 <= strategy.sub_index < len(accuracies):
         raise ValueError("sub_index out of range")
@@ -86,6 +89,7 @@ def tune_heuristic(
         max_recurse_iters=max_recurse_iters,
         candidate_filter=allowed,
         keep_audit=False,
+        backend=backend,
     )
     plan = tuner.tune()
     plan.metadata["heuristic"] = strategy.label(tuple(accuracies))

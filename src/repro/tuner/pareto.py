@@ -12,21 +12,17 @@ ablation comparing full vs discrete DP on small problems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.grids.poisson import residual
-from repro.grids.transfer import interpolate_correction, restrict_full_weighting
-from repro.linalg.direct import DirectSolver
-from repro.machines.meter import OpMeter
-from repro.relax.sor import sor_redblack
-from repro.relax.weights import OMEGA_RECURSE, omega_opt
-from repro.tuner.plan import recurse_wrapper_meter
+from repro.tuner.choices import Choice, DirectChoice, RecurseChoice, SORChoice
+from repro.tuner.executor import PlanExecutor
+from repro.tuner.plan import TunedVPlan, fixed_vplan
 from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
-from repro.util.validation import size_of_level
+from repro.util.validation import level_of_size
 
 __all__ = ["ParetoAlgorithm", "ParetoPoint", "ParetoTuner", "pareto_front"]
 
@@ -47,38 +43,32 @@ class ParetoAlgorithm:
         assert self.child is not None
         return f"(recurse[{self.child.describe()}])^{self.iterations}"
 
-    def execute(self, x: np.ndarray, b: np.ndarray, direct: DirectSolver) -> np.ndarray:
-        """Run this algorithm on (x, b) in place."""
-        n = x.shape[0]
-        if self.kind == "direct":
-            direct.solve(x, b)
-            return x
-        if self.kind == "sor":
-            sor_redblack(x, b, omega_opt(n), self.iterations)
-            return x
-        assert self.child is not None
-        for _ in range(self.iterations):
-            sor_redblack(x, b, OMEGA_RECURSE, 1)
-            rc = restrict_full_weighting(residual(x, b))
-            ec = np.zeros_like(rc)
-            self.child.execute(ec, rc, direct)
-            interpolate_correction(x, ec)
-            sor_redblack(x, b, OMEGA_RECURSE, 1)
-        return x
+    def plan(self, level: int) -> TunedVPlan:
+        """This chain as a one-rung V plan with its top at ``level``.
 
-    def meter(self, n: int) -> OpMeter:
-        """Exact op multiset at fine size ``n``."""
-        m = OpMeter()
-        if self.kind == "direct":
-            m.charge("direct", n)
-        elif self.kind == "sor":
-            m.charge("relax", n, self.iterations)
-        else:
-            assert self.child is not None
-            unit = recurse_wrapper_meter(n)
-            unit.merge(self.child.meter((n - 1) // 2 + 1))
-            m.merge(unit, times=self.iterations)
-        return m
+        Levels below the chain's base hold a direct solve nothing runs;
+        the plan's ``unit_meter(level, 0)`` is the chain's exact op
+        multiset.
+        """
+        choices: list[Choice] = []
+        algo: ParetoAlgorithm | None = self
+        for _ in range(level):
+            if algo is None:
+                choices.append(DirectChoice())
+            elif algo.kind == "direct":
+                choices.append(DirectChoice())
+                algo = None
+            elif algo.kind == "sor":
+                choices.append(SORChoice(algo.iterations))
+                algo = None
+            else:
+                choices.append(RecurseChoice(0, algo.iterations))
+                algo = algo.child
+        return fixed_vplan(choices[::-1])
+
+    def execute(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Run this algorithm on 2-D Poisson (x, b) in place."""
+        return PlanExecutor().run_v(self.plan(level_of_size(x.shape[0])), x, b, 0)
 
 
 @dataclass(frozen=True)
@@ -90,7 +80,9 @@ class ParetoPoint:
     accuracy: float
 
 
-def pareto_front(points: Sequence[ParetoPoint], max_size: int | None = None) -> list[ParetoPoint]:
+def pareto_front(
+    points: Sequence[ParetoPoint], max_size: int | None = None
+) -> list[ParetoPoint]:
     """Non-dominated subset (faster or more accurate), sorted by time.
 
     Capping keeps the members whose accuracies are most spread out in log
@@ -129,7 +121,9 @@ class ParetoTuner:
     """Builds the optimal sets A_1..A_max_level of section 2.2.
 
     Intended for small levels (the search is exponential without capping);
-    the discrete tuner is the production path.
+    the discrete tuner is the production path.  Every candidate runs as a
+    one-rung plan on a :class:`PlanExecutor` bound to the training
+    operator.
     """
 
     max_level: int
@@ -138,24 +132,22 @@ class ParetoTuner:
     max_set_size: int = 12
     max_sor_iters: int = 64
     max_recurse_iters: int = 6
-    direct: DirectSolver | None = None
+    executor: PlanExecutor = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.training.ndim != 2:
-            # The full-DP ablation executes and meters the raw 2-D
-            # constant-coefficient kernels (band-Cholesky direct, 5-point
-            # SOR); silently running it on a 3-D training operator would
-            # price n**3 work with n**2 shapes.  The discrete tuners are
+            # The full DP keeps every non-dominated chain, which only
+            # stays tractable on small 2-D grids; the discrete tuners are
             # the dimension-general path.
             raise ValueError(
-                "ParetoTuner is a 2-D constant-coefficient ablation tool; "
+                "ParetoTuner is a 2-D ablation tool; "
                 "use VCycleTuner/FullMGTuner for 3-D operators"
             )
         if self.timing is None:
             from repro.machines.presets import INTEL_HARPERTOWN
 
             self.timing = CostModelTiming(INTEL_HARPERTOWN)
-        self.direct = self.direct or DirectSolver(backend="block", cache_factorization=True)
+        self.executor = PlanExecutor(operator=self.training.operator)
 
     def tune(self) -> dict[int, list[ParetoPoint]]:
         """Return the optimal set per level."""
@@ -168,19 +160,17 @@ class ParetoTuner:
 
     # ------------------------------------------------------------------
 
-    def _point(self, algo: ParetoAlgorithm, level: int) -> ParetoPoint:
-        n = size_of_level(level)
-        seconds = self.timing.profile.price(algo.meter(n), self.timing.threads)
-        accuracy = self._worst_accuracy(algo, level)
-        return ParetoPoint(algo, seconds, accuracy)
+    def _price(self, plan: TunedVPlan, level: int) -> float:
+        return self.timing.profile.price(plan.unit_meter(level, 0), self.timing.threads)
 
-    def _worst_accuracy(self, algo: ParetoAlgorithm, level: int) -> float:
+    def _point(self, algo: ParetoAlgorithm, level: int) -> ParetoPoint:
+        plan = algo.plan(level)
         bundle = self.training.at_level(level)
         worst = math.inf
         for (x, b), judge in zip(bundle.fresh_starts(), bundle.judges):
-            algo.execute(x, b, self.direct)
+            self.executor.run_v(plan, x, b, 0)
             worst = min(worst, judge.accuracy_of(x))
-        return worst
+        return ParetoPoint(algo, self._price(plan, level), worst)
 
     def _build_level(self, level: int, below: list[ParetoPoint]) -> list[ParetoPoint]:
         candidates: list[ParetoPoint] = []
@@ -197,36 +187,20 @@ class ParetoTuner:
         self, level: int, bundle, child: ParetoAlgorithm | None
     ) -> list[ParetoPoint]:
         """Points for algo^t, t = 1..cap, reusing state across t."""
-        n = size_of_level(level)
-        starts = bundle.fresh_starts()
-        judges = bundle.judges
-        cap = self.max_sor_iters if child is None else self.max_recurse_iters
-        omega = omega_opt(n)
-        points: list[ParetoPoint] = []
         if child is None:
-            unit = OpMeter()
-            unit.charge("relax", n)
+            step = ParetoAlgorithm(kind="sor")
+            cap = self.max_sor_iters
         else:
-            unit = recurse_wrapper_meter(n)
-            unit.merge(child.meter((n - 1) // 2 + 1))
-        unit_seconds = self.timing.profile.price(unit, self.timing.threads)
+            step = ParetoAlgorithm(kind="recurse", child=child)
+            cap = self.max_recurse_iters
+        plan = step.plan(level)
+        unit_seconds = self._price(plan, level)
+        starts = bundle.fresh_starts()
+        points: list[ParetoPoint] = []
         for t in range(1, cap + 1):
             worst = math.inf
-            for (x, b), judge in zip(starts, judges):
-                if child is None:
-                    sor_redblack(x, b, omega, 1)
-                else:
-                    sor_redblack(x, b, OMEGA_RECURSE, 1)
-                    rc = restrict_full_weighting(residual(x, b))
-                    ec = np.zeros_like(rc)
-                    child.execute(ec, rc, self.direct)
-                    interpolate_correction(x, ec)
-                    sor_redblack(x, b, OMEGA_RECURSE, 1)
+            for (x, b), judge in zip(starts, bundle.judges):
+                self.executor.run_v(plan, x, b, 0)
                 worst = min(worst, judge.accuracy_of(x))
-            algo = (
-                ParetoAlgorithm(kind="sor", iterations=t)
-                if child is None
-                else ParetoAlgorithm(kind="recurse", iterations=t, child=child)
-            )
-            points.append(ParetoPoint(algo, unit_seconds * t, worst))
+            points.append(ParetoPoint(replace(step, iterations=t), unit_seconds * t, worst))
         return points

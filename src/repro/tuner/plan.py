@@ -15,7 +15,7 @@ choice the DP selected.  Plans are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.machines.meter import OpMeter, backend_op, dim_op
 from repro.machines.profile import MachineProfile
@@ -28,9 +28,21 @@ from repro.tuner.choices import (
 )
 from repro.util.validation import size_of_level
 
-__all__ = ["TunedFullMGPlan", "TunedVPlan", "recurse_wrapper_meter"]
+__all__ = [
+    "FIXED_LADDER",
+    "TunedFullMGPlan",
+    "TunedVPlan",
+    "fixed_vplan",
+    "recurse_wrapper_meter",
+]
 
 DEFAULT_ACCURACIES: tuple[float, ...] = (1e1, 1e3, 1e5, 1e7, 1e9)
+
+#: Accuracy ladder of a fixed (untuned) plan: one rung that nothing
+#: consults.  Fixed plans — the paper's reference cycles, the Pareto
+#: ablation's chains — hold one choice per level and are either iterated
+#: until a *measured* accuracy is met or run a fixed number of times.
+FIXED_LADDER: tuple[float, ...] = (10.0,)
 
 
 def recurse_wrapper_meter(n: int, ndim: int = 2, backend: str = "numpy") -> OpMeter:
@@ -175,6 +187,12 @@ class TunedVPlan:
 
     def invalidate_pricing_cache(self) -> None:
         self._meters.clear()
+
+
+def fixed_vplan(choices: Sequence[Choice], ndim: int = 2) -> "TunedVPlan":
+    """A one-rung V plan that runs ``choices[k - 1]`` at level k."""
+    table = {(level, 0): choice for level, choice in enumerate(choices, start=1)}
+    return TunedVPlan(FIXED_LADDER, len(choices), table, ndim=ndim)
 
 
 @dataclass

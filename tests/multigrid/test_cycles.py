@@ -1,4 +1,4 @@
-"""Tests for the reference multigrid cycles."""
+"""Tests for the reference multigrid cycles, run as fixed plans."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,22 @@ from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import reference_solution
 from repro.grids.norms import residual_norm
 from repro.grids.poisson import residual
-from repro.machines.meter import OpMeter
-from repro.multigrid.cycles import full_multigrid_cycle, vcycle, wcycle
+from repro.machines.meter import NULL_METER, OpMeter
+from repro.multigrid import full_mg_plan, v_plan
+from repro.tuner.choices import DirectChoice, RecurseChoice
+from repro.tuner.executor import PlanExecutor
+from repro.tuner.plan import fixed_vplan
+from repro.util.validation import level_of_size
 from repro.workloads.distributions import make_problem
+
+
+def vcycle(x, b, meter=NULL_METER):
+    return PlanExecutor().run_v(v_plan(level_of_size(x.shape[0])), x, b, 0, meter)
+
+
+def full_multigrid_cycle(x, b, meter=NULL_METER):
+    plan = full_mg_plan(level_of_size(x.shape[0]))
+    return PlanExecutor().run_full_mg(plan, x, b, 0, meter)
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +56,11 @@ class TestVCycle:
         assert residual_norm(residual(x, tiny.b)) <= 1e-6
 
     def test_base_size_cutoff_respected(self, problem):
+        # Direct solve at level 3 (9x9) and below, V recursion above.
+        plan = fixed_vplan([DirectChoice()] * 3 + [RecurseChoice(0, 1)] * 2)
         meter = OpMeter()
         x = problem.initial_guess()
-        vcycle(x, problem.b, base_size=9, meter=meter)
+        PlanExecutor().run_v(plan, x, problem.b, 0, meter)
         assert meter.counts[("direct", 9)] == 1
         assert ("relax", 5) not in meter.counts
 
@@ -59,29 +74,6 @@ class TestVCycle:
             assert meter.counts[("restrict", n)] == 1
             assert meter.counts[("interpolate", n)] == 1
         assert meter.counts[("direct", 3)] == 1
-
-    def test_zero_presweeps_allowed(self, problem, x_opt):
-        x = problem.initial_guess()
-        judge = AccuracyJudge(x, x_opt)
-        vcycle(x, problem.b, pre_sweeps=0, post_sweeps=2)
-        assert judge.accuracy_of(x) > 2.0
-
-
-class TestWCycle:
-    def test_reduces_error_at_least_as_much_as_v(self, problem, x_opt):
-        xv = problem.initial_guess()
-        xw = problem.initial_guess()
-        judge = AccuracyJudge(xv, x_opt)
-        vcycle(xv, problem.b)
-        wcycle(xw, problem.b)
-        assert judge.accuracy_of(xw) >= 0.9 * judge.accuracy_of(xv)
-
-    def test_visits_coarse_levels_twice(self, problem):
-        meter = OpMeter()
-        wcycle(problem.initial_guess(), problem.b, meter=meter)
-        # At one level below the top the W cycle recurses twice.
-        assert meter.counts[("relax", 17)] == 4
-        assert meter.counts[("relax", 9)] == 8
 
 
 class TestFullMultigrid:

@@ -97,17 +97,22 @@ class TestTwoGridConvergence:
 
     @pytest.mark.parametrize("name,bound", CASES)
     def test_two_grid_factor(self, name, bound):
-        from repro.multigrid.cycles import vcycle
+        from repro.tuner.choices import DirectChoice, RecurseChoice
+        from repro.tuner.executor import PlanExecutor
+        from repro.tuner.plan import fixed_vplan
 
         n = 33
         op = make_operator(name, n)
         x, b = _problem(op, seed=123)
         exact = op.direct_solve(x.copy(), b)
         err = np.sqrt(_energy(op, x - exact))
+        # Direct solve at the coarse size (17, level 4) => a genuine
+        # two-grid cycle.
+        plan = fixed_vplan([DirectChoice()] * 4 + [RecurseChoice(0, 1)])
+        executor = PlanExecutor(operator=name)
         factors = []
         for _ in range(4):
-            # base_size = coarse size => a genuine two-grid cycle.
-            vcycle(x, b, pre_sweeps=1, post_sweeps=1, base_size=17, operator=op)
+            executor.run_v(plan, x, b, 0)
             nxt = np.sqrt(_energy(op, x - exact))
             if err == 0.0 or nxt == 0.0:
                 break

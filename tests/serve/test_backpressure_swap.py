@@ -8,9 +8,7 @@ Covers the serving runtime's three hard guarantees:
 * ``shutdown(drain=True)`` completes every admitted request;
 * a hot swap mid-stream never yields a torn plan — every solution is
   byte-identical to one produced by a *whole* plan (fallback or tuned),
-  verified by golden-hashing solutions against offline solves, including
-  when batches execute on the work-stealing scheduler from
-  :mod:`repro.runtime.scheduler`.
+  verified by golden-hashing solutions against offline solves.
 """
 
 import concurrent.futures
@@ -21,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core import poisson_problem, solve
-from repro.runtime.scheduler import SerialScheduler, WorkStealingScheduler
 from repro.serve import Backpressure, SolveServer
 from repro.store.trialdb import TrialDB
 
@@ -147,17 +144,12 @@ class TestDrain:
 
 
 class TestHotSwapNeverTearsPlans:
-    @pytest.mark.parametrize(
-        "scheduler", [None, SerialScheduler(), WorkStealingScheduler(workers=2, seed=0)]
-    )
-    def test_mid_stream_swap_golden_hashes(self, scheduler):
+    def test_mid_stream_swap_golden_hashes(self):
         """Stream requests across a background swap; every solution must
         match one of the two whole plans, never a mixture."""
         db = TrialDB(":memory:")
         problem = poisson_problem("unbiased", n=N, seed=21)
-        with make_server(
-            store=db, workers=2, queue_size=64, batch_size=4, scheduler=scheduler
-        ) as server:
+        with make_server(store=db, workers=2, queue_size=64, batch_size=4) as server:
             futures = [server.submit(problem, 1e5) for _ in range(20)]
             # Ensure the fallback actually served (scheduling the
             # background tune), then let the swap land mid-stream.
@@ -227,21 +219,3 @@ class TestHotSwapNeverTearsPlans:
                 f"torn plan: a {result.plan_source} 3-D response matched "
                 f"neither whole-plan golden hash"
             )
-
-    def test_scheduler_batches_match_sequential_results(self):
-        """The work-stealing path returns byte-identical solutions."""
-        problems = [poisson_problem("unbiased", n=N, seed=i) for i in range(6)]
-        outputs = {}
-        for name, scheduler in (
-            ("sequential", None),
-            ("workstealing", WorkStealingScheduler(workers=3, seed=1)),
-        ):
-            with make_server(
-                workers=1, queue_size=16, batch_size=8, scheduler=scheduler
-            ) as server:
-                server.warm("unbiased", LEVEL)
-                futures = [server.submit(p, 1e5) for p in problems]
-                outputs[name] = [
-                    solution_hash(f.result(timeout=60).solution) for f in futures
-                ]
-        assert outputs["sequential"] == outputs["workstealing"]

@@ -53,6 +53,18 @@ class TestWarm:
 
 
 class TestFallback:
+    def test_fallback_plan_runs_on_the_cache_backend(self, registry):
+        from repro.kernels import get_backend
+
+        if not get_backend("cnative").available():
+            pytest.skip("backend 'cnative' is unavailable on this host")
+        cache = PlanCache(registry, instances=1, seed=3, backend="cnative")
+        key = cache.key_for(INTEL_HARPERTOWN, None, 5, "unbiased")
+        entry = cache.get_or_fallback(INTEL_HARPERTOWN, key)
+        assert entry.source == "fallback"
+        assert entry.plan.metadata["backend"] == "cnative"
+        assert set(entry.plan.backends.values()) == {"cnative"}
+
     def test_cold_key_serves_heuristic_and_marks_stale(self, cache):
         key = cache.key_for(INTEL_HARPERTOWN, None, 3, "unbiased")
         entry = cache.get_or_fallback(INTEL_HARPERTOWN, key)

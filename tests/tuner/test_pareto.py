@@ -6,7 +6,6 @@ import pytest
 
 from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import ReferenceSolutionCache
-from repro.linalg.direct import DirectSolver
 from repro.machines.presets import INTEL_HARPERTOWN
 from repro.tuner.pareto import (
     ParetoAlgorithm,
@@ -60,14 +59,14 @@ class TestParetoAlgorithm:
     def test_meter_composition(self):
         child = ParetoAlgorithm(kind="direct")
         algo = ParetoAlgorithm(kind="recurse", iterations=2, child=child)
-        m = algo.meter(9)
+        m = algo.plan(3).unit_meter(3, 0)  # fine size 9
         assert m.counts[("relax", 9)] == 4
         assert m.counts[("direct", 5)] == 2
 
     def test_execute_direct_exact(self):
         problem = make_problem("unbiased", 9, seed=501)
         x = problem.initial_guess()
-        ParetoAlgorithm(kind="direct").execute(x, problem.b, DirectSolver())
+        ParetoAlgorithm(kind="direct").execute(x, problem.b)
         cache = ReferenceSolutionCache()
         judge = AccuracyJudge(problem.initial_guess(), cache.get(problem))
         assert judge.accuracy_of(x) > 1e10
@@ -118,5 +117,5 @@ class TestParetoTuner:
                 continue
             x = problem.initial_guess()
             judge = AccuracyJudge(x, x_opt)
-            point.algorithm.execute(x, problem.b, DirectSolver())
+            point.algorithm.execute(x, problem.b)
             assert judge.accuracy_of(x) >= 0.2 * point.accuracy

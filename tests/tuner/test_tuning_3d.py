@@ -21,9 +21,10 @@ import pytest
 from repro.core.api import autotune, autotune_full_mg, solve
 from repro.grids.norms import residual_norm
 from repro.machines.presets import get_preset
-from repro.multigrid.cycles import vcycle
+from repro.multigrid import full_mg_plan, v_plan
 from repro.operators import shared_operator
 from repro.tuner.config import plan_to_dict
+from repro.tuner.executor import PlanExecutor
 from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
 from repro.workloads.distributions import make_problem
@@ -42,10 +43,11 @@ class TestVCycleConvergence3D:
         rng = np.random.default_rng(7)
         u = np.zeros((n,) * 3)
         b = rng.uniform(-1.0, 1.0, size=(n,) * 3)
+        executor, plan = PlanExecutor(operator="poisson3d"), v_plan(5, ndim=3)
         prev = residual_norm(op.residual(u, b))
         factors = []
         for _ in range(6):
-            vcycle(u, b, operator=op)
+            executor.run_v(plan, u, b, 0)
             cur = residual_norm(op.residual(u, b))
             if cur == 0.0:
                 break
@@ -53,18 +55,15 @@ class TestVCycleConvergence3D:
             prev = cur
         assert factors and max(factors) <= 0.25, factors
 
-    def test_wcycle_and_fmg_also_contract(self):
-        from repro.multigrid.cycles import full_multigrid_cycle, wcycle
-
+    def test_fmg_also_contracts(self):
         n = 17
         rng = np.random.default_rng(8)
         b = rng.uniform(-1.0, 1.0, size=(n,) * 3)
         op = shared_operator("poisson3d", n)
-        for cycle in (wcycle, full_multigrid_cycle):
-            u = np.zeros((n,) * 3)
-            r0 = residual_norm(op.residual(u, b))
-            cycle(u, b)
-            assert residual_norm(op.residual(u, b)) < 0.2 * r0
+        u = np.zeros((n,) * 3)
+        r0 = residual_norm(op.residual(u, b))
+        PlanExecutor(operator="poisson3d").run_full_mg(full_mg_plan(4, ndim=3), u, b, 0)
+        assert residual_norm(op.residual(u, b)) < 0.2 * r0
 
 
 class TestTunedPlans3D:
