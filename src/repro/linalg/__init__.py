@@ -25,7 +25,6 @@ from repro.linalg.band import (
     solve_banded_reference,
 )
 from repro.linalg.blocktri import BlockTridiagonalCholesky, poisson_blocks
-from repro.linalg.tridiag import thomas_solve
 from repro.linalg.direct import DirectSolver, build_interior_rhs, scatter_interior
 from repro.linalg.sparse_nd import (
     AxisStencilFactor,
@@ -46,5 +45,4 @@ __all__ = [
     "poisson_blocks",
     "scatter_interior",
     "solve_banded_reference",
-    "thomas_solve",
 ]

@@ -39,12 +39,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.machines.meter import OpMeter, backend_op, dim_op
 from repro.machines.profile import MachineProfile
 from repro.modeltuner.costmodel import CostModel, ModelTiming
 from repro.tuner.choices import Choice, DirectChoice
-from repro.tuner.dp import select_fastest, tuning_metadata
-from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan, recurse_wrapper_meter
+from repro.tuner.dp import probe_choice, select_fastest, tuning_metadata
+from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan
 from repro.tuner.spec import TuneSpec
 from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
@@ -120,8 +119,9 @@ class BOSearch:
             max_sor_iters=self.max_sor_iters,
             max_recurse_iters=self.max_recurse_iters,
         )
-        # Parent-side tuner: owns meters, backend placement, and plan
-        # metadata; workers build the same one from the spec.
+        # Parent-side tuner: owns backend placement, the plan each level
+        # is priced on, and plan metadata; workers build the same one
+        # from the spec.
         self._tuner = self.spec.build(self.training)
         self._timing: CostModelTiming = self.spec.timing()
         # Acquisition pricing: the learned model when available (its
@@ -173,14 +173,14 @@ class BOSearch:
 
         m = len(self.accuracies)
         n = size_of_level(level)
-        sub_meters = [self._tuner._meter_below(table, level, j) for j in range(m)]
+        plan = self._tuner._plan_below(table, level)
         # Acquisition: pick which trained candidates each slot evaluates.
         # Decided for the whole level before any evaluation runs, so the
         # task batch (and with it the seeded rng stream) is independent
         # of executor parallelism.
         chosen: list[list[tuple[str, int | None]]] = []
         for i in range(m):
-            picks = self._acquire_slot(level, i, n, sub_meters, rng)
+            picks = self._acquire_slot(level, i, n, plan, rng)
             # DIRECT is exact (no iteration training) so it always
             # evaluates: free feasibility floor for every slot.
             chosen.append([("direct", None), *picks])
@@ -225,14 +225,14 @@ class BOSearch:
         level: int,
         acc_index: int,
         n: int,
-        sub_meters: list[OpMeter],
+        plan: TunedVPlan,
         rng: random.Random,
     ) -> list[tuple[str, int | None]]:
         """The trained candidates this slot will actually evaluate."""
         scored: list[tuple[float, int, tuple[str, int | None]]] = []
         unobserved: list[tuple[float, int, tuple[str, int | None]]] = []
         for idx, (kind, j) in enumerate(self._slot_candidates()):
-            cost, state = self._predict(level, acc_index, kind, j, n, sub_meters)
+            cost, state = self._predict(level, acc_index, kind, j, n, plan)
             entry = (cost, idx, (kind, j))
             if math.isfinite(cost):
                 scored.append(entry)
@@ -264,30 +264,13 @@ class BOSearch:
         kind: str,
         j: int | None,
         n: int,
-        sub_meters: list[OpMeter],
+        plan: TunedVPlan,
     ) -> tuple[float, str]:
         """(acquisition cost, observation state) for one candidate arm."""
         iters, state = self._predicted_iters(level, acc_index, kind, j, n)
         if not math.isfinite(iters):
             return math.inf, state
-        if kind == "recurse":
-            assert j is not None
-            unit = OpMeter()
-            unit.merge(
-                recurse_wrapper_meter(
-                    n, self.training.ndim, self._tuner._backend_at(level)
-                )
-            )
-            unit.merge(sub_meters[j])
-            unit_cost = sum(
-                count * self._acq.op_seconds(op, size)
-                for (op, size), count in unit.items()
-            )
-        else:
-            relax = backend_op(
-                dim_op("relax", self.training.ndim), self._tuner._backend_at(level)
-            )
-            unit_cost = self._acq.op_seconds(relax, n)
+        unit_cost = self._acq.price(plan.choice_meter(level, probe_choice(kind, j)))
         sigma = {
             "observed": 0.0,
             "transferred": _SIGMA_TRANSFERRED,

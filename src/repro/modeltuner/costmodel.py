@@ -37,7 +37,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.machines.meter import OPS, OpMeter, backend_op, base_op
+from repro.machines.meter import OPS, backend_op, base_op
 from repro.machines.profile import MachineProfile
 from repro.tuner.timing import CostModelTiming
 
@@ -169,10 +169,6 @@ class CostModel:
         except (KeyError, ValueError):
             analytic = _MIN_SECONDS
         return _clamp_seconds(analytic * self.calibration)
-
-    def price(self, meter: OpMeter) -> float:
-        """Total predicted seconds for all ops recorded in ``meter``."""
-        return sum(count * self.op_seconds(op, n) for (op, n), count in meter.items())
 
     # -- fitting ----------------------------------------------------------
 
@@ -370,8 +366,8 @@ class ModelTiming(CostModelTiming):
         super().__init__(model.base)
         self.model = model
 
-    def time_candidate(self, unit_meter, run, starts) -> float:
-        return self.model.price(unit_meter)
+    def time_candidate(self, unit_meter, run=None, starts=()) -> float:
+        return self.price(unit_meter)
 
     def op_seconds(self, op: str, n: int) -> float:
         return self.model.op_seconds(op, n)

@@ -17,7 +17,9 @@ independent tuning problems.  This subsystem exposes both axes:
   (DP and BOSearch alike) and one
   :class:`~repro.parallel.tasks.EstimateTask` per full-MG estimate.
   Workers rebuild the tuner from the spec exactly as a serial tune
-  builds it, so the parallel tuner selects exactly the plan the serial
+  builds it, and the plan tuned through the level below from the
+  task's table, so each candidate is trained, run and priced on the
+  same plan and the parallel tuner selects exactly the plan the serial
   tuner would.
 * :func:`~repro.parallel.campaigns.run_cells_parallel` — campaign-cell
   fan-out.  Each worker opens its own WAL-mode

@@ -6,16 +6,18 @@ data whose deterministic training seed makes a re-run in another
 process reproduce the exact training instances:
 
 * :class:`CandidateTask` — one V-cycle candidate for one (level,
-  accuracy) slot, evaluated against the partially built plan table.
+  accuracy) slot, evaluated on the plan tuned through the level below
+  (rebuilt from the task's table).
   The DP (:class:`~repro.tuner.dp.VCycleTuner`) and the model-guided
   :class:`~repro.modeltuner.bo.BOSearch` both use it;
 * :class:`EstimateTask` — every solver variant of one full-MG
-  ESTIMATE_j, for :class:`~repro.tuner.full_mg.FullMGTuner`.
+  ESTIMATE_j, for :class:`~repro.tuner.full_mg.FullMGTuner`, on the
+  full-MG plan tuned through the level below.
 
 A worker rebuilds the tuner with :meth:`TuneSpec.build` — the function
 serial tunes use — and runs the *same* single-candidate evaluation code
-the serial tuner runs, with the same per-level kernel backends, so
-trained iteration counts and priced seconds are bit-identical to a
+the serial tuner runs, on the same plan with the same per-level kernel
+backends, so trained iteration counts and priced seconds are bit-identical to a
 serial tune.  The only difference is pruning: workers evaluate with an
 infinite budget, and any candidate the serial tuner would have pruned
 prices strictly worse than the serial winner, so per-slot selection —
@@ -23,8 +25,9 @@ done in the parent, folding outcomes in serial enumeration order with a
 strict ``<`` — picks exactly the same plan.
 
 Worker processes cache the rebuilt tuners (and with them training
-instances, reference solutions, and direct-solver factorizations) by
-spec, so reconstruction is paid once per worker, not once per task.
+instances and reference solutions) by spec, so reconstruction is paid
+once per worker, not once per task; direct-solver factorizations live
+on the process's shared per-size operators.
 """
 
 from __future__ import annotations
@@ -34,19 +37,18 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.tuner.choices import Choice, DirectChoice, RecurseChoice, SORChoice
+from repro.tuner.choices import Choice
 from repro.tuner.config import plan_from_dict, plan_to_dict
 from repro.tuner.dp import (
     CandidateOutcome,
     CandidateReport,
     VCycleTuner,
-    _TableView,
+    probe_choice,
     select_fastest,
 )
-from repro.tuner.full_mg import FullMGTuner, _FullTableView
+from repro.tuner.full_mg import FullMGTuner
 from repro.tuner.plan import TunedVPlan
 from repro.tuner.spec import TuneSpec
-from repro.util.validation import size_of_level
 
 __all__ = [
     "CandidateTask",
@@ -85,18 +87,6 @@ class EstimateTask:
     j: int
 
 
-def _probe_choice(kind: str, j: int | None) -> Choice:
-    """The probe the candidate_filter sees (mirrors the serial probes)."""
-    if kind == "direct":
-        return DirectChoice()
-    if kind == "recurse":
-        assert j is not None
-        return RecurseChoice(sub_accuracy=j, iterations=1)
-    if kind == "sor":
-        return SORChoice(iterations=1)
-    raise ValueError(f"unknown candidate kind {kind!r}")
-
-
 # -- worker-side cache -----------------------------------------------------
 #
 # Keyed by (spec, V plan JSON or None); distinct levels and tables arrive
@@ -130,21 +120,9 @@ def _tuner_for(spec: TuneSpec, vplan_json: str | None = None) -> Any:
 def evaluate_candidate(task: CandidateTask) -> CandidateOutcome:
     """Evaluate one V-cycle candidate (module-level: pool-picklable)."""
     tuner: VCycleTuner = _tuner_for(task.spec)
-    table = dict(task.table)
-    level = task.level
-    view = _TableView(table, level, tuner._backends_through(level))
-    sub_meters = [tuner._meter_below(table, level, j) for j in range(len(tuner.accuracies))]
+    plan = tuner._plan_below(dict(task.table), task.level)
     outcome = tuner._evaluate_candidate(
-        level,
-        task.acc_index,
-        tuner.accuracies[task.acc_index],
-        size_of_level(level),
-        tuner.training.at_level(level),
-        view,
-        sub_meters,
-        task.kind,
-        task.sub_accuracy,
-        math.inf,
+        plan, task.level, task.acc_index, task.kind, task.sub_accuracy, math.inf
     )
     if outcome is None:  # pragma: no cover - parent pre-filters candidates
         raise RuntimeError(f"candidate {task.kind!r} filtered inside worker")
@@ -158,30 +136,14 @@ def evaluate_estimate(task: EstimateTask) -> list[list[CandidateOutcome | None]]
     enumeration order (SOR first, then RECURSE_l highest l first).
     """
     tuner: FullMGTuner = _tuner_for(task.spec, task.vplan_json)
-    table = dict(task.table)
-    n = size_of_level(task.level)
-    bundle = tuner.training.at_level(task.level)
-    view = _FullTableView(table, tuner.vplan, task.level)
-    starts = tuner._estimate_states(view, bundle, task.level, task.j)
-    est_meter = tuner._estimate_meter(table, task.level, task.j)
+    plan = tuner._plan_below(dict(task.table), task.level)
+    starts = tuner._estimate_states(plan, task.level, task.j)
     return [
         [
-            tuner._evaluate_variant(
-                task.level,
-                i,
-                target,
-                n,
-                bundle,
-                task.j,
-                kind,
-                sub,
-                starts,
-                est_meter,
-                math.inf,
-            )
+            tuner._evaluate_variant(plan, task.level, i, task.j, kind, sub, starts, math.inf)
             for kind, sub in tuner._variant_order()
         ]
-        for i, target in enumerate(tuner.vplan.accuracies)
+        for i in range(len(tuner.vplan.accuracies))
     ]
 
 
@@ -201,7 +163,7 @@ def tune_v_level_parallel(
     tasks: list[CandidateTask] = []
     for i in range(m):
         for kind, j in tuner._candidate_order():
-            if tuner._allowed(level, i, _probe_choice(kind, j)):
+            if tuner._allowed(level, i, probe_choice(kind, j)):
                 tasks.append(CandidateTask(spec, level, frozen_table, i, kind, j))
     outcomes = tuner.trial_executor.map(evaluate_candidate, tasks)
     per_slot: dict[int, list[CandidateOutcome]] = {i: [] for i in range(m)}
@@ -225,12 +187,11 @@ def tune_fmg_level_parallel(
     vplan_json = json.dumps(plan_to_dict(tuner.vplan), sort_keys=True, separators=(",", ":"))
     tasks = [EstimateTask(spec, level, frozen_table, vplan_json, j) for j in range(m)]
     per_estimate = tuner.trial_executor.map(evaluate_estimate, tasks)
-    n = size_of_level(level)
-    bundle = tuner.training.at_level(level)
+    plan = tuner._plan_below(table, level)
     kept = audit if tuner.keep_audit else None
     for i in range(m):
         # Direct is always feasible, so every slot has a winner.
-        collected: list[CandidateOutcome] = [tuner._evaluate_direct(n, bundle)]
+        collected: list[CandidateOutcome] = [tuner._evaluate_direct(plan, level)]
         for j in range(m):
             collected.extend(o for o in per_estimate[j][i] if o is not None)
         table[(level, i)] = select_fastest(level, i, collected, kept)

@@ -6,9 +6,12 @@ Public surface:
 * :class:`VCycleTuner` — discrete DP over (level, accuracy) for the
   MULTIGRID-V_i family (sections 2.1-2.3).
 * :class:`FullMGTuner` — the full-multigrid extension (section 2.4).
-* :class:`ParetoTuner` — the uncapped optimal-set DP (section 2.2).
+* :class:`ParetoTuner` — the uncapped optimal-set DP (section 2.2); each
+  member's cycle shape is a :class:`ChoiceChain`.
 * :class:`TunedVPlan` / :class:`TunedFullMGPlan` — executable, priceable,
-  serializable tuned algorithms.
+  serializable tuned algorithms.  The tuners build level k on the plan
+  tuned through level k-1: candidates are priced from its meters and
+  trained and run on it by the executor.
 * :class:`PlanExecutor` — runs plans, recording op meters and traces.
 * :func:`tune_heuristic` — the fixed 10^x/10^9 strategies of Figure 7.
 * :func:`save_plan` / :func:`load_plan` — PetaBricks-style config files.
@@ -30,12 +33,13 @@ from repro.tuner.dp import CandidateReport, VCycleTuner
 from repro.tuner.dynamic import DynamicSolver, classify_by_bias
 from repro.tuner.full_mg import FullMGTuner
 from repro.tuner.heuristics import HeuristicStrategy, strategy_label, tune_heuristic
-from repro.tuner.pareto import ParetoAlgorithm, ParetoPoint, ParetoTuner, pareto_front
+from repro.tuner.pareto import ChoiceChain, ParetoPoint, ParetoTuner, pareto_front
 from repro.tuner.config import load_plan, plan_from_dict, plan_to_dict, save_plan
 
 __all__ = [
     "CandidateReport",
     "Choice",
+    "ChoiceChain",
     "CostModelTiming",
     "DEFAULT_ACCURACIES",
     "DirectChoice",
@@ -45,7 +49,6 @@ __all__ = [
     "HeuristicStrategy",
     "LevelTraining",
     "NULL_TRACE",
-    "ParetoAlgorithm",
     "ParetoPoint",
     "ParetoTuner",
     "PlanExecutor",

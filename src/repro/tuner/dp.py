@@ -12,14 +12,16 @@ level k and for each accuracy target p_i, the tuner
 
 Because the optimal choice for accuracy p_i at level k may recurse into
 *any* accuracy p_j at level k-1, all accuracies at a level are tuned before
-moving up — the paper's key departure from single-accuracy tuning.
+moving up — the paper's key departure from single-accuracy tuning.  Level
+k is tuned on the plan built through level k-1: candidates are priced from
+its meters and trained and run on it through the executor.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -29,23 +31,22 @@ from repro.accuracy.estimator import (
     InfeasibleCandidate,
     iterations_to_accuracy,
 )
-from repro.linalg.direct import DirectSolver
-from repro.machines.meter import NULL_METER, OpMeter, backend_op, dim_op
+from repro.machines.meter import NULL_METER
 from repro.tuner.choices import Choice, DirectChoice, RecurseChoice, SORChoice
 from repro.tuner.executor import PlanExecutor
-from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan, recurse_wrapper_meter
+from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan, level_backend
 from repro.tuner.timing import CostModelTiming, TimingStrategy
 from repro.tuner.trace import NULL_TRACE
 from repro.tuner.training import TrainingData
-from repro.util.validation import size_of_level
 
 __all__ = [
     "CandidateOutcome",
     "CandidateReport",
     "VCycleTuner",
-    "operator_sor_step",
-    "plan_level_backends",
+    "probe_choice",
+    "recurse_step",
     "select_fastest",
+    "sor_step",
     "tuning_metadata",
 ]
 
@@ -76,73 +77,36 @@ def tuning_metadata(kind: str, training: TrainingData, timing, aggregate) -> dic
     return metadata
 
 
-def level_backend(
-    backend: str,
-    level: int,
-    ndim: int,
-    operator,
-    timing: TimingStrategy | None,
-) -> str:
-    """The kernel backend placed at one plan level.
-
-    Pure function of its arguments, so the serial DP and the parallel
-    worker pool (which rebuilds tuners from task data) place backends
-    identically.  A level gets the accelerated backend when pricing the
-    RECURSE wrapper ops there is no more expensive than the reference —
-    with :class:`CostModelTiming` that naturally keeps tiny coarse grids
-    on NumPy (dispatch overhead dominates) while fine grids accelerate;
-    without a cost model (wall-clock tuning) every supported level
-    accelerates.  Backends never change numerics, so this is purely a
-    pricing decision — iteration training is backend-independent.
-    """
-    if backend in ("", "numpy") or level < 2:
-        return "numpy"
-    from repro.kernels import get_backend
-    from repro.operators.spec import shared_operator
-
-    probe = shared_operator(operator, size_of_level(2))
-    if not get_backend(backend).supports(probe):
-        return "numpy"
-    if timing is None:
-        return backend
-    n = size_of_level(level)
-    reference = _wrapper_price(timing, n, ndim, "numpy")
-    accelerated = _wrapper_price(timing, n, ndim, backend)
-    return backend if accelerated <= reference else "numpy"
+def probe_choice(kind: str, j: int | None) -> DirectChoice | RecurseChoice | SORChoice:
+    """One application of a candidate kind: what the candidate_filter
+    sees, and what budget pruning prices."""
+    if kind == "direct":
+        return DirectChoice()
+    if kind == "recurse":
+        assert j is not None
+        return RecurseChoice(sub_accuracy=j, iterations=1)
+    if kind == "sor":
+        return SORChoice(iterations=1)
+    raise ValueError(f"unknown candidate kind {kind!r}")
 
 
-def plan_level_backends(
-    backend: str,
-    max_level: int,
-    ndim: int,
-    operator,
-    timing: TimingStrategy | None,
-) -> dict[int, str]:
-    """Per-level backend placement for a whole plan (non-numpy levels only)."""
-    levels: dict[int, str] = {}
-    for level in range(2, max_level + 1):
-        placed = level_backend(backend, level, ndim, operator, timing)
-        if placed != "numpy":
-            levels[level] = placed
-    return levels
-
-
-def _wrapper_price(timing: TimingStrategy, n: int, ndim: int, backend: str) -> float:
-    meter = recurse_wrapper_meter(n, ndim, backend)
-    return sum(
-        count * timing.op_seconds(op, size) for (op, size), count in meter.items()
-    )
-
-
-def operator_sor_step(training: TrainingData, n: int):
-    """Standalone-SOR candidate step for the training operator at size ``n``."""
-    from repro.operators.spec import shared_operator
-
-    op = shared_operator(training.operator, n)
-    w = op.omega_opt()
+def sor_step(executor: PlanExecutor, plan: TunedVPlan, level: int):
+    """One standalone SOR(omega_opt) sweep at ``level`` on the plan's
+    kernel backend — the step SOR iteration counts are trained with."""
+    kernels = executor._kernels(level, plan.backend_at(level))
+    omega = executor._op(level).omega_opt()
 
     def step(x: np.ndarray, b: np.ndarray) -> None:
-        op.sor_sweeps(x, b, w, 1)
+        kernels.sor_sweeps(x, b, omega, 1)
+
+    return step
+
+
+def recurse_step(executor: PlanExecutor, plan: TunedVPlan, level: int, sub_accuracy: int):
+    """One RECURSE_j application at ``level`` over the plan's levels below."""
+
+    def step(x: np.ndarray, b: np.ndarray) -> None:
+        executor._recurse_once(plan, x, b, level, sub_accuracy, NULL_METER, NULL_TRACE)
 
     return step
 
@@ -171,28 +135,6 @@ class CandidateOutcome:
     seconds: float
     feasible: bool
     choice: Choice | None
-
-
-class _TableView:
-    """Duck-typed plan over a partially built table, for the executor."""
-
-    __slots__ = ("table", "max_level", "backends")
-
-    def __init__(
-        self,
-        table: dict[tuple[int, int], Choice],
-        max_level: int,
-        backends: dict[int, str] | None = None,
-    ) -> None:
-        self.table = table
-        self.max_level = max_level
-        self.backends = backends or {}
-
-    def choice(self, level: int, acc_index: int) -> Choice:
-        return self.table[(level, acc_index)]
-
-    def backend_at(self, level: int) -> str:
-        return self.backends.get(level, "numpy")
 
 
 def select_fastest(
@@ -252,7 +194,6 @@ class VCycleTuner:
     max_sor_iters: int = 400
     max_recurse_iters: int = 64
     aggregate: Aggregate = "max"
-    direct: DirectSolver | None = None
     candidate_filter: CandidateFilter | None = None
     keep_audit: bool = True
     #: optional :class:`repro.store.sink.TrialSink`; each ``tune()`` call
@@ -279,8 +220,7 @@ class VCycleTuner:
             from repro.machines.presets import INTEL_HARPERTOWN
 
             self.timing = CostModelTiming(INTEL_HARPERTOWN)
-        self.direct = self.direct or DirectSolver(backend="block", cache_factorization=True)
-        self._executor = PlanExecutor(direct=self.direct, operator=self.training.operator)
+        self._executor = PlanExecutor(operator=self.training.operator)
         #: grid dimensionality of the training operator (op vocabulary)
         self._ndim = self.training.ndim
         from repro.kernels import resolve_backend
@@ -363,35 +303,25 @@ class VCycleTuner:
 
             tune_v_level_parallel(self, level, table, audit)
             return
-        n = size_of_level(level)
-        bundle = self.training.at_level(level)
-        view = _TableView(table, level, self._backends_through(level))
-        m = len(self.accuracies)
-        sub_meters = [self._meter_below(table, level, j) for j in range(m)]
+        plan = self._plan_below(table, level)
         kept = audit if self.keep_audit else None
-        for i, target in enumerate(self.accuracies):
-            outcomes = self._evaluate_slot(level, i, target, n, bundle, view, sub_meters)
+        for i in range(len(self.accuracies)):
+            outcomes = self._evaluate_slot(plan, level, i)
             table[(level, i)] = select_fastest(level, i, outcomes, kept)
 
-    def _meter_below(
-        self, table: dict[tuple[int, int], Choice], level: int, acc_index: int
-    ) -> OpMeter:
-        """Exact unit meter of the already-tuned plan entry (level-1, j)."""
-        meter = OpMeter()
-        choice = table[(level - 1, acc_index)]
-        n = size_of_level(level - 1)
-        backend = self._backend_at(level - 1)
-        if isinstance(choice, DirectChoice):
-            meter.charge(dim_op("direct", self._ndim), n)
-        elif isinstance(choice, SORChoice):
-            meter.charge(
-                backend_op(dim_op("relax", self._ndim), backend), n, choice.iterations
-            )
-        elif isinstance(choice, RecurseChoice):
-            wrapper = recurse_wrapper_meter(n, self._ndim, backend)
-            wrapper.merge(self._meter_below(table, level - 1, choice.sub_accuracy))
-            meter.merge(wrapper, times=choice.iterations)
-        return meter
+    def _plan_below(
+        self, table: dict[tuple[int, int], Choice], level: int
+    ) -> TunedVPlan:
+        """The plan tuned through ``level - 1``, with backends placed
+        through ``level``: every candidate for ``level`` is priced and
+        run on it."""
+        return TunedVPlan(
+            self.accuracies,
+            level - 1,
+            dict(table),
+            ndim=self._ndim,
+            backends=self._backends_through(level),
+        )
 
     def _candidate_order(self) -> list[tuple[str, int | None]]:
         """Candidate enumeration order for one slot.
@@ -409,23 +339,14 @@ class VCycleTuner:
         return order
 
     def _evaluate_slot(
-        self,
-        level: int,
-        acc_index: int,
-        target: float,
-        n: int,
-        bundle,
-        view: _TableView,
-        sub_meters: Sequence[OpMeter],
+        self, plan: TunedVPlan, level: int, acc_index: int
     ) -> list[CandidateOutcome]:
         """Every unfiltered candidate of one slot, in enumeration order,
         each pruned against the fastest feasible one before it."""
         outcomes: list[CandidateOutcome] = []
         best_time = math.inf
         for kind, j in self._candidate_order():
-            outcome = self._evaluate_candidate(
-                level, acc_index, target, n, bundle, view, sub_meters, kind, j, best_time
-            )
+            outcome = self._evaluate_candidate(plan, level, acc_index, kind, j, best_time)
             if outcome is None:
                 continue
             outcomes.append(outcome)
@@ -435,113 +356,66 @@ class VCycleTuner:
 
     def _evaluate_candidate(
         self,
+        plan: TunedVPlan,
         level: int,
         acc_index: int,
-        target: float,
-        n: int,
-        bundle,
-        view: _TableView,
-        sub_meters: Sequence[OpMeter],
         kind: str,
         j: int | None,
         best_time: float,
     ) -> CandidateOutcome | None:
         """Train and time one candidate against a pruning budget.
 
-        ``best_time`` is the fastest feasible candidate seen so far for
-        this slot; ``math.inf`` disables pruning (the parallel path,
-        where candidates are evaluated independently — any candidate
-        serial pruning would have rejected prices strictly worse than
-        the serial winner, so selection is unaffected).  Returns
-        ``None`` when the candidate_filter removes the candidate.
+        ``plan`` is :meth:`_plan_below` ``level``.  ``best_time`` is the
+        fastest feasible candidate seen so far for this slot;
+        ``math.inf`` disables pruning (the parallel path, where
+        candidates are evaluated independently — any candidate serial
+        pruning would have rejected prices strictly worse than the
+        serial winner, so selection is unaffected).  Returns ``None``
+        when the candidate_filter removes the candidate.
         """
-        if kind == "direct":
+        probe = probe_choice(kind, j)
+        if not self._allowed(level, acc_index, probe):
+            return None
+        if isinstance(probe, DirectChoice):
             # Direct: exact, always feasible.
-            if not self._allowed(level, acc_index, DirectChoice()):
-                return None
-            meter = OpMeter()
-            meter.charge(dim_op("direct", self._ndim), n)
-            seconds = self.timing.time_candidate(
-                meter, self._direct_run(n), bundle.fresh_starts()
-            )
-            return CandidateOutcome(
-                _describe(DirectChoice()), seconds, True, DirectChoice()
-            )
-
-        if kind == "recurse":
-            assert j is not None
-            probe = RecurseChoice(sub_accuracy=j, iterations=1)
-            if not self._allowed(level, acc_index, probe):
-                return None
-            unit = OpMeter()
-            unit.merge(recurse_wrapper_meter(n, self._ndim, self._backend_at(level)))
-            unit.merge(sub_meters[j])
-            unit_cost = self._price_unit(unit)
-            cap = self._budget_cap(unit_cost, best_time, self.max_recurse_iters)
-            if cap < 1:
-                return CandidateOutcome(
-                    _describe(probe) + " [pruned]", math.inf, False, None
-                )
-            step = self._recurse_step(view, level, j)
-            try:
-                iters = iterations_to_accuracy(
-                    step,
-                    bundle.fresh_starts(),
-                    bundle.accuracy_fns(),
-                    target,
-                    max_iters=cap,
-                    aggregate=self.aggregate,
-                )
-            except InfeasibleCandidate:
-                return CandidateOutcome(_describe(probe), math.inf, False, None)
-            iters = max(iters, 1)
-            choice = RecurseChoice(sub_accuracy=j, iterations=iters)
-            seconds = self.timing.time_candidate(
-                unit.scaled(iters), self._v_run(view, level, choice),
+            return self._outcome(plan, level, probe)
+        if isinstance(probe, RecurseChoice):
+            hard_cap = self.max_recurse_iters
+            step = recurse_step(self._executor, plan, level, probe.sub_accuracy)
+        else:
+            hard_cap = self.max_sor_iters
+            step = sor_step(self._executor, plan, level)
+        unit_cost = self.timing.price(plan.choice_meter(level, probe))
+        cap = self._budget_cap(unit_cost, best_time, hard_cap)
+        if cap < 1:
+            return CandidateOutcome(probe.describe() + " [pruned]", math.inf, False, None)
+        bundle = self.training.at_level(level)
+        try:
+            iters = iterations_to_accuracy(
+                step,
                 bundle.fresh_starts(),
+                bundle.accuracy_fns(),
+                self.accuracies[acc_index],
+                max_iters=cap,
+                aggregate=self.aggregate,
             )
-            return CandidateOutcome(_describe(choice), seconds, True, choice)
+        except InfeasibleCandidate:
+            return CandidateOutcome(probe.describe(), math.inf, False, None)
+        return self._outcome(plan, level, replace(probe, iterations=max(iters, 1)))
 
-        if kind == "sor":
-            probe_sor = SORChoice(iterations=1)
-            if not self._allowed(level, acc_index, probe_sor):
-                return None
-            relax_op = backend_op(dim_op("relax", self._ndim), self._backend_at(level))
-            relax_cost = self.timing.op_seconds(relax_op, n)
-            cap = self._budget_cap(relax_cost, best_time, self.max_sor_iters)
-            if cap < 1:
-                return CandidateOutcome(
-                    _describe(probe_sor) + " [pruned]", math.inf, False, None
-                )
-            try:
-                iters = iterations_to_accuracy(
-                    self._sor_step(n),
-                    bundle.fresh_starts(),
-                    bundle.accuracy_fns(),
-                    target,
-                    max_iters=cap,
-                    aggregate=self.aggregate,
-                )
-            except InfeasibleCandidate:
-                return CandidateOutcome(_describe(probe_sor), math.inf, False, None)
-            iters = max(iters, 1)
-            choice = SORChoice(iterations=iters)
-            meter = OpMeter()
-            meter.charge(relax_op, n, iters)
+    def _outcome(self, plan: TunedVPlan, level: int, choice: Choice) -> CandidateOutcome:
+        """A trained candidate, timed: priced from the plan's meter, or
+        run end to end when the timing measures wall-clock."""
+        meter = plan.choice_meter(level, choice)
+        if isinstance(self.timing, CostModelTiming):
+            seconds = self.timing.time_candidate(meter)
+        else:
             seconds = self.timing.time_candidate(
-                meter, self._v_run(view, level, choice), bundle.fresh_starts()
+                meter,
+                self._v_run(plan, level, choice),
+                self.training.at_level(level).fresh_starts(),
             )
-            return CandidateOutcome(_describe(choice), seconds, True, choice)
-
-        raise ValueError(f"unknown candidate kind {kind!r}")
-
-    # -- candidate step/run closures ---------------------------------------
-
-    def _price_unit(self, unit: OpMeter) -> float:
-        return sum(
-            count * self.timing.op_seconds(op, size)
-            for (op, size), count in unit.items()
-        )
+        return CandidateOutcome(choice.describe(), seconds, True, choice)
 
     @staticmethod
     def _budget_cap(unit_cost: float, best_time: float, hard_cap: int) -> int:
@@ -550,43 +424,20 @@ class VCycleTuner:
             return hard_cap
         return min(hard_cap, int(best_time / unit_cost) + 1)
 
-    def _direct_run(self, n: int):
-        from repro.operators.spec import shared_operator
-
-        direct = self.direct
-        op = shared_operator(self.training.operator, n)
-
-        def run(x: np.ndarray, b: np.ndarray) -> None:
-            op.direct_solve(x, b, solver=direct)
-
-        return run
-
-    def _sor_step(self, n: int):
-        return operator_sor_step(self.training, n)
-
-    def _recurse_step(self, view: _TableView, level: int, sub_accuracy: int):
+    def _v_run(self, plan: TunedVPlan, level: int, choice: Choice):
+        """Wall-clock run of a candidate: the plan extended to ``level``
+        with ``choice`` in every slot there."""
+        table = dict(plan.table)
+        table.update({(level, i): choice for i in range(len(self.accuracies))})
+        probe = TunedVPlan(
+            self.accuracies, level, table, ndim=self._ndim, backends=plan.backends
+        )
         executor = self._executor
 
-        def step(x: np.ndarray, b: np.ndarray) -> None:
-            executor._recurse_once(view, x, b, level, sub_accuracy, NULL_METER, NULL_TRACE)
-
-        return step
-
-    def _v_run(self, view: _TableView, level: int, choice: Choice):
-        """End-to-end run of a hypothetical slot choice (wallclock timing)."""
-        executor = self._executor
-        table = dict(view.table)
-        table[(level, -1)] = choice
-        probe_view = _TableView(table, level, view.backends)
-
         def run(x: np.ndarray, b: np.ndarray) -> None:
-            executor._run_v(probe_view, x, b, level, -1, NULL_METER, NULL_TRACE)
+            executor.run_v(probe, x, b, 0)
 
         return run
-
-
-def _describe(choice: Choice) -> str:
-    return choice.describe()
 
 
 def _parallel(executor: Any) -> bool:

@@ -20,7 +20,6 @@ from threading import get_ident
 import numpy as np
 
 from repro.kernels import LevelKernels, get_backend
-from repro.linalg.direct import DirectSolver
 from repro.machines.meter import NULL_METER, OpMeter, backend_op, dim_op
 from repro.obs.profile import SolveProfiler
 from repro.obs.trace import NOOP_TRACER, NoopTracer, Span, Tracer
@@ -49,12 +48,6 @@ __all__ = ["OP_SPAN_MIN_POINTS", "PlanExecutor"]
 #: this keeps op spans for levels >= 5 (33x33); pass
 #: ``op_span_min_points=0`` to record every op regardless.
 OP_SPAN_MIN_POINTS = 1024
-
-
-def _plan_backend(plan, level: int) -> str:
-    """The kernel backend a plan (or partial table view) wants at ``level``."""
-    get = getattr(plan, "backend_at", None)
-    return get(level) if get is not None else "numpy"
 
 
 #: C-level appender that retains nothing (``maxlen=0`` drops every
@@ -207,20 +200,18 @@ class _TimedKernels:
 class PlanExecutor:
     """Executes tuned V / full-MG plans on concrete problems.
 
-    One executor holds the direct-solver backend (shared factorization
-    cache if enabled) and the operator spec, and can be reused across
-    solves.
+    One executor is bound to an operator spec and can be reused across
+    solves.  Direct solves use each level operator's own cached
+    factorization, shared with every other executor of the same spec.
     """
 
     def __init__(
         self,
-        direct: DirectSolver | None = None,
         operator: OperatorSpec | str | None = None,
         tracer: Tracer | NoopTracer | None = None,
         profiler: SolveProfiler | None = None,
         op_span_min_points: int | None = None,
     ) -> None:
-        self.direct = direct or DirectSolver(backend="block", cache_factorization=True)
         self.operator = parse_operator(operator)
         #: grid dimensionality of the bound operator (picks op vocabulary)
         self.ndim = self.operator.ndim
@@ -306,14 +297,14 @@ class PlanExecutor:
     def _direct(self, op: StencilOperator, x: np.ndarray, b: np.ndarray, level: int) -> None:
         """Direct solve at ``level``, observed when tracing/profiling."""
         if not self._observed or level < self._op_span_min_level:
-            op.direct_solve(x, b, solver=self.direct)
+            op.direct_solve(x, b)
             return
         attrs = self._direct_attrs.get(level)
         if attrs is None:
             attrs = self._direct_attrs[level] = {"level": level, "backend": "direct"}
         start_s = self._obs_now()
         try:
-            op.direct_solve(x, b, solver=self.direct)
+            op.direct_solve(x, b)
         finally:
             duration = self._obs_tracer.leaf(
                 "op.direct", attrs, start_s, self._span_parent
@@ -423,7 +414,7 @@ class PlanExecutor:
             meter.charge(dim_op("direct", self.ndim), n)
             trace.emit("direct", level)
         elif isinstance(choice, SORChoice):
-            backend = _plan_backend(plan, level)
+            backend = plan.backend_at(level)
             self._kernels(level, backend).sor_sweeps(
                 x, b, op.omega_opt(), choice.iterations
             )
@@ -452,7 +443,7 @@ class PlanExecutor:
         sub-plan, relax (paper section 2.3, RECURSE_i)."""
         n = x.shape[0]
         nd = self.ndim
-        backend = _plan_backend(plan, level)
+        backend = plan.backend_at(level)
         kernels = self._kernels(level, backend)
         relax_op = backend_op(dim_op("relax", nd), backend)
         kernels.sor_sweeps(x, b, OMEGA_RECURSE, 1)
@@ -531,34 +522,23 @@ class PlanExecutor:
     ) -> None:
         choice = plan.choice(level, acc_index)
         n = x.shape[0]
-        nd = self.ndim
         op = self._op(level)
         trace.emit("enter", level, acc_index)
         if isinstance(choice, DirectChoice):
             self._direct(op, x, b, level)
-            meter.charge(dim_op("direct", nd), n)
+            meter.charge(dim_op("direct", self.ndim), n)
             trace.emit("direct", level)
         elif isinstance(choice, EstimateChoice):
-            # ESTIMATE_j: correction-form recursive full-MG call.
-            trace.emit("estimate", level, choice.estimate_accuracy)
-            backend = _plan_backend(plan, level)
-            kernels = self._kernels(level, backend)
-            r = kernels.residual(x, b)
-            meter.charge(backend_op(dim_op("residual", nd), backend), n)
-            rc = kernels.restrict(r)
-            meter.charge(backend_op(dim_op("restrict", nd), backend), n)
-            trace.emit("descend", level)
-            ec = np.zeros_like(rc)
-            self._run_full(plan, ec, rc, level - 1, choice.estimate_accuracy, meter, trace)
-            kernels.interpolate_correction(x, ec)
-            meter.charge(backend_op(dim_op("interpolate", nd), backend), n)
-            trace.emit("ascend", level)
+            self._estimate(plan, x, b, level, choice.estimate_accuracy, meter, trace)
             # Solve phase: iterate the chosen V-type method.
             solver = choice.solver
             if isinstance(solver, SORChoice):
-                kernels.sor_sweeps(x, b, op.omega_opt(), solver.iterations)
+                backend = plan.backend_at(level)
+                self._kernels(level, backend).sor_sweeps(
+                    x, b, op.omega_opt(), solver.iterations
+                )
                 meter.charge(
-                    backend_op(dim_op("relax", nd), backend), n, solver.iterations
+                    backend_op(dim_op("relax", self.ndim), backend), n, solver.iterations
                 )
                 trace.emit("sor", level, solver.iterations)
             else:
@@ -569,3 +549,33 @@ class PlanExecutor:
         else:  # pragma: no cover - plan validation forbids this
             raise TypeError(f"invalid full-MG choice {choice!r}")
         trace.emit("exit", level)
+
+    def _estimate(
+        self,
+        plan: TunedFullMGPlan,
+        x: np.ndarray,
+        b: np.ndarray,
+        level: int,
+        estimate_accuracy: int,
+        meter: OpMeter,
+        trace: Trace,
+    ) -> None:
+        """ESTIMATE_j at ``level``: a correction-form FULL-MULTIGRID_j call
+        on the restricted residual.  Full-MG solves run it before their
+        solve phase; :class:`~repro.tuner.full_mg.FullMGTuner` trains its
+        solver variants from the states it leaves."""
+        n = x.shape[0]
+        nd = self.ndim
+        trace.emit("estimate", level, estimate_accuracy)
+        backend = plan.backend_at(level)
+        kernels = self._kernels(level, backend)
+        r = kernels.residual(x, b)
+        meter.charge(backend_op(dim_op("residual", nd), backend), n)
+        rc = kernels.restrict(r)
+        meter.charge(backend_op(dim_op("restrict", nd), backend), n)
+        trace.emit("descend", level)
+        ec = np.zeros_like(rc)
+        self._run_full(plan, ec, rc, level - 1, estimate_accuracy, meter, trace)
+        kernels.interpolate_correction(x, ec)
+        meter.charge(backend_op(dim_op("interpolate", nd), backend), n)
+        trace.emit("ascend", level)

@@ -10,15 +10,18 @@ most of the computation would be done in relaxations at the highest
 resolution."
 
 The DP tunes the V family first (it is the solve-phase building block),
-then builds FULL-MULTIGRID bottom-up the same way.
+then builds FULL-MULTIGRID bottom-up the same way: level k is tuned on
+the full-MG plan built through level k-1, its ESTIMATE_j runs as the
+executor's estimation step on that plan's kernel backends, and every
+candidate is priced from the plan's meters.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Any, Union
+from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
@@ -27,9 +30,7 @@ from repro.accuracy.estimator import (
     InfeasibleCandidate,
     iterations_to_accuracy,
 )
-from repro.grids.transfer import interpolate_correction, restrict_full_weighting
-from repro.linalg.direct import DirectSolver
-from repro.machines.meter import NULL_METER, OpMeter, backend_op, dim_op
+from repro.machines.meter import NULL_METER
 from repro.tuner.choices import (
     Choice,
     DirectChoice,
@@ -41,40 +42,18 @@ from repro.tuner.dp import (
     CandidateOutcome,
     CandidateReport,
     _parallel,
-    operator_sor_step,
+    recurse_step,
     select_fastest,
+    sor_step,
     tuning_metadata,
 )
 from repro.tuner.executor import PlanExecutor
-from repro.tuner.plan import TunedFullMGPlan, TunedVPlan, recurse_wrapper_meter
+from repro.tuner.plan import TunedFullMGPlan, TunedVPlan
 from repro.tuner.timing import CostModelTiming, TimingStrategy
 from repro.tuner.trace import NULL_TRACE
 from repro.tuner.training import TrainingData
-from repro.util.validation import size_of_level
 
 __all__ = ["FullMGTuner"]
-
-
-class _FullTableView:
-    """Duck-typed full-MG plan over a partially built table."""
-
-    __slots__ = ("table", "vplan", "max_level")
-
-    def __init__(
-        self,
-        table: dict[tuple[int, int], Choice],
-        vplan: TunedVPlan,
-        max_level: int,
-    ) -> None:
-        self.table = table
-        self.vplan = vplan
-        self.max_level = max_level
-
-    def choice(self, level: int, acc_index: int) -> Choice:
-        return self.table[(level, acc_index)]
-
-    def backend_at(self, level: int) -> str:
-        return self.vplan.backend_at(level)
 
 
 @dataclass
@@ -87,7 +66,6 @@ class FullMGTuner:
     max_sor_iters: int = 400
     max_recurse_iters: int = 64
     aggregate: Aggregate = "max"
-    direct: DirectSolver | None = None
     keep_audit: bool = True
     #: optional :class:`repro.store.sink.TrialSink` (see VCycleTuner.sink)
     sink: Any | None = None
@@ -115,14 +93,9 @@ class FullMGTuner:
                 "use CostModelTiming (wallclock mode is available for the "
                 "V-cycle tuner)"
             )
-        self.direct = self.direct or DirectSolver(backend="block", cache_factorization=True)
-        self._executor = PlanExecutor(direct=self.direct, operator=self.training.operator)
+        self._executor = PlanExecutor(operator=self.training.operator)
         #: grid dimensionality of the training operator (op vocabulary)
         self._ndim = self.training.ndim
-
-    def _backend_at(self, level: int) -> str:
-        """Full MG inherits the V plan's per-level backend placement."""
-        return self.vplan.backend_at(level)
 
     def tune(self, max_level: int | None = None) -> TunedFullMGPlan:
         start = time.perf_counter()
@@ -163,52 +136,22 @@ class FullMGTuner:
 
     # ------------------------------------------------------------------
 
-    def _fmg_meter(self, table: dict[tuple[int, int], Choice], level: int, j: int) -> OpMeter:
-        """Unit meter of the partially built FULL-MULTIGRID_j at ``level``."""
-        meter = OpMeter()
-        choice = table[(level, j)]
-        n = size_of_level(level)
-        nd = self._ndim
-        backend = self._backend_at(level)
-        if isinstance(choice, DirectChoice):
-            meter.charge(dim_op("direct", nd), n)
-        elif isinstance(choice, EstimateChoice):
-            meter.charge(backend_op(dim_op("residual", nd), backend), n)
-            meter.charge(backend_op(dim_op("restrict", nd), backend), n)
-            meter.merge(self._fmg_meter(table, level - 1, choice.estimate_accuracy))
-            meter.charge(backend_op(dim_op("interpolate", nd), backend), n)
-            solver = choice.solver
-            if isinstance(solver, SORChoice):
-                meter.charge(
-                    backend_op(dim_op("relax", nd), backend), n, solver.iterations
-                )
-            else:
-                wrapper = recurse_wrapper_meter(n, nd, backend)
-                wrapper.merge(self.vplan.unit_meter(level - 1, solver.sub_accuracy))
-                meter.merge(wrapper, times=solver.iterations)
-        return meter
-
-    def _estimate_meter(
-        self, table: dict[tuple[int, int], Choice], level: int, j: int
-    ) -> OpMeter:
-        """Unit meter of one ESTIMATE_j application at ``level``."""
-        n = size_of_level(level)
-        nd = self._ndim
-        backend = self._backend_at(level)
-        est_meter = OpMeter()
-        est_meter.charge(backend_op(dim_op("residual", nd), backend), n)
-        est_meter.charge(backend_op(dim_op("restrict", nd), backend), n)
-        est_meter.merge(self._fmg_meter(table, level - 1, j))
-        est_meter.charge(backend_op(dim_op("interpolate", nd), backend), n)
-        return est_meter
+    def _plan_below(
+        self, table: dict[tuple[int, int], Choice], level: int
+    ) -> TunedFullMGPlan:
+        """The full-MG plan tuned through ``level - 1``: every candidate
+        for ``level`` is priced and run on it."""
+        return TunedFullMGPlan(
+            self.vplan.accuracies, level - 1, dict(table), self.vplan, ndim=self._ndim
+        )
 
     def _estimate_states(
-        self, view: _FullTableView, bundle, level: int, j: int
+        self, plan: TunedFullMGPlan, level: int, j: int
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Post-ESTIMATE_j states of every training instance."""
         states = []
-        for x, b in bundle.fresh_starts():
-            self._run_estimate(view, x, b, level, j)
+        for x, b in self.training.at_level(level).fresh_starts():
+            self._executor._estimate(plan, x, b, level, j, NULL_METER, NULL_TRACE)
             states.append((x, b))
         return states
 
@@ -223,33 +166,15 @@ class FullMGTuner:
 
             tune_fmg_level_parallel(self, level, table, audit)
             return
-        n = size_of_level(level)
-        bundle = self.training.at_level(level)
-        accuracies = self.vplan.accuracies
-        m = len(accuracies)
-        view = _FullTableView(table, self.vplan, level)
-
+        plan = self._plan_below(table, level)
+        m = len(self.vplan.accuracies)
         # Run each estimation variant once per training instance; every
         # solver variant continues from copies of these states.
-        estimate_states = [
-            self._estimate_states(view, bundle, level, j) for j in range(m)
-        ]
-        estimate_meters = [self._estimate_meter(table, level, j) for j in range(m)]
-
+        estimate_states = [self._estimate_states(plan, level, j) for j in range(m)]
         kept = audit if self.keep_audit else None
-        for i, target in enumerate(accuracies):
-            outcomes = self._evaluate_slot(
-                level, i, target, n, bundle, estimate_states, estimate_meters
-            )
+        for i in range(m):
+            outcomes = self._evaluate_slot(plan, level, i, estimate_states)
             table[(level, i)] = select_fastest(level, i, outcomes, kept)
-
-    def _run_estimate(self, view: _FullTableView, x, b, level: int, j: int) -> None:
-        """Apply ESTIMATE_j to (x, b) in place using the partial table."""
-        r = self._executor._op(level).residual(x, b)
-        rc = restrict_full_weighting(r)
-        ec = np.zeros_like(rc)
-        self._executor._run_full(view, ec, rc, level - 1, j, NULL_METER, NULL_TRACE)
-        interpolate_correction(x, ec)
 
     def _variant_order(self) -> list[tuple[str, int | None]]:
         """Solver-variant enumeration order for one estimate accuracy j:
@@ -262,23 +187,19 @@ class FullMGTuner:
 
     def _evaluate_slot(
         self,
+        plan: TunedFullMGPlan,
         level: int,
         acc_index: int,
-        target: float,
-        n: int,
-        bundle,
         estimate_states,
-        estimate_meters,
     ) -> list[CandidateOutcome]:
         """Direct, then every ESTIMATE_j + solver variant, each pruned
         against the fastest feasible candidate before it."""
-        outcomes = [self._evaluate_direct(n, bundle)]
+        outcomes = [self._evaluate_direct(plan, level)]
         best_time = outcomes[0].seconds  # direct is always feasible
         for j in range(len(self.vplan.accuracies)):
             for kind, sub in self._variant_order():
                 outcome = self._evaluate_variant(
-                    level, acc_index, target, n, bundle, j, kind, sub,
-                    estimate_states[j], estimate_meters[j], best_time,
+                    plan, level, acc_index, j, kind, sub, estimate_states[j], best_time
                 )
                 if outcome is None:
                     continue
@@ -287,115 +208,74 @@ class FullMGTuner:
                     best_time = min(best_time, outcome.seconds)
         return outcomes
 
-    def _evaluate_direct(self, n: int, bundle) -> CandidateOutcome:
+    def _evaluate_direct(self, plan: TunedFullMGPlan, level: int) -> CandidateOutcome:
         """The always-feasible direct candidate for one slot."""
-        direct_meter = OpMeter()
-        direct_meter.charge(dim_op("direct", self._ndim), n)
-        seconds = self.timing.time_candidate(
-            direct_meter, _no_run, bundle.fresh_starts()
-        )
-        return CandidateOutcome(
-            DirectChoice().describe(), seconds, True, DirectChoice()
-        )
+        choice = DirectChoice()
+        seconds = self.timing.time_candidate(plan.choice_meter(level, choice))
+        return CandidateOutcome(choice.describe(), seconds, True, choice)
 
     def _evaluate_variant(
         self,
+        plan: TunedFullMGPlan,
         level: int,
         acc_index: int,
-        target: float,
-        n: int,
-        bundle,
         j: int,
         kind: str,
         sub: int | None,
         starts_proto,
-        est_meter: OpMeter,
         best_time: float,
     ) -> CandidateOutcome | None:
         """Train and time ESTIMATE_j followed by one solver variant.
 
-        ``best_time`` is the fastest candidate seen so far for this slot
-        and drives budget pruning; ``math.inf`` disables it (the parallel
-        path — any variant serial pruning would have skipped prices
-        strictly worse than the serial winner, so selection agrees).
-        Returns ``None`` when the variant is pruned without a report,
-        matching the serial enumeration exactly.
+        ``plan`` is :meth:`_plan_below` ``level`` and ``starts_proto``
+        the post-ESTIMATE_j training states.  ``best_time`` is the
+        fastest candidate seen so far for this slot and drives budget
+        pruning; ``math.inf`` disables it (the parallel path — any
+        variant serial pruning would have skipped prices strictly worse
+        than the serial winner, so selection agrees).  Returns ``None``
+        when the variant is pruned without a report, matching the serial
+        enumeration exactly.
         """
-        judges = bundle.accuracy_fns()
-        est_cost = self._price(est_meter)
-
+        est_cost = self.timing.price(
+            plan.choice_meter(level, EstimateChoice(j, SORChoice(0)))
+        )
+        probe: SORChoice | RecurseChoice
         if kind == "sor":
             # Solve phase variant 1: SOR(omega_opt) until p_i.
-            relax_op = backend_op(
-                dim_op("relax", self._ndim), self._backend_at(level)
-            )
-            relax_cost = self.timing.op_seconds(relax_op, n)
-            cap = self._budget_cap(relax_cost, best_time - est_cost, self.max_sor_iters)
-            if cap < 0:
-                return None
-            try:
-                iters = iterations_to_accuracy(
-                    self._sor_step(n),
-                    [(x.copy(), b) for x, b in starts_proto],
-                    judges,
-                    target,
-                    max_iters=max(cap, 1),
-                    aggregate=self.aggregate,
-                )
-            except InfeasibleCandidate:
-                return CandidateOutcome(
-                    f"estimate(j={j}) -> sor", math.inf, False, None
-                )
-            solver: Union[SORChoice, RecurseChoice] = SORChoice(iterations=iters)
-            meter = OpMeter()
-            meter.merge(est_meter)
-            meter.charge(relax_op, n, iters)
-            choice = EstimateChoice(j, solver)
-            seconds = self.timing.time_candidate(meter, _no_run, bundle.fresh_starts())
-            return CandidateOutcome(choice.describe(), seconds, True, choice)
-
-        if kind == "recurse":
+            probe, hard_cap = SORChoice(1), self.max_sor_iters
+            label = f"estimate(j={j}) -> sor"
+        elif kind == "recurse":
             # Solve phase variant 2: RECURSE_l until p_i.
             assert sub is not None
-            unit = OpMeter()
-            unit.merge(recurse_wrapper_meter(n, self._ndim, self._backend_at(level)))
-            unit.merge(self.vplan.unit_meter(level - 1, sub))
-            unit_cost = self._price(unit)
-            cap = self._budget_cap(
-                unit_cost, best_time - est_cost, self.max_recurse_iters
+            probe, hard_cap = RecurseChoice(sub, 1), self.max_recurse_iters
+            label = f"estimate(j={j}) -> recurse(l={sub})"
+        else:
+            raise ValueError(f"unknown solver variant kind {kind!r}")
+        unit_cost = self.timing.price(self.vplan.choice_meter(level, probe))
+        cap = self._budget_cap(unit_cost, best_time - est_cost, hard_cap)
+        if cap < 0:
+            return None
+        if isinstance(probe, RecurseChoice):
+            step = recurse_step(self._executor, self.vplan, level, probe.sub_accuracy)
+        else:
+            step = sor_step(self._executor, self.vplan, level)
+        bundle = self.training.at_level(level)
+        try:
+            iters = iterations_to_accuracy(
+                step,
+                [(x.copy(), b) for x, b in starts_proto],
+                bundle.accuracy_fns(),
+                self.vplan.accuracies[acc_index],
+                max_iters=max(cap, 1),
+                aggregate=self.aggregate,
             )
-            if cap < 0:
-                return None
-            step = self._recurse_step(level, sub)
-            try:
-                iters = iterations_to_accuracy(
-                    step,
-                    [(x.copy(), b) for x, b in starts_proto],
-                    judges,
-                    target,
-                    max_iters=max(cap, 1),
-                    aggregate=self.aggregate,
-                )
-            except InfeasibleCandidate:
-                return CandidateOutcome(
-                    f"estimate(j={j}) -> recurse(l={sub})", math.inf, False, None
-                )
-            solver = RecurseChoice(sub_accuracy=sub, iterations=iters)
-            meter = OpMeter()
-            meter.merge(est_meter)
-            meter.merge(unit.scaled(iters))
-            choice = EstimateChoice(j, solver)
-            seconds = self.timing.time_candidate(meter, _no_run, bundle.fresh_starts())
-            return CandidateOutcome(choice.describe(), seconds, True, choice)
-
-        raise ValueError(f"unknown solver variant kind {kind!r}")
+        except InfeasibleCandidate:
+            return CandidateOutcome(label, math.inf, False, None)
+        choice = EstimateChoice(j, replace(probe, iterations=iters))
+        seconds = self.timing.time_candidate(plan.choice_meter(level, choice))
+        return CandidateOutcome(choice.describe(), seconds, True, choice)
 
     # ------------------------------------------------------------------
-
-    def _price(self, meter: OpMeter) -> float:
-        return sum(
-            count * self.timing.op_seconds(op, size) for (op, size), count in meter.items()
-        )
 
     @staticmethod
     def _budget_cap(unit_cost: float, remaining: float, hard_cap: int) -> int:
@@ -404,19 +284,3 @@ class FullMGTuner:
         if remaining <= 0.0:
             return -1
         return min(hard_cap, int(remaining / unit_cost) + 1)
-
-    def _sor_step(self, n: int):
-        return operator_sor_step(self.training, n)
-
-    def _recurse_step(self, level: int, sub_accuracy: int):
-        executor = self._executor
-        vplan = self.vplan
-
-        def step(x: np.ndarray, b: np.ndarray) -> None:
-            executor._recurse_once(vplan, x, b, level, sub_accuracy, NULL_METER, NULL_TRACE)
-
-        return step
-
-
-def _no_run(x: np.ndarray, b: np.ndarray) -> None:
-    """Placeholder run for cost-model timing of composite candidates."""

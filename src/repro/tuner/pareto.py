@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,26 +22,21 @@ from repro.tuner.executor import PlanExecutor
 from repro.tuner.plan import TunedVPlan, fixed_vplan
 from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
-from repro.util.validation import level_of_size
 
-__all__ = ["ParetoAlgorithm", "ParetoPoint", "ParetoTuner", "pareto_front"]
+__all__ = ["ChoiceChain", "ParetoPoint", "ParetoTuner", "pareto_front"]
 
 
-@dataclass(frozen=True)
-class ParetoAlgorithm:
-    """A concrete cycle shape: direct, SOR^s, or (RECURSE with child)^t."""
-
-    kind: str  # "direct" | "sor" | "recurse"
-    iterations: int = 1
-    child: Optional["ParetoAlgorithm"] = None
+class ChoiceChain(tuple):
+    """A concrete cycle shape as its per-level choices, finest first:
+    ``RecurseChoice(0, t)`` entries down to a direct solve or SOR^s."""
 
     def describe(self) -> str:
-        if self.kind == "direct":
-            return "direct"
-        if self.kind == "sor":
-            return f"sor^{self.iterations}"
-        assert self.child is not None
-        return f"(recurse[{self.child.describe()}])^{self.iterations}"
+        head = self[0]
+        if isinstance(head, RecurseChoice):
+            return f"(recurse[{ChoiceChain(self[1:]).describe()}])^{head.iterations}"
+        if isinstance(head, SORChoice):
+            return f"sor^{head.iterations}"
+        return "direct"
 
     def plan(self, level: int) -> TunedVPlan:
         """This chain as a one-rung V plan with its top at ``level``.
@@ -50,32 +45,18 @@ class ParetoAlgorithm:
         the plan's ``unit_meter(level, 0)`` is the chain's exact op
         multiset.
         """
-        choices: list[Choice] = []
-        algo: ParetoAlgorithm | None = self
-        for _ in range(level):
-            if algo is None:
-                choices.append(DirectChoice())
-            elif algo.kind == "direct":
-                choices.append(DirectChoice())
-                algo = None
-            elif algo.kind == "sor":
-                choices.append(SORChoice(algo.iterations))
-                algo = None
-            else:
-                choices.append(RecurseChoice(0, algo.iterations))
-                algo = algo.child
-        return fixed_vplan(choices[::-1])
+        choices: list[Choice] = [*self, *[DirectChoice()] * (level - len(self))]
+        return fixed_vplan(choices[:level][::-1])
 
-    def execute(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Run this algorithm on 2-D Poisson (x, b) in place."""
-        return PlanExecutor().run_v(self.plan(level_of_size(x.shape[0])), x, b, 0)
+
+_DIRECT = ChoiceChain((DirectChoice(),))
 
 
 @dataclass(frozen=True)
 class ParetoPoint:
     """One member of the optimal set: (algorithm, time, worst-case accuracy)."""
 
-    algorithm: ParetoAlgorithm
+    algorithm: ChoiceChain
     seconds: float
     accuracy: float
 
@@ -152,8 +133,7 @@ class ParetoTuner:
     def tune(self) -> dict[int, list[ParetoPoint]]:
         """Return the optimal set per level."""
         sets: dict[int, list[ParetoPoint]] = {}
-        base = ParetoAlgorithm(kind="direct")
-        sets[1] = [self._point(base, level=1)]
+        sets[1] = [self._point(_DIRECT, level=1)]
         for level in range(2, self.max_level + 1):
             sets[level] = self._build_level(level, sets[level - 1])
         return sets
@@ -161,9 +141,9 @@ class ParetoTuner:
     # ------------------------------------------------------------------
 
     def _price(self, plan: TunedVPlan, level: int) -> float:
-        return self.timing.profile.price(plan.unit_meter(level, 0), self.timing.threads)
+        return plan.time_on(self.timing.profile, level, 0, self.timing.threads)
 
-    def _point(self, algo: ParetoAlgorithm, level: int) -> ParetoPoint:
+    def _point(self, algo: ChoiceChain, level: int) -> ParetoPoint:
         plan = algo.plan(level)
         bundle = self.training.at_level(level)
         worst = math.inf
@@ -175,7 +155,7 @@ class ParetoTuner:
     def _build_level(self, level: int, below: list[ParetoPoint]) -> list[ParetoPoint]:
         candidates: list[ParetoPoint] = []
         bundle = self.training.at_level(level)
-        candidates.append(self._point(ParetoAlgorithm(kind="direct"), level))
+        candidates.append(self._point(_DIRECT, level))
         # SOR with every sweep count up to the cap, measured incrementally.
         candidates.extend(self._incremental_family(level, bundle, None))
         # RECURSE around every member of the coarse optimal set.
@@ -184,16 +164,15 @@ class ParetoTuner:
         return pareto_front(candidates, self.max_set_size)
 
     def _incremental_family(
-        self, level: int, bundle, child: ParetoAlgorithm | None
+        self, level: int, bundle, child: ChoiceChain | None
     ) -> list[ParetoPoint]:
         """Points for algo^t, t = 1..cap, reusing state across t."""
+        head: SORChoice | RecurseChoice
         if child is None:
-            step = ParetoAlgorithm(kind="sor")
-            cap = self.max_sor_iters
+            head, rest, cap = SORChoice(1), (), self.max_sor_iters
         else:
-            step = ParetoAlgorithm(kind="recurse", child=child)
-            cap = self.max_recurse_iters
-        plan = step.plan(level)
+            head, rest, cap = RecurseChoice(0, 1), child, self.max_recurse_iters
+        plan = ChoiceChain((head, *rest)).plan(level)
         unit_seconds = self._price(plan, level)
         starts = bundle.fresh_starts()
         points: list[ParetoPoint] = []
@@ -202,5 +181,6 @@ class ParetoTuner:
             for (x, b), judge in zip(starts, bundle.judges):
                 self.executor.run_v(plan, x, b, 0)
                 worst = min(worst, judge.accuracy_of(x))
-            points.append(ParetoPoint(replace(step, iterations=t), unit_seconds * t, worst))
+            chain = ChoiceChain((replace(head, iterations=t), *rest))
+            points.append(ParetoPoint(chain, unit_seconds * t, worst))
         return points

@@ -10,12 +10,17 @@ choice the DP selected.  Plans are:
   (:meth:`TunedVPlan.unit_meter`), and
 * serializable (:mod:`repro.tuner.config`), playing the role of the
   PetaBricks configuration file.
+
+The tuners build level k on the plan tuned through level k-1: they
+price each candidate with its :meth:`~TunedVPlan.choice_meter` and train
+and run it on that plan through the executor, so this module is the one
+place that knows a choice's op multiset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.machines.meter import OpMeter, backend_op, dim_op
 from repro.machines.profile import MachineProfile
@@ -28,11 +33,15 @@ from repro.tuner.choices import (
 )
 from repro.util.validation import size_of_level
 
+if TYPE_CHECKING:
+    from repro.tuner.timing import TimingStrategy
+
 __all__ = [
     "FIXED_LADDER",
     "TunedFullMGPlan",
     "TunedVPlan",
     "fixed_vplan",
+    "level_backend",
     "recurse_wrapper_meter",
 ]
 
@@ -57,6 +66,42 @@ def recurse_wrapper_meter(n: int, ndim: int = 2, backend: str = "numpy") -> OpMe
     meter.charge(backend_op(dim_op("restrict", ndim), backend), n)
     meter.charge(backend_op(dim_op("interpolate", ndim), backend), n)
     return meter
+
+
+def level_backend(
+    backend: str,
+    level: int,
+    ndim: int,
+    operator,
+    timing: TimingStrategy | None,
+) -> str:
+    """The kernel backend a tuned plan places at one level.
+
+    Pure function of its arguments, so the serial DP and the parallel
+    worker pool (which rebuilds tuners from task data) place backends
+    identically.  A level gets the accelerated backend when pricing the
+    RECURSE wrapper ops there is no more expensive than the reference —
+    with :class:`~repro.tuner.timing.CostModelTiming` that naturally
+    keeps tiny coarse grids on NumPy (dispatch overhead dominates) while
+    fine grids accelerate; without a cost model (wall-clock tuning)
+    every supported level accelerates.  Backends never change numerics,
+    so this is purely a pricing decision — iteration training is
+    backend-independent.
+    """
+    if backend in ("", "numpy") or level < 2:
+        return "numpy"
+    from repro.kernels import get_backend
+    from repro.operators.spec import shared_operator
+
+    probe = shared_operator(operator, size_of_level(2))
+    if not get_backend(backend).supports(probe):
+        return "numpy"
+    if timing is None:
+        return backend
+    n = size_of_level(level)
+    reference = timing.price(recurse_wrapper_meter(n, ndim, "numpy"))
+    accelerated = timing.price(recurse_wrapper_meter(n, ndim, backend))
+    return backend if accelerated <= reference else "numpy"
 
 
 def _check_table(
@@ -157,10 +202,18 @@ class TunedVPlan:
     def unit_meter(self, level: int, acc_index: int) -> OpMeter:
         """Exact op multiset of one MULTIGRID-V_{acc_index} call at ``level``."""
         key = (level, acc_index)
-        cached = self._meters.get(key)
-        if cached is not None:
-            return cached
-        choice = self.table[key]
+        meter = self._meters.get(key)
+        if meter is None:
+            meter = self._meters[key] = self.choice_meter(level, self.table[key])
+        return meter
+
+    def choice_meter(self, level: int, choice: Choice) -> OpMeter:
+        """Exact op multiset of one application of ``choice`` at ``level``.
+
+        The choice need not be in the table: coarse-grid calls price
+        this plan's levels below, so a plan tuned through ``level - 1``
+        prices every candidate the tuners weigh for ``level``.
+        """
         n = size_of_level(level)
         backend = self.backend_at(level)
         meter = OpMeter()
@@ -174,9 +227,8 @@ class TunedVPlan:
             wrapper = recurse_wrapper_meter(n, self.ndim, backend)
             wrapper.merge(self.unit_meter(level - 1, choice.sub_accuracy))
             meter.merge(wrapper, times=choice.iterations)
-        else:  # pragma: no cover - table validated at construction
+        else:
             raise TypeError(f"invalid V-plan choice {choice!r}")
-        self._meters[key] = meter
         return meter
 
     def time_on(
@@ -240,36 +292,33 @@ class TunedFullMGPlan:
     def unit_meter(self, level: int, acc_index: int) -> OpMeter:
         """Exact op multiset of one FULL-MULTIGRID_{acc_index} call."""
         key = (level, acc_index)
-        cached = self._meters.get(key)
-        if cached is not None:
-            return cached
-        choice = self.table[key]
+        meter = self._meters.get(key)
+        if meter is None:
+            meter = self._meters[key] = self.choice_meter(level, self.table[key])
+        return meter
+
+    def choice_meter(self, level: int, choice: Choice) -> OpMeter:
+        """Exact op multiset of one application of ``choice`` at ``level``.
+
+        As :meth:`TunedVPlan.choice_meter`: ESTIMATE_j prices this plan's
+        FULL-MULTIGRID_j one level down, and the solve phase is the V
+        plan's meter of the solver choice.  ``EstimateChoice(j,
+        SORChoice(0))`` is the estimation phase alone.
+        """
+        if isinstance(choice, DirectChoice):
+            return self.vplan.choice_meter(level, choice)
+        if not isinstance(choice, EstimateChoice):
+            raise TypeError(f"invalid full-MG choice {choice!r}")
         n = size_of_level(level)
         backend = self.backend_at(level)
+        # Estimation phase: residual, restrict, recursive full-MG call,
+        # interpolate + correct.
         meter = OpMeter()
-        if isinstance(choice, DirectChoice):
-            meter.charge(dim_op("direct", self.ndim), n)
-        elif isinstance(choice, EstimateChoice):
-            # Estimation phase: residual, restrict, recursive full-MG call,
-            # interpolate + correct.
-            meter.charge(backend_op(dim_op("residual", self.ndim), backend), n)
-            meter.charge(backend_op(dim_op("restrict", self.ndim), backend), n)
-            meter.merge(self.unit_meter(level - 1, choice.estimate_accuracy))
-            meter.charge(backend_op(dim_op("interpolate", self.ndim), backend), n)
-            solver = choice.solver
-            if isinstance(solver, SORChoice):
-                meter.charge(
-                    backend_op(dim_op("relax", self.ndim), backend),
-                    n,
-                    solver.iterations,
-                )
-            else:
-                wrapper = recurse_wrapper_meter(n, self.ndim, backend)
-                wrapper.merge(self.vplan.unit_meter(level - 1, solver.sub_accuracy))
-                meter.merge(wrapper, times=solver.iterations)
-        else:  # pragma: no cover - table validated at construction
-            raise TypeError(f"invalid full-MG choice {choice!r}")
-        self._meters[key] = meter
+        meter.charge(backend_op(dim_op("residual", self.ndim), backend), n)
+        meter.charge(backend_op(dim_op("restrict", self.ndim), backend), n)
+        meter.merge(self.unit_meter(level - 1, choice.estimate_accuracy))
+        meter.charge(backend_op(dim_op("interpolate", self.ndim), backend), n)
+        meter.merge(self.vplan.choice_meter(level, choice.solver))
         return meter
 
     def time_on(

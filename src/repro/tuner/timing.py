@@ -32,14 +32,19 @@ class TimingStrategy:
     def time_candidate(
         self,
         unit_meter: OpMeter,
-        run: RunFn,
-        starts: Sequence[tuple[np.ndarray, np.ndarray]],
+        run: RunFn | None = None,
+        starts: Sequence[tuple[np.ndarray, np.ndarray]] = (),
     ) -> float:
         raise NotImplementedError
 
     def op_seconds(self, op: str, n: int) -> float:
         """Price of a single primitive op (used for budget pruning)."""
         raise NotImplementedError
+
+    def price(self, meter: OpMeter) -> float:
+        """Sum of :meth:`op_seconds` over ``meter`` — the estimate budget
+        pruning, backend placement and acquisition compare."""
+        return sum(count * self.op_seconds(op, n) for (op, n), count in meter.items())
 
 
 class CostModelTiming(TimingStrategy):
@@ -50,8 +55,8 @@ class CostModelTiming(TimingStrategy):
     def time_candidate(
         self,
         unit_meter: OpMeter,
-        run: RunFn,
-        starts: Sequence[tuple[np.ndarray, np.ndarray]],
+        run: RunFn | None = None,
+        starts: Sequence[tuple[np.ndarray, np.ndarray]] = (),
     ) -> float:
         return self.profile.price(unit_meter, self.threads)
 
@@ -75,11 +80,11 @@ class WallclockTiming(TimingStrategy):
     def time_candidate(
         self,
         unit_meter: OpMeter,
-        run: RunFn,
-        starts: Sequence[tuple[np.ndarray, np.ndarray]],
+        run: RunFn | None = None,
+        starts: Sequence[tuple[np.ndarray, np.ndarray]] = (),
     ) -> float:
-        if not starts:
-            raise ValueError("wallclock timing needs training instances")
+        if run is None or not starts:
+            raise ValueError("wallclock timing needs a run and training instances")
         samples = []
         for x0, b in starts:
             samples.append(median_time(lambda: run(x0.copy(), b), repeats=self.repeats))

@@ -1,4 +1,4 @@
-"""Tests for the DirectSolver facade (all backends) and the Thomas solver."""
+"""Tests for the DirectSolver facade (all backends)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.grids.poisson import apply_poisson, residual
 from repro.grids.norms import residual_norm
 from repro.linalg.direct import DirectSolver, build_interior_rhs, scatter_interior
-from repro.linalg.tridiag import thomas_solve
 from repro.workloads.distributions import make_problem
 
 BACKENDS = ["block", "lapack", "reference"]
@@ -107,24 +106,3 @@ class TestRhsHelpers:
     def test_scatter_rejects_bad_length(self):
         with pytest.raises(ValueError):
             scatter_interior(np.zeros((5, 5)), np.zeros(8))
-
-
-class TestThomas:
-    def test_matches_dense_solve(self, rng):
-        m = 12
-        lower = rng.uniform(-1, 0, m - 1)
-        upper = rng.uniform(-1, 0, m - 1)
-        diag = np.full(m, 4.0)
-        rhs = rng.standard_normal(m)
-        a = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        np.testing.assert_allclose(
-            thomas_solve(lower, diag, upper, rhs), np.linalg.solve(a, rhs), rtol=1e-10
-        )
-
-    def test_rejects_inconsistent_lengths(self):
-        with pytest.raises(ValueError):
-            thomas_solve(np.zeros(3), np.zeros(4), np.zeros(2), np.zeros(4))
-
-    def test_zero_pivot_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            thomas_solve(np.ones(1), np.zeros(2), np.ones(1), np.ones(2))

@@ -9,7 +9,8 @@ from repro.machines.meter import OPS, OpMeter
 from repro.machines.presets import INTEL_HARPERTOWN
 from repro.runtime.simsched import SimulatedScheduler
 from repro.runtime.task import TaskGraph
-from repro.tuner.pareto import ParetoAlgorithm, ParetoPoint, pareto_front
+from repro.tuner.choices import DirectChoice
+from repro.tuner.pareto import ChoiceChain, ParetoPoint, pareto_front
 
 charges = st.lists(
     st.tuples(
@@ -123,7 +124,7 @@ class TestParetoFrontProperties:
     @settings(max_examples=50, deadline=None)
     def test_front_is_subset_and_nondominated(self, raw):
         pts = [
-            ParetoPoint(ParetoAlgorithm(kind="direct"), s, a) for s, a in raw
+            ParetoPoint(ChoiceChain((DirectChoice(),)), s, a) for s, a in raw
         ]
         front = pareto_front(pts)
         assert all(p in pts for p in front)
@@ -140,7 +141,7 @@ class TestParetoFrontProperties:
     @settings(max_examples=50, deadline=None)
     def test_cap_respected_and_keeps_extremes(self, raw, cap):
         pts = [
-            ParetoPoint(ParetoAlgorithm(kind="direct"), s, a) for s, a in raw
+            ParetoPoint(ChoiceChain((DirectChoice(),)), s, a) for s, a in raw
         ]
         full = pareto_front(pts)
         capped = pareto_front(pts, max_size=cap)

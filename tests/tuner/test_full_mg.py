@@ -1,14 +1,22 @@
 """Tests for the full-multigrid tuner extension (section 2.4)."""
 
+import dataclasses
+
 import pytest
 
 from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import ReferenceSolutionCache
+from repro.kernels import get_backend
+from repro.kernels.cnative import CNativeBackend
 from repro.machines.presets import INTEL_HARPERTOWN
+from repro.operators.spec import shared_operator
 from repro.tuner.choices import DirectChoice, EstimateChoice
+from repro.tuner.dp import VCycleTuner
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.full_mg import FullMGTuner
 from repro.tuner.timing import WallclockTiming
+from repro.tuner.training import TrainingData
+from repro.util.validation import size_of_level
 from repro.workloads.distributions import make_problem
 
 
@@ -84,3 +92,40 @@ class TestGuards:
         assert plan.max_level == 3
         assert (3, 0) in plan.table
         assert (4, 0) not in plan.table
+
+
+class TestKernelBackends:
+    def test_estimate_training_runs_the_plans_kernels(self, monkeypatch):
+        """At a level the V plan places on cnative, the estimation phase
+        the tuner trains from runs cnative kernels, not the operator's
+        NumPy residual."""
+        if not get_backend("cnative").available():
+            pytest.skip("cnative backend unavailable on this host")
+        # A training seed no other test uses, so the full-MG tuner (and
+        # its kernel bindings) is built while the spies are in place.
+        training = TrainingData(distribution="unbiased", instances=1, seed=4243)
+        vplan = VCycleTuner(
+            max_level=5, training=training, backend="cnative", keep_audit=False
+        ).tune()
+        assert vplan.backend_at(5) == "cnative"
+        op = shared_operator(training.operator, size_of_level(5))
+
+        def numpy_residual(*args, **kwargs):
+            raise AssertionError("NumPy residual at a cnative level")
+
+        calls = []
+        bind = CNativeBackend.bind
+
+        def spying_bind(self, bound_op):
+            kernels = bind(self, bound_op)
+
+            def residual(*args, **kwargs):
+                calls.append(bound_op.n)
+                return kernels.residual(*args, **kwargs)
+
+            return dataclasses.replace(kernels, residual=residual)
+
+        monkeypatch.setattr(op, "residual", numpy_residual)
+        monkeypatch.setattr(CNativeBackend, "bind", spying_bind)
+        FullMGTuner(vplan=vplan, training=training, keep_audit=False).tune()
+        assert op.n in calls

@@ -7,8 +7,10 @@ import pytest
 from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import ReferenceSolutionCache
 from repro.machines.presets import INTEL_HARPERTOWN
+from repro.tuner.choices import DirectChoice, RecurseChoice, SORChoice
+from repro.tuner.executor import PlanExecutor
 from repro.tuner.pareto import (
-    ParetoAlgorithm,
+    ChoiceChain,
     ParetoPoint,
     ParetoTuner,
     pareto_front,
@@ -19,7 +21,7 @@ from repro.workloads.distributions import make_problem
 
 
 def P(seconds: float, accuracy: float) -> ParetoPoint:
-    return ParetoPoint(ParetoAlgorithm(kind="direct"), seconds, accuracy)
+    return ParetoPoint(ChoiceChain((DirectChoice(),)), seconds, accuracy)
 
 
 class TestParetoFront:
@@ -55,26 +57,30 @@ class TestParetoFront:
             assert not (a.seconds <= b.seconds and a.accuracy >= b.accuracy)
 
 
-class TestParetoAlgorithm:
+class TestChoiceChain:
     def test_meter_composition(self):
-        child = ParetoAlgorithm(kind="direct")
-        algo = ParetoAlgorithm(kind="recurse", iterations=2, child=child)
-        m = algo.plan(3).unit_meter(3, 0)  # fine size 9
+        chain = ChoiceChain((RecurseChoice(0, 2), DirectChoice()))
+        m = chain.plan(3).unit_meter(3, 0)  # fine size 9
         assert m.counts[("relax", 9)] == 4
         assert m.counts[("direct", 5)] == 2
 
-    def test_execute_direct_exact(self):
+    def test_plan_pads_below_the_chain_with_direct(self):
+        plan = ChoiceChain((SORChoice(3),)).plan(3)
+        assert plan.choice(3, 0) == SORChoice(3)
+        assert plan.choice(2, 0) == plan.choice(1, 0) == DirectChoice()
+
+    def test_direct_plan_solves_exactly(self):
         problem = make_problem("unbiased", 9, seed=501)
         x = problem.initial_guess()
-        ParetoAlgorithm(kind="direct").execute(x, problem.b)
+        PlanExecutor().run_v(ChoiceChain((DirectChoice(),)).plan(3), x, problem.b, 0)
         cache = ReferenceSolutionCache()
         judge = AccuracyJudge(problem.initial_guess(), cache.get(problem))
         assert judge.accuracy_of(x) > 1e10
 
     def test_describe(self):
-        child = ParetoAlgorithm(kind="sor", iterations=3)
-        algo = ParetoAlgorithm(kind="recurse", iterations=2, child=child)
-        assert "sor^3" in algo.describe()
+        chain = ChoiceChain((RecurseChoice(0, 2), SORChoice(3)))
+        assert chain.describe() == "(recurse[sor^3])^2"
+        assert ChoiceChain((DirectChoice(),)).describe() == "direct"
 
 
 class TestParetoTuner:
@@ -92,7 +98,7 @@ class TestParetoTuner:
 
     def test_base_level_single_direct(self, sets):
         assert len(sets[1]) == 1
-        assert sets[1][0].algorithm.kind == "direct"
+        assert sets[1][0].algorithm == (DirectChoice(),)
         assert sets[1][0].accuracy == math.inf
 
     def test_sets_capped(self, sets):
@@ -117,5 +123,5 @@ class TestParetoTuner:
                 continue
             x = problem.initial_guess()
             judge = AccuracyJudge(x, x_opt)
-            point.algorithm.execute(x, problem.b)
+            PlanExecutor().run_v(point.algorithm.plan(3), x, problem.b, 0)
             assert judge.accuracy_of(x) >= 0.2 * point.accuracy
