@@ -215,7 +215,7 @@ def autotune(
         "multigrid-v", max_level, distribution, accuracies, instances, seed,
         operator, ndim, backend,
     )
-    return tune(TuneSpec(key, profile=_profile(machine)), jobs, tuner=tuner)
+    return tune(TuneSpec(key, pricing=_profile(machine)), jobs, tuner=tuner)
 
 
 def autotune_full_mg(
@@ -242,7 +242,7 @@ def autotune_full_mg(
         "full-multigrid", max_level, distribution, accuracies, instances, seed,
         operator, ndim, backend,
     )
-    return tune(TuneSpec(key, profile=_profile(machine)), jobs, vplan=vplan)
+    return tune(TuneSpec(key, pricing=_profile(machine)), jobs, vplan=vplan)
 
 
 def solve(

@@ -1,5 +1,4 @@
-"""Machine models: op metering, analytic cost profiles, testbed presets,
-and host calibration.
+"""Machine models: op metering, analytic cost profiles and testbed presets.
 
 The paper demonstrates that optimal cycle shapes are machine-dependent
 (section 4.3).  We reproduce the mechanism with cost models: solvers record
@@ -19,7 +18,6 @@ from repro.machines.presets import (
     SUN_NIAGARA,
     get_preset,
 )
-from repro.machines.calibrate import calibrate_host_profile, measure_op_times
 
 __all__ = [
     "AMD_BARCELONA",
@@ -33,7 +31,5 @@ __all__ = [
     "OpShape",
     "PRESETS",
     "SUN_NIAGARA",
-    "calibrate_host_profile",
     "get_preset",
-    "measure_op_times",
 ]

@@ -85,8 +85,9 @@ SUN_NIAGARA = MachineProfile(
     "FPU per core — high throughput, very weak serial dense compute",
 )
 
-#: Analytic stand-in for the container running the reproduction; the real
-#: host profile comes from :mod:`repro.machines.calibrate`.
+#: Analytic stand-in for the host running the reproduction; measured host
+#: prices come from fitting a :class:`~repro.modeltuner.costmodel.CostModel`
+#: over this profile.
 HOST_FALLBACK = MachineProfile(
     name="host-fallback",
     cores=1,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.machines.meter import OpMeter
 
@@ -111,7 +111,7 @@ class BackendCostModel:
 
 
 #: Fallback per-backend cost models, used when a profile carries no
-#: calibrated ``backend_costs`` entry for a backend.  Numbers come from
+#: measured ``backend_costs`` entry for a backend.  Numbers come from
 #: microbenchmarks of the scalar C kernels vs the vectorized NumPy loops
 #: (see ``benchmarks/bench_kernels.py``); they only need the right *shape*
 #: — accelerated work is several times cheaper, dispatch is costlier — for
@@ -159,20 +159,14 @@ class MachineProfile:
     #: operand grids in the typical stencil op)
     working_set_factor: float = 24.0
     #: include the factor-streaming memory term in direct-solve pricing.
-    #: Calibrated host profiles fold memory effects into the fitted dense
-    #: rate and turn this off.
+    #: Profiles whose dense rate was measured with memory effects folded in
+    #: turn this off.
     direct_includes_memory: bool = True
     description: str = ""
     op_shapes: dict[str, OpShape] = field(default_factory=lambda: dict(OP_SHAPES))
-    #: calibrated per-backend cost models; empty means "use
+    #: measured per-backend cost models; empty means "use
     #: :data:`DEFAULT_BACKEND_GAINS`" and keeps the fingerprint unchanged
     backend_costs: dict[str, BackendCostModel] = field(default_factory=dict)
-
-    def with_threads(self, threads: int) -> "MachineProfile":
-        """A copy of this profile restricted to ``threads`` worker threads."""
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        return replace(self, cores=threads, name=f"{self.name}@{threads}t")
 
     # -- identity ---------------------------------------------------------
 
@@ -201,7 +195,7 @@ class MachineProfile:
                 for op, s in sorted(self.op_shapes.items())
             },
         }
-        # Only serialized when calibrated: default-gain profiles keep the
+        # Only serialized when measured: default-gain profiles keep the
         # exact pre-backend fingerprint, so every stored plan stays valid.
         if self.backend_costs:
             payload["backend_costs"] = {
@@ -303,16 +297,14 @@ class MachineProfile:
             raise KeyError(f"no shape for op {op!r}")
         return self._stencil_points_time(shape, float(n) * float(n), threads)
 
-    def stencil_time_3d(
-        self, base_op: str, n: int, threads: int | None = None
-    ) -> float:
+    def stencil_time_3d(self, base_op: str, n: int) -> float:
         """Time of one 3-D grid-local op at side length n (n**3 points)."""
         shape = OP_SHAPES_3D.get(base_op)
         if shape is None:
             raise KeyError(f"no 3-D shape for op {base_op!r}")
-        return self._stencil_points_time(shape, float(n) ** 3, threads)
+        return self._stencil_points_time(shape, float(n) ** 3, None)
 
-    def direct_time(self, n: int, threads: int | None = None, cached: bool = False) -> float:
+    def direct_time(self, n: int, cached: bool = False) -> float:
         """Time of a band-Cholesky direct solve at grid size n.
 
         ``cached=True`` prices only the banded triangular solves (the
@@ -331,9 +323,7 @@ class MachineProfile:
             t += 8.0 * w**3 / self._mem_rate(8.0 * w**3, 1)
         return t + self.op_overhead + self.direct_overhead
 
-    def direct3d_time(
-        self, n: int, threads: int | None = None, cached: bool = False
-    ) -> float:
+    def direct3d_time(self, n: int, cached: bool = False) -> float:
         """Time of a sparse-LU direct solve on the (n-2)**3 interior system.
 
         Sparse factorization of a 3-D grid Laplacian costs O(N^2) flops
@@ -353,7 +343,7 @@ class MachineProfile:
         return t + self.op_overhead + self.direct_overhead
 
     def backend_model(self, backend: str) -> BackendCostModel:
-        """The cost model for an accelerated backend (calibrated or default).
+        """The cost model for an accelerated backend (measured or default).
 
         Unknown backends (and ``numpy`` itself) price as the identity model,
         so a plan qualified for a backend this profile knows nothing about
@@ -363,9 +353,7 @@ class MachineProfile:
             return self.backend_costs[backend]
         return DEFAULT_BACKEND_GAINS.get(backend, _IDENTITY_BACKEND)
 
-    def _backend_op_time(
-        self, base: str, backend: str, n: int, threads: int | None
-    ) -> float:
+    def _backend_op_seconds(self, base: str, backend: str, n: int) -> float:
         """Price ``base`` executed by an accelerated kernel backend.
 
         The roofline/barrier term shrinks by the backend's measured gain;
@@ -376,37 +364,37 @@ class MachineProfile:
         """
         model = self.backend_model(backend)
         family = base[:-2] if base.endswith("3d") else base
-        reference = self.op_time(base, n, threads)
+        reference = self.op_seconds(base, n)
         work = max(reference - self.op_overhead, 0.0)
         return (
             work / model.gain_for(family)
             + self.op_overhead * model.op_overhead_scale
         )
 
-    def op_time(self, op: str, n: int, threads: int | None = None) -> float:
+    def op_seconds(self, op: str, n: int) -> float:
         """Time of one occurrence of ``op`` at size ``n``.
 
         ``op`` may carry a kernel-backend qualifier (``"relax@cnative"``);
-        see :meth:`_backend_op_time`.
+        see :meth:`_backend_op_seconds`.
         """
         if "@" in op:
             base, _, backend = op.partition("@")
-            return self._backend_op_time(base, backend, n, threads)
+            return self._backend_op_seconds(base, backend, n)
         if op == "direct":
-            return self.direct_time(n, threads, cached=False)
+            return self.direct_time(n, cached=False)
         if op == "direct_solve":
-            return self.direct_time(n, threads, cached=True)
+            return self.direct_time(n, cached=True)
         if op == "direct3d":
-            return self.direct3d_time(n, threads, cached=False)
+            return self.direct3d_time(n, cached=False)
         if op == "direct_solve3d":
-            return self.direct3d_time(n, threads, cached=True)
+            return self.direct3d_time(n, cached=True)
         if op.endswith("3d"):
-            return self.stencil_time_3d(op[:-2], n, threads)
-        return self.stencil_time(op, n, threads)
+            return self.stencil_time_3d(op[:-2], n)
+        return self.stencil_time(op, n)
 
-    def price(self, meter: OpMeter, threads: int | None = None) -> float:
+    def price(self, meter: OpMeter) -> float:
         """Total simulated seconds for all ops recorded in ``meter``."""
         total = 0.0
         for (op, n), count in meter.items():
-            total += count * self.op_time(op, n, threads)
+            total += count * self.op_seconds(op, n)
         return total

@@ -16,7 +16,7 @@ Entry points: ``core.autotune(..., tuner="model")``,
 """
 
 from repro.modeltuner.bo import BOSearch, dp_trial_budget
-from repro.modeltuner.costmodel import CostModel, ModelTiming, OpLaw, points_of
+from repro.modeltuner.costmodel import CostModel, OpLaw, points_of
 from repro.modeltuner.warmstart import (
     fit_model_from_store,
     model_for_profile,
@@ -26,7 +26,6 @@ from repro.modeltuner.warmstart import (
 __all__ = [
     "BOSearch",
     "CostModel",
-    "ModelTiming",
     "OpLaw",
     "dp_trial_budget",
     "fit_model_from_store",

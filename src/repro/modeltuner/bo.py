@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.machines.profile import MachineProfile
-from repro.modeltuner.costmodel import CostModel, ModelTiming
+from repro.modeltuner.costmodel import CostModel
 from repro.tuner.choices import Choice, DirectChoice
 from repro.tuner.dp import probe_choice, select_fastest, tuning_metadata
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan
@@ -110,8 +110,7 @@ class BOSearch:
         #: what every evaluation task carries (and prices by)
         self.spec = TuneSpec.from_training(
             self.training,
-            profile=self.profile,
-            model=self.model,
+            pricing=self.profile if self.profile is not None else self.model,
             max_level=self.max_level,
             accuracies=self.accuracies,
             backend=self.backend,
@@ -126,7 +125,7 @@ class BOSearch:
         self._timing: CostModelTiming = self.spec.timing()
         # Acquisition pricing: the learned model when available (its
         # predictions are the point of the exercise), else the profile.
-        self._acq = ModelTiming(self.model) if self.model is not None else self._timing
+        self._acq = CostModelTiming(self.model) if self.model is not None else self._timing
         #: (kind, acc_index, sub_j) -> (level, iterations) observations;
         #: iterations is math.inf for trained-but-infeasible arms
         self._observed: dict[tuple[str, int, int | None], tuple[int, float]] = {}

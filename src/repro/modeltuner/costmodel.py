@@ -39,9 +39,8 @@ import numpy as np
 
 from repro.machines.meter import OPS, backend_op, base_op
 from repro.machines.profile import MachineProfile
-from repro.tuner.timing import CostModelTiming
 
-__all__ = ["CostModel", "ModelTiming", "OpLaw", "points_of"]
+__all__ = ["CostModel", "OpLaw", "points_of"]
 
 #: Exponent bounds for fitted power laws.  Real op costs scale between
 #: roughly linear in points (bandwidth-bound stencils) and quadratic
@@ -98,7 +97,7 @@ class OpLaw:
         )
 
 
-def _reference_exponent(base: MachineProfile, op: str, threads: int | None) -> float:
+def _reference_exponent(base: MachineProfile, op: str) -> float:
     """The base profile's own cost-vs-points exponent for ``op``.
 
     Anchors single-size fits: with one measured size the data cannot
@@ -107,8 +106,8 @@ def _reference_exponent(base: MachineProfile, op: str, threads: int | None) -> f
     """
     try:
         lo, hi = 17, 65
-        t_lo = base.op_time(op, lo, threads)
-        t_hi = base.op_time(op, hi, threads)
+        t_lo = base.op_seconds(op, lo)
+        t_hi = base.op_seconds(op, hi)
         if t_lo <= 0.0 or t_hi <= 0.0:
             return 1.0
         slope = math.log(t_hi / t_lo) / math.log(points_of(op, hi) / points_of(op, lo))
@@ -150,7 +149,6 @@ class CostModel:
     laws: dict[str, OpLaw] = field(default_factory=dict)
     #: measured/analytic ratio applied to ops with no fitted law
     calibration: float = 1.0
-    threads: int | None = None
     provenance: dict[str, Any] = field(default_factory=dict)
 
     # -- pricing ----------------------------------------------------------
@@ -165,7 +163,7 @@ class CostModel:
         if law is not None:
             return law.predict(points_of(op, n))
         try:
-            analytic = self.base.op_time(op, n, self.threads)
+            analytic = self.base.op_seconds(op, n)
         except (KeyError, ValueError):
             analytic = _MIN_SECONDS
         return _clamp_seconds(analytic * self.calibration)
@@ -178,7 +176,6 @@ class CostModel:
         rows: Iterable[dict[str, Any]],
         base_profile: MachineProfile,
         trials: Sequence[Any] = (),
-        threads: int | None = None,
         provenance: dict[str, Any] | None = None,
     ) -> "CostModel":
         """Fit per-op laws from measurement rows (+ stored trial evidence).
@@ -211,12 +208,12 @@ class CostModel:
             samples.setdefault(op, []).append((points_of(op, n), seconds, weight))
             n_rows += 1
             try:
-                analytic = base_profile.op_time(op, n, threads)
+                analytic = base_profile.op_seconds(op, n)
             except (KeyError, ValueError):
                 analytic = 0.0
             if analytic > 0.0:
                 ratios.append((seconds / analytic, weight))
-        n_trials = cls._fold_trials(trials, base_profile, threads, samples, ratios)
+        n_trials = cls._fold_trials(trials, base_profile, samples, ratios)
         with get_tracer().span(
             "modeltuner.fit",
             base=base_profile.name,
@@ -225,7 +222,7 @@ class CostModel:
             ops=len(samples),
         ):
             laws = {
-                op: _fit_law(pts, _reference_exponent(base_profile, op, threads))
+                op: _fit_law(pts, _reference_exponent(base_profile, op))
                 for op, pts in sorted(samples.items())
             }
             calibration = _geometric_mean(ratios)
@@ -237,7 +234,6 @@ class CostModel:
             base=base_profile,
             laws=laws,
             calibration=calibration,
-            threads=threads,
             provenance=meta,
         )
 
@@ -245,7 +241,6 @@ class CostModel:
     def _fold_trials(
         trials: Sequence[Any],
         base_profile: MachineProfile,
-        threads: int | None,
         samples: dict[str, list[tuple[float, float, float]]],
         ratios: list[tuple[float, float]],
     ) -> int:
@@ -260,7 +255,7 @@ class CostModel:
             try:
                 plan = plan_from_dict(json.loads(plan_json))
                 meter = plan.unit_meter(plan.max_level, plan.num_accuracies - 1)
-                analytic_total = base_profile.price(meter, threads)
+                analytic_total = base_profile.price(meter)
             except Exception:
                 continue
             if analytic_total <= 0.0:
@@ -269,7 +264,7 @@ class CostModel:
             ratios.append((scale, 0.25))
             for (op, n), count in meter.items():
                 try:
-                    analytic = base_profile.op_time(op, n, threads)
+                    analytic = base_profile.op_seconds(op, n)
                 except (KeyError, ValueError):
                     continue
                 if analytic <= 0.0:
@@ -288,7 +283,8 @@ class CostModel:
             "base_name": self.base.name,
             "laws": {op: law.to_dict() for op, law in sorted(self.laws.items())},
             "calibration": self.calibration,
-            "threads": self.threads,
+            # Always null: kept so fingerprints of stored artifacts hold.
+            "threads": None,
             "provenance": self.provenance,
         }
 
@@ -303,7 +299,6 @@ class CostModel:
                 op: OpLaw.from_dict(law) for op, law in data.get("laws", {}).items()
             },
             calibration=float(data.get("calibration", 1.0)),
-            threads=data.get("threads"),
             provenance=dict(data.get("provenance", {})),
         )
 
@@ -351,23 +346,3 @@ def _geometric_mean(ratios: list[tuple[float, float]]) -> float:
         return 1.0
     return value
 
-
-class ModelTiming(CostModelTiming):
-    """A :class:`TimingStrategy` pricing candidates with a learned model.
-
-    Subclasses :class:`CostModelTiming` (keeping ``.profile`` = the
-    model's base profile) so the DP's deterministic-pricing checks —
-    backend placement in :meth:`VCycleTuner._backend_at` and
-    :meth:`TuneSpec.of` for pool work — accept it, while every price
-    comes from the fitted model instead of the analytic profile.
-    """
-
-    def __init__(self, model: CostModel) -> None:
-        super().__init__(model.base)
-        self.model = model
-
-    def time_candidate(self, unit_meter, run=None, starts=()) -> float:
-        return self.price(unit_meter)
-
-    def op_seconds(self, op: str, n: int) -> float:
-        return self.model.op_seconds(op, n)

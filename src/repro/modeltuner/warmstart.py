@@ -45,7 +45,6 @@ def fit_model_from_store(
     ndim: int = 2,
     backend: str = "numpy",
     profiler: Any | None = None,
-    threads: int | None = None,
 ) -> CostModel:
     """Fit a :class:`CostModel` from a store's accumulated evidence.
 
@@ -60,7 +59,6 @@ def fit_model_from_store(
         rows,
         base_profile,
         trials=trials,
-        threads=threads,
         provenance={
             "source": "store",
             "operator": operator,
@@ -122,6 +120,6 @@ def model_plan_for_key(
             registry, profile, key.operator, key.ndim, key.backend
         )
     return tune(
-        TuneSpec(key, profile=profile), jobs, tuner="model", model=model,
+        TuneSpec(key, pricing=profile), jobs, tuner="model", model=model,
         search_seed=seed,
     )

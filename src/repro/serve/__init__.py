@@ -48,12 +48,8 @@ from repro.serve.loadgen import run_load
 from repro.serve.server import ServeResult, SolveRequest, SolveServer
 from repro.serve.sharding import Autoscaler, ShardWorkerConfig, shard_key
 from repro.serve.shm import SlotPool
-from repro.serve.telemetry import (
-    LatencyHistogram,
-    SlidingWindow,
-    SwapEvent,
-    Telemetry,
-)
+from repro.obs.metrics import Histogram
+from repro.serve.telemetry import SlidingWindow, SwapEvent, Telemetry
 
 __all__ = [
     "Autoscaler",
@@ -61,7 +57,7 @@ __all__ = [
     "CacheEntry",
     "FrontDoor",
     "FrontDoorResult",
-    "LatencyHistogram",
+    "Histogram",
     "PlanCache",
     "RequestQueue",
     "ServeKey",

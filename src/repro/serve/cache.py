@@ -351,7 +351,7 @@ class PlanCache:
         from repro.tuner.heuristics import HeuristicStrategy, tune_heuristic
         from repro.tuner.spec import TuneSpec
 
-        spec = TuneSpec(self.tune_key(key), profile=profile)
+        spec = TuneSpec(self.tune_key(key), pricing=profile)
         final = len(self.accuracies) - 1
         plan = tune_heuristic(
             HeuristicStrategy(sub_index=final, final_index=final),

@@ -642,7 +642,7 @@ class SolveServer:
             tune_key = self.cache.tune_key(key)
 
             def tuner():
-                plan = tune(TuneSpec(tune_key, profile=profile), self.tune_jobs)
+                plan = tune(TuneSpec(tune_key, pricing=profile), self.tune_jobs)
                 # Swap provenance rides inside the plan JSON, so the
                 # trial row the registry records carries it durably.
                 swap_meta = {

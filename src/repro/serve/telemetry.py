@@ -15,9 +15,9 @@ same metrics are visible to the unified Prometheus exporter.  The JSON
 ``snapshot()`` shape is unchanged — byte-compatible with every earlier
 release — and is regression-tested against a hand-rolled baseline.
 
-Two latency views coexist.  :class:`LatencyHistogram` is cumulative —
-the whole lifetime of the server — which is the right record for a
-benchmark report.  :class:`SlidingWindow` is *recent* — only the
+Two latency views coexist.  A :class:`~repro.obs.metrics.Histogram` is
+cumulative — the whole lifetime of the server — which is the right
+record for a benchmark report.  :class:`SlidingWindow` is *recent* — only the
 samples inside the last ``window_s`` seconds count — which is the only
 view an SLO controller may act on: a breach must clear again once the
 slow samples age out, and a cumulative histogram never forgets.
@@ -33,34 +33,10 @@ import threading
 from collections import deque
 from typing import Any, Deque
 
-from repro.obs.metrics import PERCENTILES as PERCENTILES
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_bounds,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.util.clock import MONOTONIC_CLOCK, Clock
 
-__all__ = ["LatencyHistogram", "SlidingWindow", "SwapEvent", "Telemetry"]
-
-
-def _default_bounds() -> tuple[float, ...]:
-    """Geometric bucket bounds (now shared via :mod:`repro.obs.metrics`)."""
-    return default_bounds()
-
-
-class LatencyHistogram(Histogram):
-    """Fixed-bucket latency histogram with percentile estimation.
-
-    The implementation is :class:`repro.obs.metrics.Histogram` — values
-    are durations in seconds, percentiles interpolate to the geometric
-    midpoint of the selected bucket, estimates are stable under merge
-    and never exceed the observed maximum by more than one bucket
-    width.  Not thread-safe on its own; :class:`Telemetry` serializes
-    access.
-    """
+__all__ = ["SlidingWindow", "SwapEvent", "Telemetry"]
 
 
 class SlidingWindow:

@@ -339,7 +339,7 @@ class PlanRegistry:
         if hit is not None:
             return hit
         if tuner is None or tuner == "dp":
-            tuner = lambda: tune(TuneSpec(key, profile=profile), jobs)
+            tuner = lambda: tune(TuneSpec(key, pricing=profile), jobs)
         elif tuner == "model":
             from repro.modeltuner.warmstart import model_plan_for_key
 

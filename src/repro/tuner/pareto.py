@@ -141,7 +141,7 @@ class ParetoTuner:
     # ------------------------------------------------------------------
 
     def _price(self, plan: TunedVPlan, level: int) -> float:
-        return plan.time_on(self.timing.profile, level, 0, self.timing.threads)
+        return self.timing.price(plan.unit_meter(level, 0))
 
     def _point(self, algo: ChoiceChain, level: int) -> ParetoPoint:
         plan = algo.plan(level)

@@ -231,11 +231,9 @@ class TunedVPlan:
             raise TypeError(f"invalid V-plan choice {choice!r}")
         return meter
 
-    def time_on(
-        self, profile: MachineProfile, level: int, acc_index: int, threads: int | None = None
-    ) -> float:
+    def time_on(self, profile: MachineProfile, level: int, acc_index: int) -> float:
         """Simulated seconds of one call under ``profile``."""
-        return profile.price(self.unit_meter(level, acc_index), threads)
+        return profile.price(self.unit_meter(level, acc_index))
 
     def invalidate_pricing_cache(self) -> None:
         self._meters.clear()
@@ -321,10 +319,8 @@ class TunedFullMGPlan:
         meter.merge(self.vplan.choice_meter(level, choice.solver))
         return meter
 
-    def time_on(
-        self, profile: MachineProfile, level: int, acc_index: int, threads: int | None = None
-    ) -> float:
-        return profile.price(self.unit_meter(level, acc_index), threads)
+    def time_on(self, profile: MachineProfile, level: int, acc_index: int) -> float:
+        return profile.price(self.unit_meter(level, acc_index))
 
     def invalidate_pricing_cache(self) -> None:
         self._meters.clear()

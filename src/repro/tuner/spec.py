@@ -2,8 +2,8 @@
 
 :class:`TuneKey` names a tuning problem (machine excluded) — the
 identity under which the plan registry stores plans.  :class:`TuneSpec`
-grows it into everything a tuner needs: the pricing (a machine profile,
-or a fitted cost model when there is no profile) and the search caps.
+grows it into everything a tuner needs: the pricing (a machine profile
+or a fitted cost model) and the search caps.
 A spec is frozen, hashable and picklable pure data, so the same value
 builds the tuner of a serial tune, keys the tuner cache of a pool
 worker, and ships inside every pool task.
@@ -106,33 +106,26 @@ class TuneKey:
 class TuneSpec:
     """A :class:`TuneKey` plus its pricing and search caps.
 
-    ``profile`` prices every candidate evaluation when given.  Only a
-    tune with no profile (the cold-machine model search) ships its
-    fitted cost model, as canonical ``CostModel.to_json()`` text; a
-    model that merely steers a search which has a profile stays out of
-    the spec, so it can never change evaluated prices.
+    ``pricing`` prices every candidate evaluation: a machine profile, or
+    a fitted cost model on the cold-machine model search.  A model that
+    merely steers a search which has a profile stays out of the spec, so
+    it can never change evaluated prices.
     """
 
     key: TuneKey
-    #: compared but not hashed (profiles hold dicts); equal specs still
-    #: hash equal, which is all the worker cache needs
-    profile: MachineProfile | None = field(default=None, hash=False)
-    model_json: str | None = None
+    #: compared but not hashed (profiles and models hold dicts); equal
+    #: specs still hash equal, which is all the worker cache needs
+    pricing: "MachineProfile | CostModel" = field(hash=False)
     aggregate: str = "max"
     max_sor_iters: int = 400
     max_recurse_iters: int = 64
-
-    def __post_init__(self) -> None:
-        if (self.profile is None) == (self.model_json is None):
-            raise ValueError("a TuneSpec is priced by a profile or, without one, a model")
 
     @classmethod
     def from_training(
         cls,
         training: TrainingData,
         *,
-        profile: MachineProfile | None,
-        model: "CostModel | None" = None,
+        pricing: "MachineProfile | CostModel",
         kind: str = "multigrid-v",
         max_level: int,
         accuracies: tuple[float, ...],
@@ -141,8 +134,7 @@ class TuneSpec:
         max_sor_iters: int = 400,
         max_recurse_iters: int = 64,
     ) -> "TuneSpec":
-        """The spec of a tune over ``training`` (``model`` is kept only
-        when there is no ``profile``)."""
+        """The spec of a tune over ``training``."""
         return cls(
             key=TuneKey(
                 kind=kind,
@@ -154,8 +146,7 @@ class TuneSpec:
                 operator=training.operator_name,
                 backend=backend,
             ),
-            profile=profile,
-            model_json=None if profile is not None or model is None else model.to_json(),
+            pricing=pricing,
             aggregate=str(aggregate),
             max_sor_iters=max_sor_iters,
             max_recurse_iters=max_recurse_iters,
@@ -170,13 +161,12 @@ class TuneSpec:
         worker processes would not reproduce the serial tuner's choices.
         """
         timing = tuner.timing
-        if not isinstance(timing, CostModelTiming) or timing.threads is not None:
+        if not isinstance(timing, CostModelTiming):
             raise NotImplementedError(
-                "parallel trial execution requires deterministic CostModelTiming "
-                "(threads=None); wallclock timing measured across racing worker "
-                "processes would not reproduce the serial tuner's choices"
+                "parallel trial execution requires deterministic CostModelTiming; "
+                "wallclock timing measured across racing worker processes would "
+                "not reproduce the serial tuner's choices"
             )
-        model = getattr(timing, "model", None)
         if isinstance(tuner, FullMGTuner):
             vplan = tuner.vplan
             kind, max_level, accuracies = "full-multigrid", vplan.max_level, vplan.accuracies
@@ -186,8 +176,7 @@ class TuneSpec:
             backend = tuner.backend
         return cls.from_training(
             tuner.training,
-            profile=timing.profile if model is None else None,
-            model=model,
+            pricing=timing.pricing,
             kind=kind,
             max_level=max_level,
             accuracies=accuracies,
@@ -206,21 +195,9 @@ class TuneSpec:
             operator=self.key.operator,
         )
 
-    def cost_model(self) -> "CostModel | None":
-        """The shipped cost model (``None`` when a profile prices)."""
-        if self.model_json is None:
-            return None
-        from repro.modeltuner.costmodel import CostModel
-
-        return CostModel.from_json(self.model_json)
-
     def timing(self) -> CostModelTiming:
-        """Evaluation pricing: the profile when given, else the model."""
-        if self.profile is not None:
-            return CostModelTiming(self.profile)
-        from repro.modeltuner.costmodel import CostModel, ModelTiming
-
-        return ModelTiming(CostModel.from_json(self.model_json))
+        """Evaluation pricing, as the tuners' timing strategy."""
+        return CostModelTiming(self.pricing)
 
     def build(
         self,
@@ -285,12 +262,14 @@ def tune(
             if tuner == "model":
                 from repro.modeltuner.bo import BOSearch
 
+                profile = spec.pricing if isinstance(spec.pricing, MachineProfile) else None
+                steer = model if model is not None else spec.pricing
                 search = BOSearch(
                     max_level=spec.key.max_level,
                     accuracies=spec.key.accuracies,
                     training=training,
-                    profile=spec.profile,
-                    model=model if model is not None else spec.cost_model(),
+                    profile=profile,
+                    model=None if isinstance(steer, MachineProfile) else steer,
                     seed=search_seed,
                     max_sor_iters=spec.max_sor_iters,
                     max_recurse_iters=spec.max_recurse_iters,

@@ -2,9 +2,11 @@
 
 The DP needs "which candidate is fastest".  Two ways to answer:
 
-* :class:`CostModelTiming` — price the candidate's exact op multiset with a
-  :class:`~repro.machines.profile.MachineProfile`.  Deterministic, instant,
-  and re-targetable to any architecture; the default.
+* :class:`CostModelTiming` — price the candidate's exact op multiset with
+  a pricing: the analytic :class:`~repro.machines.profile.MachineProfile`
+  or a fitted :class:`~repro.modeltuner.costmodel.CostModel`, both of
+  which answer ``op_seconds(op, n)``.  Deterministic, instant, and
+  re-targetable to any architecture; the default.
 * :class:`WallclockTiming` — execute the candidate on the training
   instances and take the median of repeated wall-clock measurements, the
   way the real PetaBricks autotuner times candidates on the machine it
@@ -13,13 +15,16 @@ The DP needs "which candidate is fastest".  Two ways to answer:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.machines.meter import OpMeter
 from repro.machines.profile import MachineProfile
 from repro.util.timing import median_time
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.modeltuner.costmodel import CostModel
 
 __all__ = ["CostModelTiming", "TimingStrategy", "WallclockTiming"]
 
@@ -48,9 +53,13 @@ class TimingStrategy:
 
 
 class CostModelTiming(TimingStrategy):
-    def __init__(self, profile: MachineProfile, threads: int | None = None) -> None:
-        self.profile = profile
-        self.threads = threads
+    """Prices candidates with a :class:`MachineProfile` or a fitted
+    :class:`CostModel`; ``profile`` is the machine profile that plan
+    metadata names (the pricing itself, or the model's base)."""
+
+    def __init__(self, pricing: "MachineProfile | CostModel") -> None:
+        self.pricing = pricing
+        self.profile: MachineProfile = getattr(pricing, "base", pricing)
 
     def time_candidate(
         self,
@@ -58,10 +67,10 @@ class CostModelTiming(TimingStrategy):
         run: RunFn | None = None,
         starts: Sequence[tuple[np.ndarray, np.ndarray]] = (),
     ) -> float:
-        return self.profile.price(unit_meter, self.threads)
+        return self.price(unit_meter)
 
     def op_seconds(self, op: str, n: int) -> float:
-        return self.profile.op_time(op, n, self.threads)
+        return self.pricing.op_seconds(op, n)
 
 
 class WallclockTiming(TimingStrategy):

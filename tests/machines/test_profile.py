@@ -46,12 +46,12 @@ class TestDirectPricing:
     def test_cached_cheaper(self, any_profile):
         assert any_profile.direct_time(65, cached=True) < any_profile.direct_time(65)
 
-    def test_op_time_dispatch(self, any_profile):
-        assert any_profile.op_time("direct", 33) == any_profile.direct_time(33)
-        assert any_profile.op_time("direct_solve", 33) == any_profile.direct_time(
+    def test_op_seconds_dispatch(self, any_profile):
+        assert any_profile.op_seconds("direct", 33) == any_profile.direct_time(33)
+        assert any_profile.op_seconds("direct_solve", 33) == any_profile.direct_time(
             33, cached=True
         )
-        assert any_profile.op_time("relax", 33) == any_profile.stencil_time("relax", 33)
+        assert any_profile.op_seconds("relax", 33) == any_profile.stencil_time("relax", 33)
 
 
 class TestPrice:
@@ -65,17 +65,8 @@ class TestPrice:
         m = OpMeter()
         m.charge("relax", 33)
         m.charge("direct", 9)
-        expected = any_profile.op_time("relax", 33) + any_profile.op_time("direct", 9)
+        expected = any_profile.op_seconds("relax", 33) + any_profile.op_seconds("direct", 9)
         assert any_profile.price(m) == pytest.approx(expected)
-
-    def test_with_threads_copy(self, any_profile):
-        narrowed = any_profile.with_threads(2)
-        assert narrowed.cores == 2
-        assert narrowed.name != any_profile.name
-
-    def test_with_threads_rejects_zero(self, any_profile):
-        with pytest.raises(ValueError):
-            any_profile.with_threads(0)
 
 
 class TestPresets:

@@ -162,7 +162,7 @@ class TestEvaluation:
         ]
         assert direct
         for level, seconds in direct:
-            assert seconds == INTEL_HARPERTOWN.op_time("direct", size_of_level(level))
+            assert seconds == INTEL_HARPERTOWN.op_seconds("direct", size_of_level(level))
 
     def test_cnative_search_trains_on_cnative_kernels(self, monkeypatch):
         if not get_backend("cnative").available():

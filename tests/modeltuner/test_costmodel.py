@@ -12,7 +12,6 @@ from repro.modeltuner.costmodel import (
     _MAX_EXPONENT,
     _MIN_EXPONENT,
     CostModel,
-    ModelTiming,
     OpLaw,
     points_of,
 )
@@ -100,7 +99,7 @@ class TestFit:
         for op in OPS:
             for n in (17, 65):
                 assert model.op_seconds(op, n) == pytest.approx(
-                    INTEL_HARPERTOWN.op_time(op, n), rel=1e-9
+                    INTEL_HARPERTOWN.op_seconds(op, n), rel=1e-9
                 )
 
     def test_calibration_scales_unfitted_ops(self):
@@ -110,7 +109,7 @@ class TestFit:
             {
                 "op": "relax",
                 "n": n,
-                "seconds": 2.0 * INTEL_HARPERTOWN.op_time("relax", n),
+                "seconds": 2.0 * INTEL_HARPERTOWN.op_seconds("relax", n),
                 "weight": 1.0,
             }
             for n in (17, 33, 65)
@@ -118,7 +117,7 @@ class TestFit:
         model = CostModel.fit(rows, INTEL_HARPERTOWN)
         assert model.calibration == pytest.approx(2.0, rel=1e-6)
         assert model.op_seconds("residual", 33) == pytest.approx(
-            2.0 * INTEL_HARPERTOWN.op_time("residual", 33), rel=1e-6
+            2.0 * INTEL_HARPERTOWN.op_seconds("residual", 33), rel=1e-6
         )
 
 
@@ -184,14 +183,14 @@ class TestSerialization:
         assert a.fingerprint() != b.fingerprint()
 
 
-class TestModelTiming:
+class TestModelPricedTiming:
     def test_prices_through_model_and_keeps_base_profile(self):
         model = CostModel.fit(
             rows_for("relax", OpLaw(coeff=5e-9, exponent=1.0)), INTEL_HARPERTOWN
         )
-        timing = ModelTiming(model)
-        # The DP's deterministic-pricing checks key off .profile.
-        assert isinstance(timing, CostModelTiming)
+        timing = CostModelTiming(model)
+        # Plan metadata names the model's base profile.
+        assert timing.pricing is model
         assert timing.profile is INTEL_HARPERTOWN
         assert timing.op_seconds("relax", 33) == pytest.approx(
             model.op_seconds("relax", 33)

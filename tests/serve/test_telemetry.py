@@ -4,18 +4,19 @@ import json
 
 import pytest
 
-from repro.serve.telemetry import LatencyHistogram, Telemetry
+from repro.obs.metrics import Histogram
+from repro.serve.telemetry import Telemetry
 
 
-class TestLatencyHistogram:
+class TestHistogram:
     def test_empty(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         assert hist.count == 0
         assert hist.mean == 0.0
         assert hist.percentile(0.95) == 0.0
 
     def test_percentiles_bracket_observations(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         values = [0.001 * (i + 1) for i in range(100)]  # 1ms .. 100ms
         for v in values:
             hist.record(v)
@@ -27,7 +28,7 @@ class TestLatencyHistogram:
         assert hist.mean == pytest.approx(sum(values) / len(values))
 
     def test_percentiles_monotone_in_q(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for v in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
             hist.record(v)
         qs = [0.1, 0.5, 0.9, 0.99, 1.0]
@@ -35,18 +36,18 @@ class TestLatencyHistogram:
         assert ps == sorted(ps)
 
     def test_overflow_bucket_uses_observed_max(self):
-        hist = LatencyHistogram(bounds=(0.1, 1.0))
+        hist = Histogram(bounds=(0.1, 1.0))
         hist.record(50.0)
         assert hist.percentile(0.99) == 50.0
 
     def test_rejects_bad_input(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         with pytest.raises(ValueError):
             hist.record(-1.0)
         with pytest.raises(ValueError):
             hist.percentile(1.5)
         with pytest.raises(ValueError):
-            LatencyHistogram(bounds=(1.0, 0.1))
+            Histogram(bounds=(1.0, 0.1))
 
 
 class TestTelemetry:

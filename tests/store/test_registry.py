@@ -57,7 +57,7 @@ class TestFingerprint:
 
         renamed = replace(INTEL_HARPERTOWN, name="other", description="x")
         assert renamed.fingerprint() == a
-        assert INTEL_HARPERTOWN.with_threads(2).fingerprint() != a
+        assert replace(INTEL_HARPERTOWN, cores=2).fingerprint() != a
 
     def test_distinct_presets_distinct_fingerprints(self):
         fps = {p.fingerprint() for p in (INTEL_HARPERTOWN, AMD_BARCELONA, SUN_NIAGARA)}

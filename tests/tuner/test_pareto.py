@@ -7,6 +7,7 @@ import pytest
 from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import ReferenceSolutionCache
 from repro.machines.presets import INTEL_HARPERTOWN
+from repro.modeltuner.costmodel import CostModel
 from repro.tuner.choices import DirectChoice, RecurseChoice, SORChoice
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.pareto import (
@@ -83,18 +84,32 @@ class TestChoiceChain:
         assert ChoiceChain((DirectChoice(),)).describe() == "direct"
 
 
+def _pareto_sets(pricing):
+    return ParetoTuner(
+        max_level=3,
+        training=TrainingData(distribution="unbiased", instances=2, seed=9),
+        timing=CostModelTiming(pricing),
+        max_set_size=8,
+        max_sor_iters=24,
+        max_recurse_iters=3,
+    ).tune()
+
+
 class TestParetoTuner:
     @pytest.fixture(scope="class")
     def sets(self):
-        tuner = ParetoTuner(
-            max_level=3,
-            training=TrainingData(distribution="unbiased", instances=2, seed=9),
-            timing=CostModelTiming(INTEL_HARPERTOWN),
-            max_set_size=8,
-            max_sor_iters=24,
-            max_recurse_iters=3,
-        )
-        return tuner.tune()
+        return _pareto_sets(INTEL_HARPERTOWN)
+
+    def test_model_pricing_reaches_every_point(self, sets):
+        # A model pricing every op at 3x its base profile must price every
+        # point at 3x, with the same cycle shapes and accuracies.
+        scaled = _pareto_sets(CostModel(base=INTEL_HARPERTOWN, calibration=3.0))
+        assert scaled.keys() == sets.keys()
+        for level, front in sets.items():
+            assert [p.algorithm for p in scaled[level]] == [p.algorithm for p in front]
+            for mine, theirs in zip(scaled[level], front):
+                assert mine.accuracy == theirs.accuracy
+                assert mine.seconds == pytest.approx(3.0 * theirs.seconds, rel=1e-12)
 
     def test_base_level_single_direct(self, sets):
         assert len(sets[1]) == 1

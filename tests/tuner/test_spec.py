@@ -13,7 +13,8 @@ import pytest
 
 from repro import core
 from repro.machines.presets import INTEL_HARPERTOWN, SUN_NIAGARA
-from repro.modeltuner.costmodel import CostModel, ModelTiming
+from repro.modeltuner.bo import BOSearch
+from repro.modeltuner.costmodel import CostModel
 from repro.store.registry import PlanRegistry, TuneKey
 from repro.store.trialdb import TrialDB
 from repro.tuner.config import plan_to_dict
@@ -37,34 +38,31 @@ def _canonical(plan) -> str:
 
 class TestIdentity:
     def test_equal_inputs_give_equal_hashable_specs(self):
-        a = TuneSpec(_key(operator="varcoeff"), profile=INTEL_HARPERTOWN)
-        b = TuneSpec(_key(operator="varcoeff()"), profile=INTEL_HARPERTOWN)
+        a = TuneSpec(_key(operator="varcoeff"), pricing=INTEL_HARPERTOWN)
+        b = TuneSpec(_key(operator="varcoeff()"), pricing=INTEL_HARPERTOWN)
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
     def test_differences_are_seen(self):
-        base = TuneSpec(_key(), profile=INTEL_HARPERTOWN)
-        assert base != TuneSpec(_key(), profile=SUN_NIAGARA)
-        assert base != TuneSpec(_key(seed=4), profile=INTEL_HARPERTOWN)
-        assert base != TuneSpec(_key(), profile=INTEL_HARPERTOWN, max_sor_iters=10)
+        base = TuneSpec(_key(), pricing=INTEL_HARPERTOWN)
+        assert base != TuneSpec(_key(), pricing=SUN_NIAGARA)
+        assert base != TuneSpec(_key(seed=4), pricing=INTEL_HARPERTOWN)
+        assert base != TuneSpec(_key(), pricing=INTEL_HARPERTOWN, max_sor_iters=10)
 
     def test_pickle_round_trip(self):
         model = CostModel(base=INTEL_HARPERTOWN, calibration=2.0)
         for spec in (
-            TuneSpec(_key(backend="cnative"), profile=INTEL_HARPERTOWN),
-            TuneSpec(_key(ndim=3, operator="poisson3d"), model_json=model.to_json()),
+            TuneSpec(_key(backend="cnative"), pricing=INTEL_HARPERTOWN),
+            TuneSpec(_key(ndim=3, operator="poisson3d"), pricing=model),
         ):
             clone = pickle.loads(pickle.dumps(spec))
             assert clone == spec
             assert hash(clone) == hash(spec)
 
-    def test_priced_by_exactly_one_of_profile_or_model(self):
-        model_json = CostModel(base=INTEL_HARPERTOWN).to_json()
-        with pytest.raises(ValueError, match="profile"):
+    def test_pricing_is_required(self):
+        with pytest.raises(TypeError, match="pricing"):
             TuneSpec(_key())
-        with pytest.raises(ValueError, match="profile"):
-            TuneSpec(_key(), profile=INTEL_HARPERTOWN, model_json=model_json)
 
 
 class TestStorageKey:
@@ -93,59 +91,65 @@ class TestStorageKey:
 
     def test_spec_keeps_the_key(self):
         key = _key(operator="anisotropic")
-        assert TuneSpec(key, profile=INTEL_HARPERTOWN).key.storage_key("fp") == (
+        assert TuneSpec(key, pricing=INTEL_HARPERTOWN).key.storage_key("fp") == (
             key.storage_key("fp")
         )
 
 
 class TestPricing:
-    def test_profile_prices_when_given(self):
-        timing = TuneSpec(_key(), profile=INTEL_HARPERTOWN).timing()
+    def test_profile_prices(self):
+        timing = TuneSpec(_key(), pricing=INTEL_HARPERTOWN).timing()
+        assert type(timing) is CostModelTiming
+        assert timing.pricing is timing.profile is INTEL_HARPERTOWN
+
+    def test_model_prices_and_names_its_base(self):
+        model = CostModel(base=INTEL_HARPERTOWN, calibration=3.0)
+        timing = TuneSpec(_key(), pricing=model).timing()
         assert type(timing) is CostModelTiming
         assert timing.profile is INTEL_HARPERTOWN
-
-    def test_model_prices_only_without_profile(self):
-        model = CostModel(base=INTEL_HARPERTOWN, calibration=3.0)
-        timing = TuneSpec(_key(), model_json=model.to_json()).timing()
-        assert isinstance(timing, ModelTiming)
         assert timing.op_seconds("relax", 33) == model.op_seconds("relax", 33)
 
-    def test_from_training_drops_a_model_that_only_steers(self):
+    def test_a_model_that_only_steers_stays_out_of_the_spec(self):
         model = CostModel(base=INTEL_HARPERTOWN, calibration=3.0)
         training = TrainingData(instances=1, seed=3)
-        steered = TuneSpec.from_training(
-            training, profile=INTEL_HARPERTOWN, model=model, max_level=3,
-            accuracies=(10.0, 1e5),
+        steered = BOSearch(
+            max_level=3, accuracies=(10.0, 1e5), training=training,
+            profile=INTEL_HARPERTOWN, model=model,
         )
-        assert steered.model_json is None
-        assert type(steered.timing()) is CostModelTiming
-        alone = TuneSpec.from_training(
-            training, profile=None, model=model, max_level=3, accuracies=(10.0, 1e5)
+        assert steered.spec.pricing is INTEL_HARPERTOWN
+        alone = BOSearch(
+            max_level=3, accuracies=(10.0, 1e5), training=training, model=model
         )
-        assert isinstance(alone.timing(), ModelTiming)
+        assert alone.spec.pricing is model
+
+    def test_of_rebuilds_a_model_priced_tuner(self):
+        model = CostModel(base=SUN_NIAGARA, calibration=3.0)
+        spec = TuneSpec(_key(), pricing=model)
+        assert TuneSpec.of(spec.build()) == spec
 
     def test_of_rebuilds_a_live_tuner(self):
-        spec = TuneSpec(_key(operator="anisotropic", backend="cnative"), profile=SUN_NIAGARA)
+        spec = TuneSpec(_key(operator="anisotropic", backend="cnative"), pricing=SUN_NIAGARA)
         assert TuneSpec.of(spec.build()) == spec
 
     def test_of_names_the_full_mg_pass(self):
-        spec = TuneSpec(_key(kind="full-multigrid"), profile=INTEL_HARPERTOWN)
+        spec = TuneSpec(_key(kind="full-multigrid"), pricing=INTEL_HARPERTOWN)
         fmg = spec.build(vplan=spec.build().tune())
         assert isinstance(fmg, FullMGTuner)
         assert TuneSpec.of(fmg).key.kind == "full-multigrid"
 
     def test_of_rejects_nondeterministic_pricing(self):
         training = TrainingData(instances=1, seed=3)
-        for timing in (WallclockTiming(repeats=1), CostModelTiming(INTEL_HARPERTOWN, 8)):
-            tuner = VCycleTuner(max_level=3, training=training, timing=timing)
-            with pytest.raises(NotImplementedError, match="CostModelTiming"):
-                TuneSpec.of(tuner)
+        tuner = VCycleTuner(
+            max_level=3, training=training, timing=WallclockTiming(repeats=1)
+        )
+        with pytest.raises(NotImplementedError, match="CostModelTiming"):
+            TuneSpec.of(tuner)
 
 
 class TestOneTuneForEveryPath:
     def test_registry_cold_path_matches_core_autotune(self):
         key = _key(operator="varcoeff")
-        spec = TuneSpec(key, profile=INTEL_HARPERTOWN)
+        spec = TuneSpec(key, pricing=INTEL_HARPERTOWN)
         hit = PlanRegistry(TrialDB(":memory:")).get_or_tune(
             INTEL_HARPERTOWN, key, allow_nearest=False
         )
@@ -165,4 +169,4 @@ class TestOneTuneForEveryPath:
 
     def test_unknown_tuner_rejected(self):
         with pytest.raises(ValueError, match="unknown tuner"):
-            tune(TuneSpec(_key(), profile=INTEL_HARPERTOWN), tuner="ga")
+            tune(TuneSpec(_key(), pricing=INTEL_HARPERTOWN), tuner="ga")
