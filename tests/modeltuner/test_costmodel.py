@@ -184,6 +184,26 @@ class TestSerialization:
 
 
 class TestModelPricedTiming:
+    def test_unfitted_model_prices_like_its_base(self, any_profile):
+        # Profile and model answer the same op_seconds(op, n) question;
+        # a model with nothing fitted gives its base profile's answer.
+        model = CostModel(base=any_profile)
+        for op in OPS:
+            for n in (9, 33, 129):
+                assert model.op_seconds(op, n) == pytest.approx(
+                    any_profile.op_seconds(op, n), rel=1e-12
+                )
+
+    def test_calibration_scales_the_timing_price(self, any_profile):
+        meter = OpMeter()
+        meter.charge("relax", 33, 4)
+        meter.charge("residual", 65, 2)
+        meter.charge("direct", 9)
+        scaled = CostModelTiming(CostModel(base=any_profile, calibration=3.0))
+        assert scaled.price(meter) == pytest.approx(
+            3.0 * CostModelTiming(any_profile).price(meter), rel=1e-12
+        )
+
     def test_prices_through_model_and_keeps_base_profile(self):
         model = CostModel.fit(
             rows_for("relax", OpLaw(coeff=5e-9, exponent=1.0)), INTEL_HARPERTOWN

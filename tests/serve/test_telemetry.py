@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.serve
 from repro.obs.metrics import Histogram
 from repro.serve.telemetry import Telemetry
 
@@ -51,6 +52,19 @@ class TestHistogram:
 
 
 class TestTelemetry:
+    def test_latency_uses_the_obs_histogram(self):
+        # One histogram type: the serving package re-exports the
+        # observability one and Telemetry records into it.
+        assert repro.serve.Histogram is Histogram
+        assert "Histogram" in repro.serve.__all__
+        t = Telemetry()
+        t.observe("lat", 0.01)
+        t.observe("lat", 0.3)
+        hist = Histogram()
+        hist.record(0.01)
+        hist.record(0.3)
+        assert t.snapshot()["latency"]["lat"] == hist.to_dict()
+
     def test_counters_and_gauges(self):
         t = Telemetry()
         t.incr("requests")

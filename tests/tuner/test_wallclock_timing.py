@@ -6,7 +6,8 @@ import pytest
 from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import ReferenceSolutionCache
 from repro.machines.meter import OpMeter
-from repro.machines.presets import INTEL_HARPERTOWN
+from repro.machines.presets import INTEL_HARPERTOWN, SUN_NIAGARA
+from repro.modeltuner.costmodel import CostModel
 from repro.tuner.dp import VCycleTuner
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.timing import CostModelTiming, WallclockTiming
@@ -69,3 +70,28 @@ class TestCostModelTiming:
     def test_op_seconds_matches_profile(self):
         timing = CostModelTiming(INTEL_HARPERTOWN)
         assert timing.op_seconds("direct", 17) == INTEL_HARPERTOWN.op_seconds("direct", 17)
+
+    def test_plan_prices_are_bit_identical_to_profile_price(self, any_profile):
+        # Pricing through the timing must not move a single bit: every
+        # unit meter of a tuned plan costs what the profile itself says.
+        plan = VCycleTuner(
+            max_level=4,
+            training=TrainingData(distribution="unbiased", instances=1, seed=5),
+            keep_audit=False,
+        ).tune()
+        timing = CostModelTiming(any_profile)
+        for level in range(1, 5):
+            for acc in range(plan.num_accuracies):
+                meter = plan.unit_meter(level, acc)
+                assert timing.time_candidate(meter) == any_profile.price(meter)
+
+    def test_model_priced_plan_names_the_timing_and_the_base(self):
+        model = CostModel(base=SUN_NIAGARA, calibration=2.0)
+        plan = VCycleTuner(
+            max_level=3,
+            training=TrainingData(distribution="unbiased", instances=1, seed=5),
+            timing=CostModelTiming(model),
+            keep_audit=False,
+        ).tune()
+        assert plan.metadata["timing"] == "CostModelTiming"
+        assert plan.metadata["profile"] == SUN_NIAGARA.name
