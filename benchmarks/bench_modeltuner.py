@@ -120,7 +120,7 @@ def bench_operator(
 
     start = time.perf_counter()
     model_plan = BOSearch(
-        max_level=level, training=training, profile=profile, seed=search_seed
+        max_level=level, training=training, pricing=profile, seed=search_seed
     ).tune()
     model_wall = time.perf_counter() - start
 

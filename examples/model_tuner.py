@@ -54,7 +54,7 @@ def main() -> None:
         final = len(DEFAULT_ACCURACIES) - 1
 
         model_plan = BOSearch(
-            max_level=MAX_LEVEL, training=training, profile=profile,
+            max_level=MAX_LEVEL, training=training, pricing=profile,
             model=model, seed=0,
         ).tune()
         heuristic_plan = tune_heuristic(

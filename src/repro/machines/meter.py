@@ -15,7 +15,7 @@ cycles.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
+from typing import Callable, Iterator
 
 __all__ = [
     "ACCELERABLE_OPS",
@@ -141,6 +141,19 @@ class OpMeter:
 
     def items(self) -> Iterator[tuple[tuple[str, int], int]]:
         return iter(self.counts.items())
+
+    def price(self, op_seconds: Callable[[str, int], float]) -> float:
+        """Sum of ``count * op_seconds(op, n)`` over the recorded ops.
+
+        The one summation every pricing uses.  It is a plain left-to-right
+        loop: the builtin ``sum`` compensates float rounding from Python
+        3.12 on, which could move the last bit of a price between
+        interpreters.
+        """
+        total = 0.0
+        for (op, n), count in self.counts.items():
+            total += count * op_seconds(op, n)
+        return total
 
     def __len__(self) -> int:
         return len(self.counts)

@@ -394,7 +394,4 @@ class MachineProfile:
 
     def price(self, meter: OpMeter) -> float:
         """Total simulated seconds for all ops recorded in ``meter``."""
-        total = 0.0
-        for (op, n), count in meter.items():
-            total += count * self.op_seconds(op, n)
-        return total
+        return meter.price(self.op_seconds)

@@ -9,7 +9,7 @@ autotuners in Wu et al. (arXiv:2010.08040) spend benchmark evaluations:
 * a **surrogate** predicts each candidate's cost as (predicted seconds
   per unit cycle) x (predicted iterations).  Seconds come from the
   learned :class:`~repro.modeltuner.costmodel.CostModel` when one is
-  supplied (the cold-machine path), otherwise from the machine profile;
+  supplied, otherwise from the search's pricing;
   iteration counts come from convergence priors (``ceil(ln p_i / ln
   p_j)`` for RECURSE_j, an SOR spectral estimate) refined by every
   trained candidate observed so far;
@@ -25,8 +25,8 @@ Every candidate evaluation — serial or parallel — is the DP's own
 pool task, a :class:`~repro.parallel.tasks.CandidateTask` carrying this
 search's :class:`~repro.tuner.spec.TuneSpec`, evaluated with an infinite
 pruning budget, so a given seed selects a byte-identical plan at any
-``jobs`` count.  The spec prices evaluation with the profile whenever
-one is given; the learned model then only steers acquisition.  The
+``jobs`` count.  The spec prices evaluation with the search's pricing;
+a learned model given beside it only steers acquisition.  The
 returned plan carries ``tuner="model"`` metadata with the trial budget
 actually spent.
 """
@@ -70,19 +70,20 @@ class BOSearch:
 
     Drop-in alternative to :class:`~repro.tuner.dp.VCycleTuner`:
     same ``tune() -> TunedVPlan`` surface, same training data and
-    executor protocol, a fraction of the trial budget.  Supply
-    ``profile`` to evaluate candidates with the analytic cost model
-    (the surrogate only steers *which* candidates train), or ``model``
-    alone to price everything with the learned model (the cold-machine
-    path, where no trusted profile exists).
+    executor protocol, a fraction of the trial budget.  ``pricing``
+    (a machine profile or a fitted cost model) prices every evaluated
+    candidate; a ``model`` beside it only steers *which* candidates
+    train.  ``model`` alone prices everything with the learned model
+    (the cold-machine path, where no trusted profile exists).
     """
 
     max_level: int
     accuracies: tuple[float, ...] = DEFAULT_ACCURACIES
     training: TrainingData = field(default_factory=TrainingData)
-    #: evaluation pricing; ``None`` requires ``model``
-    profile: MachineProfile | None = None
-    #: learned surrogate; also the evaluation pricing when no profile
+    #: evaluation pricing; ``None`` prices with ``model``
+    pricing: MachineProfile | CostModel | None = None
+    #: learned surrogate steering acquisition; a fitted ``pricing``
+    #: steers when none is given
     model: CostModel | None = None
     seed: int | None = 0
     #: trained candidates per slot at the base level (exploration)
@@ -101,8 +102,12 @@ class BOSearch:
     trial_executor: Any | None = None
 
     def __post_init__(self) -> None:
-        if self.profile is None and self.model is None:
-            raise ValueError("BOSearch needs a profile, a model, or both")
+        if self.pricing is None:
+            if self.model is None:
+                raise ValueError("BOSearch needs a pricing, a model, or both")
+            self.pricing = self.model
+        if self.model is None and isinstance(self.pricing, CostModel):
+            self.model = self.pricing
         if self.max_level < 2:
             raise ValueError("BOSearch tunes levels >= 2")
         if self.explore < 1 or self.exploit < 1:
@@ -110,7 +115,7 @@ class BOSearch:
         #: what every evaluation task carries (and prices by)
         self.spec = TuneSpec.from_training(
             self.training,
-            pricing=self.profile if self.profile is not None else self.model,
+            pricing=self.pricing,
             max_level=self.max_level,
             accuracies=self.accuracies,
             backend=self.backend,
@@ -124,7 +129,7 @@ class BOSearch:
         self._tuner = self.spec.build(self.training)
         self._timing: CostModelTiming = self.spec.timing()
         # Acquisition pricing: the learned model when available (its
-        # predictions are the point of the exercise), else the profile.
+        # predictions are the point of the exercise), else the pricing.
         self._acq = CostModelTiming(self.model) if self.model is not None else self._timing
         #: (kind, acc_index, sub_j) -> (level, iterations) observations;
         #: iterations is math.inf for trained-but-infeasible arms

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.machines.profile import MachineProfile
 from repro.tuner.dp import VCycleTuner
 from repro.tuner.full_mg import FullMGTuner
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan
@@ -30,6 +29,7 @@ from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.machines.profile import MachineProfile
     from repro.modeltuner.costmodel import CostModel
 
 __all__ = ["PLAN_KINDS", "TuneKey", "TuneSpec", "tune"]
@@ -244,9 +244,10 @@ def tune(
     ``jobs`` is an int (``None``/1 serial, N > 1 a process pool this call
     opens and closes) or a caller-owned :class:`~repro.parallel.TrialExecutor`,
     which is left open.  ``tuner="model"`` runs the budgeted
-    :class:`~repro.modeltuner.bo.BOSearch` for the V plan, its
-    acquisition steered by ``model`` (or the spec's own model) and its
-    candidate picks seeded by ``search_seed``.  Full-MG keys then tune
+    :class:`~repro.modeltuner.bo.BOSearch` for the V plan: the spec's
+    pricing prices its evaluations, ``model`` (or else the spec's
+    pricing) steers its acquisition, and ``search_seed`` seeds its
+    candidate picks.  Full-MG keys then tune
     FULL-MULTIGRID on top of the V plan — or on top of ``vplan``, when a
     caller supplies one.
     """
@@ -262,14 +263,12 @@ def tune(
             if tuner == "model":
                 from repro.modeltuner.bo import BOSearch
 
-                profile = spec.pricing if isinstance(spec.pricing, MachineProfile) else None
-                steer = model if model is not None else spec.pricing
                 search = BOSearch(
                     max_level=spec.key.max_level,
                     accuracies=spec.key.accuracies,
                     training=training,
-                    profile=profile,
-                    model=None if isinstance(steer, MachineProfile) else steer,
+                    pricing=spec.pricing,
+                    model=model,
                     seed=search_seed,
                     max_sor_iters=spec.max_sor_iters,
                     max_recurse_iters=spec.max_recurse_iters,

@@ -49,7 +49,7 @@ class TimingStrategy:
     def price(self, meter: OpMeter) -> float:
         """Sum of :meth:`op_seconds` over ``meter`` — the estimate budget
         pruning, backend placement and acquisition compare."""
-        return sum(count * self.op_seconds(op, n) for (op, n), count in meter.items())
+        return meter.price(self.op_seconds)
 
 
 class CostModelTiming(TimingStrategy):

@@ -57,6 +57,17 @@ class TestOpMeter:
         b.charge("norm", 9)
         assert a != b
 
+    def test_price_is_a_plain_left_to_right_sum(self):
+        # A compensated sum (the builtin ``sum`` from Python 3.12 on)
+        # would return 1.0 here; every pricing must round alike on every
+        # interpreter, so the loop's 0.0 is pinned.
+        meter = OpMeter()
+        meter.charge("relax", 9)
+        meter.charge("norm", 9)
+        meter.charge("copy", 9)
+        seconds = {"relax": 1e16, "norm": 1.0, "copy": -1e16}
+        assert meter.price(lambda op, n: seconds[op]) == 0.0
+
 
 class TestNullMeter:
     def test_discards_charges(self):

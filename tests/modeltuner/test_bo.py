@@ -17,7 +17,7 @@ from repro.util.validation import size_of_level
 
 
 def search(max_level=4, **kwargs):
-    kwargs.setdefault("profile", INTEL_HARPERTOWN)
+    kwargs.setdefault("pricing", INTEL_HARPERTOWN)
     kwargs.setdefault(
         "training", TrainingData(distribution="unbiased", instances=1, seed=0)
     )
@@ -26,7 +26,7 @@ def search(max_level=4, **kwargs):
 
 class TestConstruction:
     def test_needs_profile_or_model(self):
-        with pytest.raises(ValueError, match="profile"):
+        with pytest.raises(ValueError, match="pricing"):
             BOSearch(max_level=4)
 
     def test_rejects_trivial_levels(self):
@@ -96,7 +96,7 @@ class TestModelMode:
         # The cold-machine path: no trusted profile, a fitted (here
         # trivially empty) model prices everything.
         model = CostModel.fit([], INTEL_HARPERTOWN)
-        plan = search(max_level=3, profile=None, model=model).tune()
+        plan = search(max_level=3, pricing=None, model=model).tune()
         assert plan.metadata["tuner"] == "model"
         assert plan.metadata["model_fingerprint"] == model.fingerprint()
         for level in range(1, 4):
@@ -108,7 +108,7 @@ class TestModelMode:
         # profile, so the searches walk identical landscapes.
         model = CostModel.fit([], INTEL_HARPERTOWN)
         with_profile = search(max_level=3, seed=5).tune()
-        with_model = search(max_level=3, seed=5, profile=None, model=model).tune()
+        with_model = search(max_level=3, seed=5, pricing=None, model=model).tune()
         assert [
             with_model.choice(level, i)
             for level in range(1, 4)

@@ -18,7 +18,7 @@ def _tune(executor, max_level=4, seed=3):
     return BOSearch(
         max_level=max_level,
         training=TrainingData(distribution="unbiased", instances=1, seed=0),
-        profile=INTEL_HARPERTOWN,
+        pricing=INTEL_HARPERTOWN,
         seed=seed,
         trial_executor=executor,
     ).tune()

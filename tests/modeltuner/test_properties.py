@@ -39,7 +39,7 @@ def _search(seed: int, max_level: int = 3) -> BOSearch:
     return BOSearch(
         max_level=max_level,
         training=TrainingData(distribution="unbiased", instances=1, seed=0),
-        profile=INTEL_HARPERTOWN,
+        pricing=INTEL_HARPERTOWN,
         seed=seed,
     )
 

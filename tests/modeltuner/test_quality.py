@@ -43,7 +43,7 @@ class TestQualityBars:
         model_plan = BOSearch(
             max_level=MAX_LEVEL,
             training=_training(operator),
-            profile=INTEL_HARPERTOWN,
+            pricing=INTEL_HARPERTOWN,
             seed=0,
         ).tune()
 

@@ -114,13 +114,19 @@ class TestPricing:
         training = TrainingData(instances=1, seed=3)
         steered = BOSearch(
             max_level=3, accuracies=(10.0, 1e5), training=training,
-            profile=INTEL_HARPERTOWN, model=model,
+            pricing=INTEL_HARPERTOWN, model=model,
         )
         assert steered.spec.pricing is INTEL_HARPERTOWN
         alone = BOSearch(
             max_level=3, accuracies=(10.0, 1e5), training=training, model=model
         )
         assert alone.spec.pricing is model
+
+    def test_model_search_on_a_model_priced_spec_names_its_model(self):
+        model = CostModel(base=INTEL_HARPERTOWN, calibration=3.0)
+        plan = tune(TuneSpec(_key(), pricing=model), tuner="model")
+        assert plan.metadata["tuner"] == "model"
+        assert plan.metadata["model_fingerprint"] == model.fingerprint()
 
     def test_of_rebuilds_a_model_priced_tuner(self):
         model = CostModel(base=SUN_NIAGARA, calibration=3.0)
