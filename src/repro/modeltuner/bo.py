@@ -21,14 +21,15 @@ autotuners in Wu et al. (arXiv:2010.08040) spend benchmark evaluations:
 * the DIRECT candidate is exact and needs no iteration training, so it
   is always evaluated free and every slot is guaranteed feasible.
 
-Every candidate evaluation — serial or parallel — is the DP's own
-pool task, a :class:`~repro.parallel.tasks.CandidateTask` carrying this
-search's :class:`~repro.tuner.spec.TuneSpec`, evaluated with an infinite
-pruning budget, so a given seed selects a byte-identical plan at any
-``jobs`` count.  The spec prices evaluation with the search's pricing;
-a learned model given beside it only steers acquisition.  The
-returned plan carries ``tuner="model"`` metadata with the trial budget
-actually spent.
+Every candidate evaluation — serial or parallel — is a
+:class:`~repro.parallel.tasks.CandidateTask` carrying this search's
+:class:`~repro.tuner.spec.TuneSpec`, run through the DP's own
+single-candidate code without a pruning budget (the surrogate needs
+every trained iteration count), so a given seed selects a
+byte-identical plan at any ``jobs`` count.  The spec prices evaluation
+with the search's pricing; a learned model given beside it only steers
+acquisition.  The returned plan carries ``tuner="model"`` metadata with
+the trial budget actually spent.
 """
 
 from __future__ import annotations

@@ -336,8 +336,15 @@ def _geometric_mean(ratios: list[tuple[float, float]]) -> float:
     ]
     if not usable:
         return 1.0
-    total_w = sum(w for _, w in usable)
-    mean_log = sum(w * math.log(r) for r, w in usable) / total_w
+    # Plain left-to-right sums, as ``OpMeter.price``: the builtin
+    # ``sum`` compensates float rounding from Python 3.12 on, which would
+    # fit (and fingerprint) the same rows differently per interpreter.
+    total_w = 0.0
+    weighted_log = 0.0
+    for r, w in usable:
+        total_w += w
+        weighted_log += w * math.log(r)
+    mean_log = weighted_log / total_w
     try:
         value = math.exp(mean_log)
     except OverflowError:

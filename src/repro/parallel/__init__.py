@@ -12,15 +12,15 @@ independent tuning problems.  This subsystem exposes both axes:
   bit-identical in-process default; :class:`~repro.parallel.executor.
   ProcessPoolTrialExecutor` fans batches across worker processes.
 * :mod:`~repro.parallel.tasks` — the pool work itself.  Every task
-  carries the :class:`~repro.tuner.spec.TuneSpec` of its tune: one
-  :class:`~repro.parallel.tasks.CandidateTask` per V-cycle candidate
-  (DP and BOSearch alike) and one
-  :class:`~repro.parallel.tasks.EstimateTask` per full-MG estimate.
+  carries the :class:`~repro.tuner.spec.TuneSpec` of its tune: the DP
+  tuners ship one :class:`~repro.parallel.tasks.SlotTask` per (level,
+  accuracy) slot, which the worker evaluates with the serial tuner's
+  own pruning, and :class:`~repro.modeltuner.bo.BOSearch` one
+  :class:`~repro.parallel.tasks.CandidateTask` per trained candidate.
   Workers rebuild the tuner from the spec exactly as a serial tune
   builds it, and the plan tuned through the level below from the
-  task's table, so each candidate is trained, run and priced on the
-  same plan and the parallel tuner selects exactly the plan the serial
-  tuner would.
+  task's table, so the parallel tuner selects exactly the plan the
+  serial tuner would.
 * :func:`~repro.parallel.campaigns.run_cells_parallel` — campaign-cell
   fan-out.  Each worker opens its own WAL-mode
   :class:`~repro.store.trialdb.TrialDB` connection on the shared store
@@ -35,9 +35,9 @@ Entry points for callers: ``Campaign.run(jobs=N)``,
 from repro.parallel.campaigns import run_cells_parallel
 from repro.parallel.tasks import (
     CandidateTask,
-    EstimateTask,
+    SlotTask,
     evaluate_candidate,
-    evaluate_estimate,
+    evaluate_slot,
 )
 from repro.parallel.executor import (
     ProcessPoolTrialExecutor,
@@ -48,12 +48,12 @@ from repro.parallel.executor import (
 
 __all__ = [
     "CandidateTask",
-    "EstimateTask",
     "ProcessPoolTrialExecutor",
     "SerialExecutor",
+    "SlotTask",
     "TrialExecutor",
     "evaluate_candidate",
-    "evaluate_estimate",
+    "evaluate_slot",
     "resolve_executor",
     "run_cells_parallel",
 ]

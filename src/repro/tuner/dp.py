@@ -201,12 +201,11 @@ class VCycleTuner:
     #: not import the store at module scope)
     sink: Any | None = None
     #: optional :class:`repro.parallel.TrialExecutor`.  ``None`` or a
-    #: serial executor keeps the classic in-process DP (bit-identical);
-    #: a parallel executor fans each level's candidate evaluations
-    #: across worker processes and — because tasks are deterministically
-    #: seeded pure data — selects exactly the same plan (duck-typed so
-    #: the tuner layer does not import :mod:`repro.parallel` at module
-    #: scope)
+    #: serial executor keeps the classic in-process DP; a parallel
+    #: executor runs each of a level's accuracy slots, with its serial
+    #: pruning, in a worker process, so it selects exactly the same plan
+    #: (duck-typed so the tuner layer does not import
+    #: :mod:`repro.parallel` at module scope)
     trial_executor: Any | None = None
     #: kernel backend tuning dimension: ``"numpy"`` (default, bare-op
     #: pricing and byte-identical plans), an accelerated backend name, or
@@ -287,11 +286,6 @@ class VCycleTuner:
 
     # -- per-level tuning -----------------------------------------------------
 
-    def _allowed(self, level: int, acc_index: int, choice: Choice) -> bool:
-        if self.candidate_filter is None:
-            return True
-        return self.candidate_filter(level, acc_index, choice)
-
     def _tune_level(
         self,
         level: int,
@@ -299,14 +293,14 @@ class VCycleTuner:
         audit: list[CandidateReport],
     ) -> None:
         if _parallel(self.trial_executor):
-            from repro.parallel.tasks import tune_v_level_parallel
+            from repro.parallel.tasks import tune_level_parallel
 
-            tune_v_level_parallel(self, level, table, audit)
+            tune_level_parallel(self, level, table, audit)
             return
         plan = self._plan_below(table, level)
         kept = audit if self.keep_audit else None
         for i in range(len(self.accuracies)):
-            outcomes = self._evaluate_slot(plan, level, i)
+            outcomes = self._evaluate_slot(plan, level, i, self._slot_candidates(level, i))
             table[(level, i)] = select_fastest(level, i, outcomes, kept)
 
     def _plan_below(
@@ -328,9 +322,7 @@ class VCycleTuner:
 
         Direct first, then RECURSE_j highest sub-accuracy first (fewest
         outer iterations, so later candidates get a tight pruning budget
-        early), then standalone SOR.  Serial pruning and parallel
-        selection both follow this order, which is what makes the two
-        paths choose identical plans.
+        early), then standalone SOR.
         """
         m = len(self.accuracies)
         order: list[tuple[str, int | None]] = [("direct", None)]
@@ -338,17 +330,31 @@ class VCycleTuner:
         order.append(("sor", None))
         return order
 
+    def _slot_candidates(
+        self, level: int, acc_index: int
+    ) -> tuple[tuple[str, int | None], ...]:
+        """The slot's candidates the ``candidate_filter`` keeps, in
+        enumeration order (plain data, so a pool task can carry it)."""
+        return tuple(
+            (kind, j)
+            for kind, j in self._candidate_order()
+            if self.candidate_filter is None
+            or self.candidate_filter(level, acc_index, probe_choice(kind, j))
+        )
+
     def _evaluate_slot(
-        self, plan: TunedVPlan, level: int, acc_index: int
+        self,
+        plan: TunedVPlan,
+        level: int,
+        acc_index: int,
+        candidates: Sequence[tuple[str, int | None]],
     ) -> list[CandidateOutcome]:
-        """Every unfiltered candidate of one slot, in enumeration order,
-        each pruned against the fastest feasible one before it."""
+        """Every candidate of one slot, in the given order, each pruned
+        against the fastest feasible one before it."""
         outcomes: list[CandidateOutcome] = []
         best_time = math.inf
-        for kind, j in self._candidate_order():
+        for kind, j in candidates:
             outcome = self._evaluate_candidate(plan, level, acc_index, kind, j, best_time)
-            if outcome is None:
-                continue
             outcomes.append(outcome)
             if outcome.feasible:
                 best_time = min(best_time, outcome.seconds)
@@ -362,20 +368,15 @@ class VCycleTuner:
         kind: str,
         j: int | None,
         best_time: float,
-    ) -> CandidateOutcome | None:
+    ) -> CandidateOutcome:
         """Train and time one candidate against a pruning budget.
 
         ``plan`` is :meth:`_plan_below` ``level``.  ``best_time`` is the
         fastest feasible candidate seen so far for this slot;
-        ``math.inf`` disables pruning (the parallel path, where
-        candidates are evaluated independently — any candidate serial
-        pruning would have rejected prices strictly worse than the
-        serial winner, so selection is unaffected).  Returns ``None``
-        when the candidate_filter removes the candidate.
+        ``math.inf`` disables pruning (``BOSearch``, which observes
+        every trained iteration count).
         """
         probe = probe_choice(kind, j)
-        if not self._allowed(level, acc_index, probe):
-            return None
         if isinstance(probe, DirectChoice):
             # Direct: exact, always feasible.
             return self._outcome(plan, level, probe)

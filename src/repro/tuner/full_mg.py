@@ -70,8 +70,8 @@ class FullMGTuner:
     #: optional :class:`repro.store.sink.TrialSink` (see VCycleTuner.sink)
     sink: Any | None = None
     #: optional :class:`repro.parallel.TrialExecutor` (see
-    #: VCycleTuner.trial_executor); parallel executors evaluate each
-    #: level's estimate variants in worker processes
+    #: VCycleTuner.trial_executor); parallel executors run each of a
+    #: level's accuracy slots in a worker process
     trial_executor: Any | None = None
 
     def __post_init__(self) -> None:
@@ -146,13 +146,16 @@ class FullMGTuner:
         )
 
     def _estimate_states(
-        self, plan: TunedFullMGPlan, level: int, j: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Post-ESTIMATE_j states of every training instance."""
-        states = []
-        for x, b in self.training.at_level(level).fresh_starts():
-            self._executor._estimate(plan, x, b, level, j, NULL_METER, NULL_TRACE)
-            states.append((x, b))
+        self, plan: TunedFullMGPlan, level: int
+    ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """Post-ESTIMATE_j states of every training instance, for every
+        j: each estimation variant runs once per instance, and every
+        solver variant continues from copies of these states."""
+        bundle = self.training.at_level(level)
+        states = [bundle.fresh_starts() for _ in self.vplan.accuracies]
+        for j, starts in enumerate(states):
+            for x, b in starts:
+                self._executor._estimate(plan, x, b, level, j, NULL_METER, NULL_TRACE)
         return states
 
     def _tune_level(
@@ -162,24 +165,20 @@ class FullMGTuner:
         audit: list[CandidateReport],
     ) -> None:
         if _parallel(self.trial_executor):
-            from repro.parallel.tasks import tune_fmg_level_parallel
+            from repro.parallel.tasks import tune_level_parallel
 
-            tune_fmg_level_parallel(self, level, table, audit)
+            tune_level_parallel(self, level, table, audit)
             return
         plan = self._plan_below(table, level)
-        m = len(self.vplan.accuracies)
-        # Run each estimation variant once per training instance; every
-        # solver variant continues from copies of these states.
-        estimate_states = [self._estimate_states(plan, level, j) for j in range(m)]
+        estimate_states = self._estimate_states(plan, level)
         kept = audit if self.keep_audit else None
-        for i in range(m):
+        for i in range(len(self.vplan.accuracies)):
             outcomes = self._evaluate_slot(plan, level, i, estimate_states)
             table[(level, i)] = select_fastest(level, i, outcomes, kept)
 
     def _variant_order(self) -> list[tuple[str, int | None]]:
         """Solver-variant enumeration order for one estimate accuracy j:
-        SOR(omega_opt) first, then RECURSE_l highest l first.  Serial
-        pruning and parallel selection both follow this order."""
+        SOR(omega_opt) first, then RECURSE_l highest l first."""
         m = len(self.vplan.accuracies)
         order: list[tuple[str, int | None]] = [("sor", None)]
         order.extend(("recurse", sub) for sub in range(m - 1, -1, -1))
@@ -194,8 +193,9 @@ class FullMGTuner:
     ) -> list[CandidateOutcome]:
         """Direct, then every ESTIMATE_j + solver variant, each pruned
         against the fastest feasible candidate before it."""
-        outcomes = [self._evaluate_direct(plan, level)]
-        best_time = outcomes[0].seconds  # direct is always feasible
+        direct = DirectChoice()  # always feasible
+        best_time = self.timing.time_candidate(plan.choice_meter(level, direct))
+        outcomes = [CandidateOutcome(direct.describe(), best_time, True, direct)]
         for j in range(len(self.vplan.accuracies)):
             for kind, sub in self._variant_order():
                 outcome = self._evaluate_variant(
@@ -207,12 +207,6 @@ class FullMGTuner:
                 if outcome.feasible:
                     best_time = min(best_time, outcome.seconds)
         return outcomes
-
-    def _evaluate_direct(self, plan: TunedFullMGPlan, level: int) -> CandidateOutcome:
-        """The always-feasible direct candidate for one slot."""
-        choice = DirectChoice()
-        seconds = self.timing.time_candidate(plan.choice_meter(level, choice))
-        return CandidateOutcome(choice.describe(), seconds, True, choice)
 
     def _evaluate_variant(
         self,
@@ -230,11 +224,8 @@ class FullMGTuner:
         ``plan`` is :meth:`_plan_below` ``level`` and ``starts_proto``
         the post-ESTIMATE_j training states.  ``best_time`` is the
         fastest candidate seen so far for this slot and drives budget
-        pruning; ``math.inf`` disables it (the parallel path — any
-        variant serial pruning would have skipped prices strictly worse
-        than the serial winner, so selection agrees).  Returns ``None``
-        when the variant is pruned without a report, matching the serial
-        enumeration exactly.
+        pruning.  Returns ``None`` when the variant is pruned without a
+        report.
         """
         est_cost = self.timing.price(
             plan.choice_meter(level, EstimateChoice(j, SORChoice(0)))

@@ -11,7 +11,7 @@ worker, and ships inside every pool task.
 * :meth:`TuneSpec.build` is the one function that turns a spec into a
   DP tuner (the V-cycle tuner, or the full-MG tuner over a tuned V plan);
 * :meth:`TuneSpec.of` is its inverse for a live tuner, which is what the
-  parallel level drivers ship to workers;
+  parallel level driver ships to workers;
 * :func:`tune` is the one entry every cold path calls — ``core.autotune*``,
   the registry, the model tuner's warm start and the solve server's
   background tunes.  It owns the trial executor's lifecycle.

@@ -13,6 +13,7 @@ from repro.modeltuner.costmodel import (
     _MIN_EXPONENT,
     CostModel,
     OpLaw,
+    _geometric_mean,
     points_of,
 )
 from repro.tuner.config import plan_to_dict
@@ -119,6 +120,19 @@ class TestFit:
         assert model.op_seconds("residual", 33) == pytest.approx(
             2.0 * INTEL_HARPERTOWN.op_seconds("residual", 33), rel=1e-6
         )
+
+    def test_calibration_is_a_plain_left_to_right_sum(self):
+        # Each 5e-14 log term is below half an ulp of 700, so a plain
+        # loop drops both while a compensated sum (the builtin ``sum``
+        # from Python 3.12 on) keeps them: one calibration, and so one
+        # model fingerprint, on every interpreter means the loop's
+        # result is pinned.
+        ratios = [(math.exp(700.0), 1.0), (math.e, 5e-14), (math.e, 5e-14)]
+        compensated = math.exp(
+            math.fsum(w * math.log(r) for r, w in ratios) / math.fsum(w for _, w in ratios)
+        )
+        assert _geometric_mean(ratios) == 1.014232054664092e304
+        assert _geometric_mean(ratios) != compensated
 
 
 class TestTrialFolding:
