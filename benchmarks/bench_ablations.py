@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the knobs the paper fixed (README, "Experiments").
 
 Not paper figures: these probe the knobs the paper fixed, quantifying how
 much each one matters to the headline results.

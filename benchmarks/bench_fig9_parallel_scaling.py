@@ -2,8 +2,8 @@
 
 Paper: near-linear speedup flattening toward 8 threads on the 8-core
 Xeon.  Reproduced with the virtual-time work-stealing scheduler over the
-tuned plan's task graph (see DESIGN.md substitutions: the container has
-one core, so wall-clock parallel speedup is not measurable here).
+tuned plan's task graph (see README, "Experiments", substitutions: a
+one- or two-core host cannot show 8-thread wall-clock speedup).
 """
 
 import pytest

@@ -2,7 +2,7 @@
 
 Every figure/table bench writes the regenerated artifact (the text table
 or cycle diagram) to ``benchmarks/out/<name>.txt`` so a benchmark run
-leaves a diffable record; EXPERIMENTS.md is assembled from these.
+leaves a diffable record (README, "Experiments").
 """
 
 from __future__ import annotations

@@ -1,15 +1,10 @@
 """Experiment harness: drivers for every table and figure plus ablations.
 
-See DESIGN.md section 4 for the experiment index mapping paper artifacts to
+See README, "Experiments", for the index mapping paper artifacts to
 these drivers and to the pytest-benchmark files under ``benchmarks/``.
 """
 
-from repro.bench.report import (
-    Series,
-    format_ratio_table,
-    format_series_table,
-    format_table,
-)
+from repro.bench.report import Series, format_ratio_table, format_series_table
 from repro.bench.fitting import PowerLawFit, fit_power_law
 from repro.bench.parallel import simulate_trace, trace_task_graph
 from repro.bench.experiments import (
@@ -51,7 +46,6 @@ __all__ = [
     "fit_power_law",
     "format_ratio_table",
     "format_series_table",
-    "format_table",
     "simulate_trace",
     "table1_complexity",
     "trace_task_graph",

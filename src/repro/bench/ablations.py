@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies (README, "Experiments").
 
 These are not paper figures; they probe the knobs the paper fixed
 (accuracy-ladder size, training distribution, smoother, factorization
@@ -12,19 +12,18 @@ from dataclasses import dataclass
 
 from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import ReferenceSolutionCache
-from repro.bench.report import format_table
+from repro.bench.experiments import _spec
 from repro.machines.meter import OpMeter
 from repro.machines.presets import get_preset
 from repro.machines.profile import MachineProfile
 from repro.relax.jacobi import jacobi_sweeps
 from repro.relax.sor import sor_redblack
 from repro.relax.weights import omega_opt
-from repro.tuner.dp import VCycleTuner
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.pareto import ParetoTuner
 from repro.tuner.plan import DEFAULT_ACCURACIES
-from repro.tuner.timing import CostModelTiming
-from repro.tuner.training import TrainingData
+from repro.tuner.spec import tune
+from repro.util import format_table
 from repro.util.validation import size_of_level
 from repro.workloads.distributions import training_set
 
@@ -56,14 +55,11 @@ def _tuned_time(
     seed: int,
     target: float,
 ) -> float:
-    training = TrainingData(distribution=distribution, instances=2, seed=seed)
-    plan = VCycleTuner(
-        max_level=max_level,
-        accuracies=accuracies,
-        training=training,
-        timing=CostModelTiming(machine),
-        keep_audit=False,
-    ).tune()
+    spec = _spec(
+        "multigrid-v", max_level, machine, distribution, seed,
+        instances=2, accuracies=accuracies,
+    )
+    plan = tune(spec)
     return plan.time_on(machine, max_level, plan.accuracy_index(target))
 
 
@@ -116,15 +112,10 @@ def ablation_training_distribution(
     """
     profile = get_preset(machine)
     dists = ("unbiased", "biased")
-    plans = {}
-    for d in dists:
-        training = TrainingData(distribution=d, instances=instances, seed=seed)
-        plans[d] = VCycleTuner(
-            max_level=max_level,
-            training=training,
-            timing=CostModelTiming(profile),
-            keep_audit=False,
-        ).tune()
+    plans = {
+        d: tune(_spec("multigrid-v", max_level, profile, d, seed, instances=instances))
+        for d in dists
+    }
     executor = PlanExecutor()
     cache = ReferenceSolutionCache()
     rows = []
@@ -206,13 +197,7 @@ def ablation_factor_caching(
     under a cached-cost profile.
     """
     profile = get_preset(machine)
-    training = TrainingData(distribution=distribution, instances=2, seed=seed)
-    plan = VCycleTuner(
-        max_level=max_level,
-        training=training,
-        timing=CostModelTiming(profile),
-        keep_audit=False,
-    ).tune()
+    plan = tune(_spec("multigrid-v", max_level, profile, distribution, seed, instances=2))
     idx = plan.accuracy_index(target)
     meter = plan.unit_meter(max_level, idx)
     faithful = profile.price(meter)
@@ -245,17 +230,12 @@ def ablation_pareto_vs_discrete(
     the fastest Pareto-front member meeting that accuracy.
     """
     profile = get_preset(machine)
-    training = TrainingData(distribution=distribution, instances=2, seed=seed)
-    plan = VCycleTuner(
-        max_level=max_level,
-        training=training,
-        timing=CostModelTiming(profile),
-        keep_audit=False,
-    ).tune()
+    spec = _spec("multigrid-v", max_level, profile, distribution, seed, instances=2)
+    plan = spec.build().tune()
     pareto_sets = ParetoTuner(
         max_level=max_level,
-        training=TrainingData(distribution=distribution, instances=2, seed=seed),
-        timing=CostModelTiming(profile),
+        training=spec.training(),
+        timing=spec.timing(),
         max_set_size=16,
     ).tune()
     front = pareto_sets[max_level]

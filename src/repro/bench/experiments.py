@@ -1,9 +1,11 @@
 """Experiment drivers: one function per table/figure of the paper.
 
 Every driver returns a result object carrying raw data plus ``format()``
-producing the text table/diagram that EXPERIMENTS.md embeds.  All drivers
-are deterministic given (seed, machine preset): candidate timing uses the
-cost models, numerics use seeded generators.
+producing the text table/diagram its ``repro-mg`` subcommand prints
+(README, "Experiments").  All drivers are deterministic given (seed,
+machine preset): every plan is tuned through :func:`~repro.tuner.spec.tune`
+with the machine profile as pricing, numerics use seeded generators, and
+cycle drawings are read off the plan.
 
 Scaling note: paper sizes reach N = 4097 on 8-core servers; defaults here
 cap at N = 129-257 so the full suite runs in minutes on one core.  Every
@@ -21,7 +23,7 @@ from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import ReferenceSolutionCache
 from repro.bench.fitting import PowerLawFit, fit_power_law
 from repro.bench.parallel import simulate_trace
-from repro.bench.report import Series, format_ratio_table, format_series_table, format_table
+from repro.bench.report import Series, format_ratio_table, format_series_table
 from repro.cycles.render import render_call_stack, render_cycle
 from repro.cycles.shape import extract_shape
 from repro.cycles.stats import cycle_stats
@@ -29,14 +31,11 @@ from repro.machines.meter import OpMeter
 from repro.machines.presets import get_preset
 from repro.machines.profile import MachineProfile
 from repro.multigrid.solver import ReferenceFullMGSolver, ReferenceVSolver, SORSolver
-from repro.tuner.dp import VCycleTuner
 from repro.tuner.executor import PlanExecutor
-from repro.tuner.full_mg import FullMGTuner
 from repro.tuner.heuristics import HeuristicStrategy, tune_heuristic
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan
-from repro.tuner.timing import CostModelTiming
-from repro.tuner.trace import Trace
-from repro.tuner.training import TrainingData
+from repro.tuner.spec import TuneKey, TuneSpec, tune
+from repro.util import format_table
 from repro.util.validation import size_of_level
 from repro.workloads.distributions import training_set
 
@@ -63,28 +62,31 @@ __all__ = [
 _TEST_SEED_OFFSET = 7919  # keep test instances disjoint from training data
 
 
-def _tuned_v(
+def _spec(
+    kind: str,
     max_level: int,
     machine: MachineProfile,
     distribution: str,
     seed: int,
     instances: int = 3,
     accuracies: tuple[float, ...] = DEFAULT_ACCURACIES,
-    reference_cache: ReferenceSolutionCache | None = None,
-) -> TunedVPlan:
-    training = TrainingData(
+) -> TuneSpec:
+    """The spec of a figure's tune, priced on ``machine``."""
+    key = TuneKey(
+        kind=kind,
         distribution=distribution,
-        instances=instances,
-        seed=seed,
-        reference_cache=reference_cache,
-    )
-    return VCycleTuner(
         max_level=max_level,
         accuracies=accuracies,
-        training=training,
-        timing=CostModelTiming(machine),
-        keep_audit=False,
-    ).tune()
+        seed=seed,
+        instances=instances,
+    )
+    return TuneSpec(key, pricing=machine)
+
+
+def _tuned_v(
+    max_level: int, machine: MachineProfile, distribution: str, seed: int
+) -> TunedVPlan:
+    return tune(_spec("multigrid-v", max_level, machine, distribution, seed))
 
 
 def tune_pair(
@@ -95,25 +97,12 @@ def tune_pair(
     instances: int = 3,
     accuracies: tuple[float, ...] = DEFAULT_ACCURACIES,
 ) -> tuple[TunedVPlan, TunedFullMGPlan]:
-    """Tune (V, full-MG) plans for one machine/distribution."""
-    cache = ReferenceSolutionCache()
-    training = TrainingData(
-        distribution=distribution, instances=instances, seed=seed, reference_cache=cache
+    """Tune (V, full-MG) plans for one machine/distribution: one full-MG
+    tune, whose solve-phase V plan is tuned on the same training set."""
+    fplan = tune(
+        _spec("full-multigrid", max_level, machine, distribution, seed, instances, accuracies)
     )
-    vplan = VCycleTuner(
-        max_level=max_level,
-        accuracies=accuracies,
-        training=training,
-        timing=CostModelTiming(machine),
-        keep_audit=False,
-    ).tune()
-    fplan = FullMGTuner(
-        vplan=vplan,
-        training=training,
-        timing=CostModelTiming(machine),
-        keep_audit=False,
-    ).tune()
-    return vplan, fplan
+    return fplan.vplan, fplan
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +240,10 @@ class CycleShapeResult:
         return "\n\n".join(parts)
 
 
-def _traced_cycle(
-    plan: TunedVPlan | TunedFullMGPlan,
-    level: int,
-    acc_index: int,
-    distribution: str,
-    seed: int,
+def _cycle(
+    plan: TunedVPlan | TunedFullMGPlan, level: int, acc_index: int
 ) -> tuple[str, object]:
-    n = size_of_level(level)
-    problem = training_set(distribution, n, 1, seed + _TEST_SEED_OFFSET)[0]
-    x = problem.initial_guess()
-    trace = Trace()
-    executor = PlanExecutor()
-    if isinstance(plan, TunedFullMGPlan):
-        executor.run_full_mg(plan, x, problem.b, acc_index, trace=trace)
-    else:
-        executor.run_v(plan, x, problem.b, acc_index, trace=trace)
-    shape = extract_shape(trace)
+    shape = extract_shape(plan.trace(level, acc_index))
     return render_cycle(shape), cycle_stats(shape)
 
 
@@ -288,7 +264,7 @@ def fig5_cycle_shapes(
             for t in targets:
                 idx = plan.accuracy_index(t)
                 key = f"{kind} cycle, {dist}, accuracy {t:g} ({profile.name})"
-                renders[key], stats[key] = _traced_cycle(plan, max_level, idx, dist, seed)
+                renders[key], stats[key] = _cycle(plan, max_level, idx)
     return CycleShapeResult(renders=renders, stats=stats)
 
 
@@ -307,7 +283,7 @@ def fig14_architectures(
         _, fplan = tune_pair(max_level, profile, distribution, seed)
         idx = fplan.accuracy_index(target)
         key = f"full-MG cycle, {profile.name}, accuracy {target:g}"
-        renders[key], stats[key] = _traced_cycle(fplan, max_level, idx, distribution, seed)
+        renders[key], stats[key] = _cycle(fplan, max_level, idx)
     return CycleShapeResult(renders=renders, stats=stats)
 
 
@@ -417,13 +393,11 @@ def fig7_heuristics(
     plots against input size.
     """
     profile = get_preset(machine) if isinstance(machine, str) else machine
-    accuracies = DEFAULT_ACCURACIES
+    spec = _spec("multigrid-v", max_level, profile, distribution, seed)
+    accuracies = spec.key.accuracies
     final_index = len(accuracies) - 1
-    cache = ReferenceSolutionCache()
-    training = TrainingData(
-        distribution=distribution, instances=3, seed=seed, reference_cache=cache
-    )
-    timing = CostModelTiming(profile)
+    training = spec.training()
+    timing = spec.timing()
     levels = list(range(min_level, max_level + 1))
     series: list[Series] = []
     for sub in range(final_index, -1, -1):
@@ -435,13 +409,7 @@ def fig7_heuristics(
         for level in levels:
             s.add(plan.time_on(profile, level, final_index))
         series.append(s)
-    auto = VCycleTuner(
-        max_level=max_level,
-        accuracies=accuracies,
-        training=training,
-        timing=timing,
-        keep_audit=False,
-    ).tune()
+    auto = spec.build(training).tune()
     s = Series("Autotuned")
     for level in levels:
         s.add(auto.time_on(profile, level, final_index))
@@ -485,12 +453,7 @@ def fig9_parallel_scaling(
     via the virtual-time work-stealing scheduler."""
     profile = get_preset(machine) if isinstance(machine, str) else machine
     plan = _tuned_v(max_level, profile, distribution, seed)
-    idx = plan.accuracy_index(target)
-    n = size_of_level(max_level)
-    problem = training_set(distribution, n, 1, seed + _TEST_SEED_OFFSET)[0]
-    trace = Trace()
-    x = problem.initial_guess()
-    PlanExecutor().run_v(plan, x, problem.b, idx, trace=trace)
+    trace = plan.trace(max_level, plan.accuracy_index(target))
     threads = list(range(1, max_threads + 1))
     makespans = []
     for t in threads:

@@ -1,8 +1,9 @@
 """Task-graph construction for parallel-scaling experiments (Figure 9).
 
-Converts a tuned plan's execution trace into a task graph: every stencil op
-becomes a row-block fan-out with a barrier to the next op; direct solves
-are single serial tasks.  The virtual-time work-stealing simulator then
+Converts a tuned plan's execution trace (read off the plan with
+``plan.trace(level, acc_index)``, no solve needed) into a task graph:
+every stencil op becomes a row-block fan-out with a barrier to the next
+op; direct solves are single serial tasks.  The virtual-time work-stealing simulator then
 yields makespans at different worker counts — the same Amdahl structure a
 real parallel run of the algorithm exhibits (serial coarse-grid work limits
 speedup; fine-grid sweeps parallelize well).
@@ -10,16 +11,15 @@ speedup; fine-grid sweeps parallelize well).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.machines.profile import MachineProfile
 from repro.runtime.simsched import SimReport, SimulatedScheduler
 from repro.runtime.task import TaskGraph
-from repro.tuner.trace import Trace
+from repro.tuner.trace import TraceEvent
 from repro.util.validation import size_of_level
 
 __all__ = ["simulate_trace", "trace_task_graph"]
-
-#: ops whose work splits across row blocks
-_PARALLEL_OPS = {"relax", "sor", "residual", "restrict", "interpolate"}
 
 
 def _op_cost(profile: MachineProfile, op: str, n: int) -> float:
@@ -29,7 +29,7 @@ def _op_cost(profile: MachineProfile, op: str, n: int) -> float:
 
 
 def trace_task_graph(
-    trace: Trace,
+    trace: Sequence[TraceEvent],
     profile: MachineProfile,
     blocks: int,
 ) -> TaskGraph:
@@ -72,7 +72,7 @@ def trace_task_graph(
 
 
 def simulate_trace(
-    trace: Trace,
+    trace: Sequence[TraceEvent],
     profile: MachineProfile,
     workers: int,
     blocks: int | None = None,

@@ -2,7 +2,7 @@
 
 The paper's figures are line plots; the harness reproduces them as aligned
 text tables (one row per x value, one column per series) so runs are
-diffable and greppable.  EXPERIMENTS.md embeds these tables directly.
+diffable and greppable.
 """
 
 from __future__ import annotations
@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-__all__ = ["Series", "format_ratio_table", "format_series_table", "format_table"]
+from repro.util import format_table
+
+__all__ = ["Series", "format_ratio_table", "format_series_table"]
 
 
 @dataclass
@@ -28,18 +30,6 @@ def _fmt(value: float | None, width: int, precision: int) -> str:
     if value is None:
         return "-".rjust(width)
     return f"{value:.{precision}e}".rjust(width)
-
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Plain aligned table with a header rule."""
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    for idx, row in enumerate(cells):
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
 
 
 def format_series_table(

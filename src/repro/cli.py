@@ -3,8 +3,7 @@
 Three entry styles share the ``repro-mg`` executable:
 
 * ``repro-mg <experiment> [options]`` — regenerate any paper
-  table/figure or ablation (the entry point EXPERIMENTS.md is
-  generated from);
+  table/figure or ablation (README, "Experiments");
 * ``repro-mg store <tune|ls|export|gc> [options]`` — operate the
   persistent tuning store (run resumable campaigns, list stored plans,
   export the trial run table, compact the database);
@@ -45,6 +44,7 @@ from repro.bench import (
     fig9_parallel_scaling,
     table1_complexity,
 )
+from repro.util import format_table
 
 __all__ = ["main"]
 
@@ -350,8 +350,6 @@ def _store_main(argv: list[str]) -> int:
                 if not trials:
                     print(f"(no trials stored for operator {args.operator!r})")
                 else:
-                    from repro.bench.report import format_table
-
                     headers = ["kind", "distribution", "operator", "max_level",
                                "machine_name", "cycle_shape"]
                     rows = [[str(getattr(t, h)) for h in headers] for t in trials]
@@ -365,8 +363,6 @@ def _store_main(argv: list[str]) -> int:
                 )
                 print(f"(no plans stored{suffix})")
             else:
-                from repro.bench.report import format_table
-
                 headers = list(plans[0])
                 rows = [[str(p[h]) for h in headers] for p in plans]
                 print(format_table(headers, rows))
@@ -542,8 +538,6 @@ def _fleet_main(argv: list[str]) -> int:
             count = coordinator.export_run_table(args.csv)
             print(f"wrote {count} cell rows to {args.csv}")
         else:
-            from repro.bench.report import format_table
-
             headers, rows = coordinator.run_table_rows()
             if not rows:
                 print(f"(no cells enqueued for campaign {args.campaign!r})")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from repro.tuner.trace import Trace, TraceEvent
+from repro.tuner.trace import TraceEvent
 
 __all__ = ["CycleShape", "ShapeStep", "extract_shape"]
 
@@ -51,8 +51,9 @@ class CycleShape:
         return out
 
 
-def extract_shape(trace: Trace | Sequence[TraceEvent]) -> CycleShape:
-    """Convert an execution trace into a cycle shape.
+def extract_shape(trace: Sequence[TraceEvent]) -> CycleShape:
+    """Convert an execution trace (``plan.trace(level, acc_index)``) into
+    a cycle shape.
 
     The trace's enter/exit events carry the recursion bookkeeping; the
     remaining events map one-to-one onto shape steps.

@@ -20,6 +20,7 @@ from repro.fleet.queue import WorkQueue
 from repro.serve.telemetry import Telemetry
 from repro.store.campaign import Campaign, CampaignSpec
 from repro.store.trialdb import TrialDB
+from repro.util import format_table
 from repro.util.clock import WALL_CLOCK, Clock
 
 __all__ = ["FleetCoordinator", "RUN_TABLE_COLUMNS"]
@@ -152,8 +153,6 @@ class FleetCoordinator:
 
     def format_status(self) -> str:
         """The status snapshot as aligned text tables (CLI output)."""
-        from repro.bench.report import format_table
-
         snap = self.status()
         cells = snap["cells"]
         lines = [

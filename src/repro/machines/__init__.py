@@ -8,7 +8,7 @@ counts, accuracies) is architecture-independent, so one tuning run can be
 re-priced per machine — deterministic and fast.
 """
 
-from repro.machines.meter import NULL_METER, OpMeter, OPS
+from repro.machines.meter import OpMeter, OPS
 from repro.machines.profile import MachineProfile, OP_SHAPES, OpShape
 from repro.machines.presets import (
     AMD_BARCELONA,
@@ -24,7 +24,6 @@ __all__ = [
     "HOST_FALLBACK",
     "INTEL_HARPERTOWN",
     "MachineProfile",
-    "NULL_METER",
     "OP_SHAPES",
     "OPS",
     "OpMeter",

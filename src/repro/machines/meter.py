@@ -19,7 +19,6 @@ from typing import Callable, Iterator
 
 __all__ = [
     "ACCELERABLE_OPS",
-    "NULL_METER",
     "OpMeter",
     "OPS",
     "OPS_2D",
@@ -166,17 +165,3 @@ class OpMeter:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         body = ", ".join(f"{op}@{n}x{cnt}" for (op, n), cnt in sorted(self.counts.items()))
         return f"OpMeter({body})"
-
-
-class _NullMeter(OpMeter):
-    """Meter that discards charges; the default when callers don't care."""
-
-    def charge(self, op: str, n: int, times: int = 1) -> None:  # noqa: D102
-        _validate_op(op)
-
-    def merge(self, other: OpMeter, times: int = 1) -> None:  # noqa: D102
-        pass
-
-
-#: Shared do-nothing meter instance.
-NULL_METER = _NullMeter()

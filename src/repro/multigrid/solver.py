@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.machines.meter import NULL_METER, OpMeter
+from repro.machines.meter import OpMeter
 from repro.operators.spec import OperatorSpec, parse_operator
 from repro.tuner.choices import (
     Choice,
@@ -81,7 +81,7 @@ class _IterativeSolverBase:
         b: np.ndarray,
         accuracy_of: AccuracyFn,
         target: float,
-        meter: OpMeter = NULL_METER,
+        meter: OpMeter | None = None,
     ) -> int:
         """Iterate on ``x`` in place until the target accuracy; return the
         iteration count."""

@@ -7,31 +7,24 @@ protocol."
 
 Components:
 
-* :class:`TaskGraph` / :class:`Task` — dependency DAG of work items.
-* :class:`WorkStealingScheduler` — real threads, thread-private deques,
-  random-victim stealing.  Correct on any machine; real speedup requires
-  multiple cores (the reproduction container has one, so performance
-  *figures* use the simulator below — see DESIGN.md substitutions).
-* :class:`SimulatedScheduler` — executes the same task graphs on P virtual
-  workers in virtual time, with per-task durations from a machine profile.
-  Produces the paper's parallel scalability results deterministically.
+* :class:`TaskGraph` / :class:`Task` — dependency DAG of work items; running
+  them in :meth:`TaskGraph.topological_order` is the reference semantics.
+* :class:`SimulatedScheduler` — executes task graphs on P virtual
+  work-stealing workers in virtual time, with per-task durations from a
+  machine profile.  Produces the paper's parallel scalability results
+  deterministically on any host.
 * :func:`partition_rows` — block decomposition of grid sweeps into tasks.
 """
 
 from repro.runtime.task import Task, TaskGraph
-from repro.runtime.deque import WorkDeque
-from repro.runtime.scheduler import SerialScheduler, WorkStealingScheduler
 from repro.runtime.simsched import SimReport, SimulatedScheduler
 from repro.runtime.partition import partition_rows, sweep_task_graph
 
 __all__ = [
-    "SerialScheduler",
     "SimReport",
     "SimulatedScheduler",
     "Task",
     "TaskGraph",
-    "WorkDeque",
-    "WorkStealingScheduler",
     "partition_rows",
     "sweep_task_graph",
 ]

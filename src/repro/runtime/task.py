@@ -1,10 +1,11 @@
 """Task graph: the unit of scheduling.
 
 A :class:`Task` is a callable with explicit dependencies; a
-:class:`TaskGraph` owns a set of tasks and validates acyclicity.  Both the
-real work-stealing scheduler and the virtual-time simulator consume the
-same graphs, so correctness tests on the former transfer to the timing
-model of the latter.
+:class:`TaskGraph` owns a set of tasks and validates acyclicity.  Running
+the tasks in :meth:`TaskGraph.topological_order` is the reference
+semantics; the virtual-time simulator schedules the same graphs, so a
+decomposition checked against the serial result carries over to its
+timing model.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class Task:
     """One schedulable work item.
 
     ``cost`` is the simulated duration (seconds) used by the virtual-time
-    scheduler; the real scheduler ignores it.  ``fn`` may be None for pure
+    scheduler; running the task ignores it.  ``fn`` may be None for pure
     synchronization nodes.
     """
 

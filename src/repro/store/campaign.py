@@ -21,6 +21,7 @@ from repro.operators.spec import parse_operator
 from repro.store.registry import PlanRegistry, RegistryHit, TuneKey
 from repro.store.trialdb import TrialDB
 from repro.tuner.plan import DEFAULT_ACCURACIES
+from repro.util import format_table
 
 __all__ = ["Campaign", "CampaignSpec", "CellResult", "execute_cell", "tune_cell"]
 
@@ -348,9 +349,7 @@ class Campaign:
     # -- reporting --------------------------------------------------------
 
     def run_table(self) -> str:
-        """The campaign grid as an aligned text table (bench/report style)."""
-        from repro.bench.report import format_table
-
+        """The campaign grid as an aligned text table."""
         headers = [
             "machine",
             "distribution",

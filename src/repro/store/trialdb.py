@@ -22,6 +22,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from repro.store.retry import DEFAULT_RETRY, RetryPolicy, run_with_retry
 from repro.store.schema import ensure_schema
+from repro.util import format_table
 
 __all__ = ["TrialDB", "TrialRecord", "canonical_accuracies", "canonical_seed"]
 
@@ -269,9 +270,7 @@ class TrialDB:
         return headers, rows
 
     def format_run_table(self) -> str:
-        """The run table as an aligned text table (bench/report style)."""
-        from repro.bench.report import format_table
-
+        """The run table as an aligned text table."""
         headers, rows = self.run_table_rows()
         if not rows:
             return "(no trials recorded)"

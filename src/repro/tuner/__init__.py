@@ -9,10 +9,11 @@ Public surface:
 * :class:`ParetoTuner` — the uncapped optimal-set DP (section 2.2); each
   member's cycle shape is a :class:`ChoiceChain`.
 * :class:`TunedVPlan` / :class:`TunedFullMGPlan` — executable, priceable,
-  serializable tuned algorithms.  The tuners build level k on the plan
-  tuned through level k-1: candidates are priced from its meters and
-  trained and run on it by the executor.
-* :class:`PlanExecutor` — runs plans, recording op meters and traces.
+  serializable tuned algorithms; their op meters and event traces are
+  read off the table.  The tuners build level k on the plan tuned
+  through level k-1: candidates are priced from its meters and trained
+  and run on it by the executor.
+* :class:`PlanExecutor` — runs plans (it only computes).
 * :func:`tune_heuristic` — the fixed 10^x/10^9 strategies of Figure 7.
 * :func:`save_plan` / :func:`load_plan` — PetaBricks-style config files.
 """
@@ -26,7 +27,7 @@ from repro.tuner.choices import (
 )
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan
 from repro.tuner.executor import PlanExecutor
-from repro.tuner.trace import NULL_TRACE, Trace, TraceEvent
+from repro.tuner.trace import TraceEvent
 from repro.tuner.training import LevelTraining, TrainingData
 from repro.tuner.timing import CostModelTiming, TimingStrategy, WallclockTiming
 from repro.tuner.dp import CandidateReport, VCycleTuner
@@ -48,14 +49,12 @@ __all__ = [
     "FullMGTuner",
     "HeuristicStrategy",
     "LevelTraining",
-    "NULL_TRACE",
     "ParetoPoint",
     "ParetoTuner",
     "PlanExecutor",
     "RecurseChoice",
     "SORChoice",
     "TimingStrategy",
-    "Trace",
     "TraceEvent",
     "TrainingData",
     "TunedFullMGPlan",

@@ -31,12 +31,10 @@ from repro.accuracy.estimator import (
     InfeasibleCandidate,
     iterations_to_accuracy,
 )
-from repro.machines.meter import NULL_METER
 from repro.tuner.choices import Choice, DirectChoice, RecurseChoice, SORChoice
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan, level_backend
 from repro.tuner.timing import CostModelTiming, TimingStrategy
-from repro.tuner.trace import NULL_TRACE
 from repro.tuner.training import TrainingData
 
 __all__ = [
@@ -106,7 +104,7 @@ def recurse_step(executor: PlanExecutor, plan: TunedVPlan, level: int, sub_accur
     """One RECURSE_j application at ``level`` over the plan's levels below."""
 
     def step(x: np.ndarray, b: np.ndarray) -> None:
-        executor._recurse_once(plan, x, b, level, sub_accuracy, NULL_METER, NULL_TRACE)
+        executor._recurse_once(plan, x, b, level, sub_accuracy)
 
     return step
 

@@ -22,10 +22,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.machines.meter import NULL_METER, OpMeter
+from repro.machines.meter import OpMeter
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.plan import TunedFullMGPlan, TunedVPlan
-from repro.tuner.trace import NULL_TRACE, Trace
 from repro.workloads.problem import PoissonProblem
 
 __all__ = ["DynamicSolver", "classify_by_bias", "resolve_distribution"]
@@ -124,8 +123,7 @@ class DynamicSolver:
         self,
         problem: PoissonProblem,
         target_accuracy: float,
-        meter: OpMeter = NULL_METER,
-        trace: Trace = NULL_TRACE,
+        meter: OpMeter | None = None,
     ) -> tuple[np.ndarray, str]:
         """Solve with the class-matched plan; returns (solution, label)."""
         label, plan = self.plan_for(problem)
@@ -137,7 +135,7 @@ class DynamicSolver:
         acc_index = plan.accuracy_index(target_accuracy)
         x = problem.initial_guess()
         if isinstance(plan, TunedFullMGPlan):
-            self.executor.run_full_mg(plan, x, problem.b, acc_index, meter, trace)
+            self.executor.run_full_mg(plan, x, problem.b, acc_index, meter)
         else:
-            self.executor.run_v(plan, x, problem.b, acc_index, meter, trace)
+            self.executor.run_v(plan, x, problem.b, acc_index, meter)
         return x, label

@@ -2,8 +2,10 @@
 
 Executes the open-loop algorithm a plan describes: trained iteration
 counts, no runtime accuracy checks — exactly the compiled artifact the
-PetaBricks autotuner produces.  Records op meters (for pricing) and traces
-(for cycle rendering) along the way.
+PetaBricks autotuner produces.  The executor only computes: what a call
+runs, and in which order, follows from the plan alone, so op meters
+(:meth:`~repro.tuner.plan.TunedVPlan.unit_meter`) and cycle traces
+(:meth:`~repro.tuner.plan.TunedVPlan.trace`) are read off the plan.
 
 An executor is bound to one operator spec (default: constant-coefficient
 Poisson, whose delegating kernels keep the legacy path byte-identical);
@@ -20,7 +22,7 @@ from threading import get_ident
 import numpy as np
 
 from repro.kernels import LevelKernels, get_backend
-from repro.machines.meter import NULL_METER, OpMeter, backend_op, dim_op
+from repro.machines.meter import OpMeter
 from repro.obs.profile import SolveProfiler
 from repro.obs.trace import NOOP_TRACER, NoopTracer, Span, Tracer
 from repro.operators.base import StencilOperator
@@ -33,7 +35,6 @@ from repro.tuner.choices import (
     SORChoice,
 )
 from repro.tuner.plan import TunedFullMGPlan, TunedVPlan
-from repro.tuner.trace import NULL_TRACE, Trace
 from repro.util.validation import level_of_size, size_of_level
 
 __all__ = ["OP_SPAN_MIN_POINTS", "PlanExecutor"]
@@ -320,10 +321,10 @@ class PlanExecutor:
         x: np.ndarray,
         b: np.ndarray,
         acc_index: int,
-        meter: OpMeter = NULL_METER,
-        trace: Trace = NULL_TRACE,
+        meter: OpMeter | None = None,
     ) -> np.ndarray:
-        """Apply MULTIGRID-V_{acc_index} to (x, b) in place."""
+        """Apply MULTIGRID-V_{acc_index} to (x, b) in place; a given
+        ``meter`` is charged the plan's op multiset of the call."""
         level = level_of_size(x.shape[0])
         if level > plan.max_level:
             raise ValueError(
@@ -331,7 +332,9 @@ class PlanExecutor:
             )
         if self._observed:
             self._refresh_tids()
-        self._run_v(plan, x, b, level, acc_index, meter, trace)
+        self._run_v(plan, x, b, level, acc_index)
+        if meter is not None:
+            meter.merge(plan.unit_meter(level, acc_index))
         return x
 
     def _refresh_tids(self) -> None:
@@ -377,14 +380,12 @@ class PlanExecutor:
         b: np.ndarray,
         level: int,
         acc_index: int,
-        meter: OpMeter,
-        trace: Trace,
     ) -> None:
         if self._observed and self.tracer.enabled:
             prev = self._span_parent
             span = self._level_span(level, acc_index, "v")
             try:
-                self._run_v_choice(plan, x, b, level, acc_index, meter, trace)
+                self._apply(plan, x, b, level, plan.choice(level, acc_index))
             except BaseException as exc:
                 span.attrs = dict(span.attrs)  # never poison the shared dict
                 span.attrs.setdefault("error", type(exc).__name__)
@@ -393,41 +394,29 @@ class PlanExecutor:
                 self._span_parent = prev
                 self.tracer.finish(span)
         else:
-            self._run_v_choice(plan, x, b, level, acc_index, meter, trace)
+            self._apply(plan, x, b, level, plan.choice(level, acc_index))
 
-    def _run_v_choice(
+    def _apply(
         self,
         plan: TunedVPlan,
         x: np.ndarray,
         b: np.ndarray,
         level: int,
-        acc_index: int,
-        meter: OpMeter,
-        trace: Trace,
+        choice: DirectChoice | SORChoice | RecurseChoice,
     ) -> None:
-        choice = plan.choice(level, acc_index)
-        n = x.shape[0]
-        op = self._op(level)
-        trace.emit("enter", level, acc_index)
+        """One application of a V-type ``choice`` at ``level``: a direct
+        solve, SOR(omega_opt) sweeps, or RECURSE over ``plan``."""
         if isinstance(choice, DirectChoice):
-            self._direct(op, x, b, level)
-            meter.charge(dim_op("direct", self.ndim), n)
-            trace.emit("direct", level)
+            self._direct(self._op(level), x, b, level)
         elif isinstance(choice, SORChoice):
-            backend = plan.backend_at(level)
-            self._kernels(level, backend).sor_sweeps(
-                x, b, op.omega_opt(), choice.iterations
+            self._kernels(level, plan.backend_at(level)).sor_sweeps(
+                x, b, self._op(level).omega_opt(), choice.iterations
             )
-            meter.charge(
-                backend_op(dim_op("relax", self.ndim), backend), n, choice.iterations
-            )
-            trace.emit("sor", level, choice.iterations)
         elif isinstance(choice, RecurseChoice):
             for _ in range(choice.iterations):
-                self._recurse_once(plan, x, b, level, choice.sub_accuracy, meter, trace)
+                self._recurse_once(plan, x, b, level, choice.sub_accuracy)
         else:  # pragma: no cover - plan validation forbids this
             raise TypeError(f"invalid V choice {choice!r}")
-        trace.emit("exit", level)
 
     def _recurse_once(
         self,
@@ -436,32 +425,16 @@ class PlanExecutor:
         b: np.ndarray,
         level: int,
         sub_accuracy: int,
-        meter: OpMeter,
-        trace: Trace,
     ) -> None:
         """One RECURSE application: relax, coarse correction via the tuned
         sub-plan, relax (paper section 2.3, RECURSE_i)."""
-        n = x.shape[0]
-        nd = self.ndim
-        backend = plan.backend_at(level)
-        kernels = self._kernels(level, backend)
-        relax_op = backend_op(dim_op("relax", nd), backend)
+        kernels = self._kernels(level, plan.backend_at(level))
         kernels.sor_sweeps(x, b, OMEGA_RECURSE, 1)
-        meter.charge(relax_op, n)
-        trace.emit("relax", level)
-        r = kernels.residual(x, b)
-        meter.charge(backend_op(dim_op("residual", nd), backend), n)
-        rc = kernels.restrict(r)
-        meter.charge(backend_op(dim_op("restrict", nd), backend), n)
-        trace.emit("descend", level)
+        rc = kernels.restrict(kernels.residual(x, b))
         ec = np.zeros_like(rc)
-        self._run_v(plan, ec, rc, level - 1, sub_accuracy, meter, trace)
+        self._run_v(plan, ec, rc, level - 1, sub_accuracy)
         kernels.interpolate_correction(x, ec)
-        meter.charge(backend_op(dim_op("interpolate", nd), backend), n)
-        trace.emit("ascend", level)
         kernels.sor_sweeps(x, b, OMEGA_RECURSE, 1)
-        meter.charge(relax_op, n)
-        trace.emit("relax", level)
 
     # -- FULL-MULTIGRID ---------------------------------------------------
 
@@ -471,10 +444,10 @@ class PlanExecutor:
         x: np.ndarray,
         b: np.ndarray,
         acc_index: int,
-        meter: OpMeter = NULL_METER,
-        trace: Trace = NULL_TRACE,
+        meter: OpMeter | None = None,
     ) -> np.ndarray:
-        """Apply FULL-MULTIGRID_{acc_index} to (x, b) in place."""
+        """Apply FULL-MULTIGRID_{acc_index} to (x, b) in place; a given
+        ``meter`` is charged the plan's op multiset of the call."""
         level = level_of_size(x.shape[0])
         if level > plan.max_level:
             raise ValueError(
@@ -482,7 +455,9 @@ class PlanExecutor:
             )
         if self._observed:
             self._refresh_tids()
-        self._run_full(plan, x, b, level, acc_index, meter, trace)
+        self._run_full(plan, x, b, level, acc_index)
+        if meter is not None:
+            meter.merge(plan.unit_meter(level, acc_index))
         return x
 
     def _run_full(
@@ -492,14 +467,12 @@ class PlanExecutor:
         b: np.ndarray,
         level: int,
         acc_index: int,
-        meter: OpMeter,
-        trace: Trace,
     ) -> None:
         if self._observed and self.tracer.enabled:
             prev = self._span_parent
             span = self._level_span(level, acc_index, "full")
             try:
-                self._run_full_choice(plan, x, b, level, acc_index, meter, trace)
+                self._run_full_choice(plan, x, b, level, acc_index)
             except BaseException as exc:
                 span.attrs = dict(span.attrs)  # never poison the shared dict
                 span.attrs.setdefault("error", type(exc).__name__)
@@ -508,7 +481,7 @@ class PlanExecutor:
                 self._span_parent = prev
                 self.tracer.finish(span)
         else:
-            self._run_full_choice(plan, x, b, level, acc_index, meter, trace)
+            self._run_full_choice(plan, x, b, level, acc_index)
 
     def _run_full_choice(
         self,
@@ -517,38 +490,15 @@ class PlanExecutor:
         b: np.ndarray,
         level: int,
         acc_index: int,
-        meter: OpMeter,
-        trace: Trace,
     ) -> None:
         choice = plan.choice(level, acc_index)
-        n = x.shape[0]
-        op = self._op(level)
-        trace.emit("enter", level, acc_index)
-        if isinstance(choice, DirectChoice):
-            self._direct(op, x, b, level)
-            meter.charge(dim_op("direct", self.ndim), n)
-            trace.emit("direct", level)
-        elif isinstance(choice, EstimateChoice):
-            self._estimate(plan, x, b, level, choice.estimate_accuracy, meter, trace)
+        if isinstance(choice, EstimateChoice):
+            self._estimate(plan, x, b, level, choice.estimate_accuracy)
             # Solve phase: iterate the chosen V-type method.
-            solver = choice.solver
-            if isinstance(solver, SORChoice):
-                backend = plan.backend_at(level)
-                self._kernels(level, backend).sor_sweeps(
-                    x, b, op.omega_opt(), solver.iterations
-                )
-                meter.charge(
-                    backend_op(dim_op("relax", self.ndim), backend), n, solver.iterations
-                )
-                trace.emit("sor", level, solver.iterations)
-            else:
-                for _ in range(solver.iterations):
-                    self._recurse_once(
-                        plan.vplan, x, b, level, solver.sub_accuracy, meter, trace
-                    )
-        else:  # pragma: no cover - plan validation forbids this
+            choice = choice.solver
+        elif not isinstance(choice, DirectChoice):  # pragma: no cover
             raise TypeError(f"invalid full-MG choice {choice!r}")
-        trace.emit("exit", level)
+        self._apply(plan.vplan, x, b, level, choice)
 
     def _estimate(
         self,
@@ -557,25 +507,13 @@ class PlanExecutor:
         b: np.ndarray,
         level: int,
         estimate_accuracy: int,
-        meter: OpMeter,
-        trace: Trace,
     ) -> None:
         """ESTIMATE_j at ``level``: a correction-form FULL-MULTIGRID_j call
         on the restricted residual.  Full-MG solves run it before their
         solve phase; :class:`~repro.tuner.full_mg.FullMGTuner` trains its
         solver variants from the states it leaves."""
-        n = x.shape[0]
-        nd = self.ndim
-        trace.emit("estimate", level, estimate_accuracy)
-        backend = plan.backend_at(level)
-        kernels = self._kernels(level, backend)
-        r = kernels.residual(x, b)
-        meter.charge(backend_op(dim_op("residual", nd), backend), n)
-        rc = kernels.restrict(r)
-        meter.charge(backend_op(dim_op("restrict", nd), backend), n)
-        trace.emit("descend", level)
+        kernels = self._kernels(level, plan.backend_at(level))
+        rc = kernels.restrict(kernels.residual(x, b))
         ec = np.zeros_like(rc)
-        self._run_full(plan, ec, rc, level - 1, estimate_accuracy, meter, trace)
+        self._run_full(plan, ec, rc, level - 1, estimate_accuracy)
         kernels.interpolate_correction(x, ec)
-        meter.charge(backend_op(dim_op("interpolate", nd), backend), n)
-        trace.emit("ascend", level)

@@ -30,7 +30,6 @@ from repro.accuracy.estimator import (
     InfeasibleCandidate,
     iterations_to_accuracy,
 )
-from repro.machines.meter import NULL_METER
 from repro.tuner.choices import (
     Choice,
     DirectChoice,
@@ -50,7 +49,6 @@ from repro.tuner.dp import (
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.plan import TunedFullMGPlan, TunedVPlan
 from repro.tuner.timing import CostModelTiming, TimingStrategy
-from repro.tuner.trace import NULL_TRACE
 from repro.tuner.training import TrainingData
 
 __all__ = ["FullMGTuner"]
@@ -155,7 +153,7 @@ class FullMGTuner:
         states = [bundle.fresh_starts() for _ in self.vplan.accuracies]
         for j, starts in enumerate(states):
             for x, b in starts:
-                self._executor._estimate(plan, x, b, level, j, NULL_METER, NULL_TRACE)
+                self._executor._estimate(plan, x, b, level, j)
         return states
 
     def _tune_level(

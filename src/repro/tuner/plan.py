@@ -7,14 +7,17 @@ choice the DP selected.  Plans are:
 * executable (:mod:`repro.tuner.executor`),
 * exactly priceable — execution is open-loop with trained iteration
   counts, so the multiset of primitive ops is known analytically
-  (:meth:`TunedVPlan.unit_meter`), and
+  (:meth:`TunedVPlan.unit_meter`),
+* traceable without running — the order of those ops is fixed too
+  (:meth:`TunedVPlan.trace`; Figures 5, 9 and 14 read it), and
 * serializable (:mod:`repro.tuner.config`), playing the role of the
   PetaBricks configuration file.
 
 The tuners build level k on the plan tuned through level k-1: they
 price each candidate with its :meth:`~TunedVPlan.choice_meter` and train
 and run it on that plan through the executor, so this module is the one
-place that knows a choice's op multiset.
+place that knows a choice's op multiset and op order; the executor only
+computes.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.tuner.choices import (
     RecurseChoice,
     SORChoice,
 )
+from repro.tuner.trace import TraceEvent
 from repro.util.validation import size_of_level
 
 if TYPE_CHECKING:
@@ -235,6 +239,37 @@ class TunedVPlan:
         """Simulated seconds of one call under ``profile``."""
         return profile.price(self.unit_meter(level, acc_index))
 
+    # -- tracing ----------------------------------------------------------
+
+    def trace(self, level: int, acc_index: int) -> tuple[TraceEvent, ...]:
+        """Event sequence of one MULTIGRID-V_{acc_index} call at ``level``,
+        in the order the executor runs its ops."""
+        events: list[TraceEvent] = []
+        self._trace_into(events, level, acc_index)
+        return tuple(events)
+
+    def _trace_into(self, events: list[TraceEvent], level: int, acc_index: int) -> None:
+        events.append(TraceEvent("enter", level, acc_index))
+        self._choice_trace_into(events, level, self.table[(level, acc_index)])
+        events.append(TraceEvent("exit", level))
+
+    def _choice_trace_into(
+        self, events: list[TraceEvent], level: int, choice: Choice
+    ) -> None:
+        """Events of one application of ``choice`` (the body of an
+        enter/exit pair); RECURSE is relax, coarse call, relax."""
+        if isinstance(choice, DirectChoice):
+            events.append(TraceEvent("direct", level))
+        elif isinstance(choice, SORChoice):
+            events.append(TraceEvent("sor", level, choice.iterations))
+        elif isinstance(choice, RecurseChoice):
+            for _ in range(choice.iterations):
+                events += (TraceEvent("relax", level), TraceEvent("descend", level))
+                self._trace_into(events, level - 1, choice.sub_accuracy)
+                events += (TraceEvent("ascend", level), TraceEvent("relax", level))
+        else:
+            raise TypeError(f"invalid V-plan choice {choice!r}")
+
     def invalidate_pricing_cache(self) -> None:
         self._meters.clear()
 
@@ -321,6 +356,28 @@ class TunedFullMGPlan:
 
     def time_on(self, profile: MachineProfile, level: int, acc_index: int) -> float:
         return profile.price(self.unit_meter(level, acc_index))
+
+    def trace(self, level: int, acc_index: int) -> tuple[TraceEvent, ...]:
+        """Event sequence of one FULL-MULTIGRID_{acc_index} call at ``level``."""
+        events: list[TraceEvent] = []
+        self._trace_into(events, level, acc_index)
+        return tuple(events)
+
+    def _trace_into(self, events: list[TraceEvent], level: int, acc_index: int) -> None:
+        """As :meth:`choice_meter`: ESTIMATE_j traces this plan one level
+        down, and the solve phase is the V plan's trace of the solver."""
+        choice = self.table[(level, acc_index)]
+        events.append(TraceEvent("enter", level, acc_index))
+        if isinstance(choice, EstimateChoice):
+            j = choice.estimate_accuracy
+            events += (TraceEvent("estimate", level, j), TraceEvent("descend", level))
+            self._trace_into(events, level - 1, j)
+            events.append(TraceEvent("ascend", level))
+            choice = choice.solver
+        elif not isinstance(choice, DirectChoice):
+            raise TypeError(f"invalid full-MG choice {choice!r}")
+        self.vplan._choice_trace_into(events, level, choice)
+        events.append(TraceEvent("exit", level))
 
     def invalidate_pricing_cache(self) -> None:
         self._meters.clear()

@@ -1,7 +1,12 @@
 """Execution traces of tuned algorithms.
 
 A trace is the temporal sequence of primitive events a tuned plan performs,
-annotated with recursion levels and accuracy indices.  Figures 4 (call
+annotated with recursion levels and accuracy indices.  Execution is
+open-loop, so the sequence follows from the plan alone:
+:meth:`TunedVPlan.trace <repro.tuner.plan.TunedVPlan.trace>` and
+:meth:`TunedFullMGPlan.trace <repro.tuner.plan.TunedFullMGPlan.trace>`
+read it off the table, in the order
+:class:`~repro.tuner.executor.PlanExecutor` runs the ops.  Figures 4 (call
 stacks), 5 and 14 (cycle shapes) of the paper are renderings of exactly
 this information; :mod:`repro.cycles` consumes traces to draw them.
 """
@@ -9,9 +14,9 @@ this information; :mod:`repro.cycles` consumes traces to draw them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
-__all__ = ["NULL_TRACE", "Trace", "TraceEvent"]
+__all__ = ["TraceEvent"]
 
 EventKind = Literal[
     "enter",  # entering MULTIGRID-V_i / FULL-MULTIGRID_i at a level
@@ -31,44 +36,3 @@ class TraceEvent:
     level: int
     #: accuracy index for enter/estimate events, sweep count for sor, else 0
     detail: int = 0
-
-
-class Trace:
-    """Append-only event recorder."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-
-    def emit(self, kind: EventKind, level: int, detail: int = 0) -> None:
-        self.events.append(TraceEvent(kind, level, detail))
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def kinds(self) -> list[str]:
-        return [e.kind for e in self.events]
-
-    def min_level(self) -> int:
-        """Coarsest level the execution touched."""
-        if not self.events:
-            raise ValueError("empty trace")
-        return min(e.level for e in self.events)
-
-    def counts(self, kind: EventKind) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
-
-
-class _NullTrace(Trace):
-    """Trace that drops events (default when callers don't need one)."""
-
-    def emit(self, kind: EventKind, level: int, detail: int = 0) -> None:  # noqa: D102
-        pass
-
-
-#: Shared do-nothing trace.
-NULL_TRACE = _NullTrace()

@@ -1,4 +1,4 @@
-"""Shared utilities: validation, seeding, timing, and math helpers.
+"""Shared utilities: validation, seeding, timing, text tables.
 
 These are deliberately dependency-light; every other subpackage may import
 from here, but :mod:`repro.util` imports nothing from the rest of the
@@ -13,6 +13,7 @@ from repro.util.validation import (
     size_of_level,
 )
 from repro.util.rng import derive_rng, spawn_seeds
+from repro.util.table import format_table
 from repro.util.timing import WallClock, median_time
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "check_grid_size",
     "check_square_grid",
     "derive_rng",
+    "format_table",
     "is_grid_size",
     "level_of_size",
     "median_time",

@@ -1,0 +1,19 @@
+"""Aligned plain-text tables, shared by the figure drivers and the CLI."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+__all__ = ["format_table"]
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Plain aligned table with a header rule."""
+    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
+    lines = []
+    for idx, row in enumerate(cells):
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        if idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines)

@@ -4,20 +4,20 @@ import pytest
 
 from repro.bench.parallel import simulate_trace, trace_task_graph
 from repro.machines.presets import INTEL_HARPERTOWN
-from repro.tuner.trace import Trace
+from repro.tuner.trace import TraceEvent
 
 
-def v_trace() -> Trace:
+def v_trace() -> list[TraceEvent]:
     """relax, descend, direct, ascend, relax at levels 5/4."""
-    t = Trace()
-    t.emit("enter", 5, 0)
-    t.emit("relax", 5)
-    t.emit("descend", 5)
-    t.emit("direct", 4)
-    t.emit("ascend", 5)
-    t.emit("relax", 5)
-    t.emit("exit", 5)
-    return t
+    return [
+        TraceEvent("enter", 5, 0),
+        TraceEvent("relax", 5),
+        TraceEvent("descend", 5),
+        TraceEvent("direct", 4),
+        TraceEvent("ascend", 5),
+        TraceEvent("relax", 5),
+        TraceEvent("exit", 5),
+    ]
 
 
 class TestTraceTaskGraph:
@@ -54,12 +54,8 @@ class TestTraceTaskGraph:
             trace_task_graph(v_trace(), INTEL_HARPERTOWN, blocks=0)
 
     def test_sor_event_scales_with_sweeps(self):
-        t = Trace()
-        t.emit("sor", 5, 10)
-        g10 = trace_task_graph(t, INTEL_HARPERTOWN, blocks=1)
-        t2 = Trace()
-        t2.emit("sor", 5, 1)
-        g1 = trace_task_graph(t2, INTEL_HARPERTOWN, blocks=1)
+        g10 = trace_task_graph([TraceEvent("sor", 5, 10)], INTEL_HARPERTOWN, blocks=1)
+        g1 = trace_task_graph([TraceEvent("sor", 5, 1)], INTEL_HARPERTOWN, blocks=1)
         assert g10.total_cost() == pytest.approx(10 * g1.total_cost(), rel=1e-9)
 
 
@@ -75,8 +71,7 @@ class TestSimulateTrace:
 
     def test_serial_direct_limits_speedup(self):
         # A direct-solve-only trace cannot speed up at all.
-        t = Trace()
-        t.emit("direct", 6)
+        t = [TraceEvent("direct", 6)]
         s1 = simulate_trace(t, INTEL_HARPERTOWN, workers=1).makespan
         s8 = simulate_trace(t, INTEL_HARPERTOWN, workers=8).makespan
         assert s8 == pytest.approx(s1, rel=0.01)

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bench.fitting import fit_power_law
-from repro.bench.report import (
-    Series,
-    format_ratio_table,
-    format_series_table,
-    format_table,
-)
+from repro.bench.report import Series, format_ratio_table, format_series_table
+from repro.util import format_table
 
 
 class TestFormatTable:

@@ -5,25 +5,23 @@ import pytest
 from repro.cycles.render import render_call_stack, render_cycle
 from repro.cycles.shape import CycleShape, ShapeStep, extract_shape
 from repro.cycles.stats import cycle_stats
-from repro.tuner.executor import PlanExecutor
-from repro.tuner.trace import Trace
-from repro.workloads.distributions import make_problem
+from repro.tuner.trace import TraceEvent
 from tests.tuner.test_choices_plan import tiny_vplan
 
 
-def hand_trace() -> Trace:
+def hand_trace() -> list[TraceEvent]:
     """A minimal V shape: relax, descend, direct, ascend, relax."""
-    t = Trace()
-    t.emit("enter", 2, 0)
-    t.emit("relax", 2)
-    t.emit("descend", 2)
-    t.emit("enter", 1, 0)
-    t.emit("direct", 1)
-    t.emit("exit", 1)
-    t.emit("ascend", 2)
-    t.emit("relax", 2)
-    t.emit("exit", 2)
-    return t
+    return [
+        TraceEvent("enter", 2, 0),
+        TraceEvent("relax", 2),
+        TraceEvent("descend", 2),
+        TraceEvent("enter", 1, 0),
+        TraceEvent("direct", 1),
+        TraceEvent("exit", 1),
+        TraceEvent("ascend", 2),
+        TraceEvent("relax", 2),
+        TraceEvent("exit", 2),
+    ]
 
 
 class TestExtractShape:
@@ -36,18 +34,14 @@ class TestExtractShape:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            extract_shape(Trace())
+            extract_shape([])
 
     def test_relaxations_per_level(self):
         shape = extract_shape(hand_trace())
         assert shape.relaxations_per_level() == {2: 2}
 
     def test_real_plan_trace(self):
-        plan = tiny_vplan()
-        problem = make_problem("unbiased", 9, seed=601)
-        trace = Trace()
-        PlanExecutor().run_v(plan, problem.initial_guess(), problem.b, 1, trace=trace)
-        shape = extract_shape(trace)
+        shape = extract_shape(tiny_vplan().trace(3, 1))
         # (3,1) = recurse x3 into (2,0) = SOR: three descend/ascend pairs.
         downs = [s for s in shape.steps if s.kind == "down"]
         assert len(downs) == 3

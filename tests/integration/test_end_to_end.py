@@ -14,14 +14,12 @@ from repro.accuracy.reference import ReferenceSolutionCache
 from repro.bench.parallel import simulate_trace
 from repro.cycles.render import render_cycle
 from repro.cycles.shape import extract_shape
-from repro.machines.meter import OpMeter
 from repro.machines.presets import INTEL_HARPERTOWN, SUN_NIAGARA
 from repro.tuner.config import load_plan, save_plan
 from repro.tuner.dp import VCycleTuner
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.full_mg import FullMGTuner
 from repro.tuner.timing import CostModelTiming
-from repro.tuner.trace import Trace
 from repro.tuner.training import TrainingData
 from repro.workloads.distributions import make_problem
 
@@ -98,20 +96,12 @@ class TestCrossPricing:
 class TestTraceToParallelSim:
     def test_trace_simulates_with_speedup(self, plans):
         vplan, _ = plans[INTEL_HARPERTOWN.name]
-        problem = make_problem("biased", 17, seed=903)
-        trace = Trace()
-        meter = OpMeter()
-        x = problem.initial_guess()
-        PlanExecutor().run_v(vplan, x, problem.b, vplan.num_accuracies - 1, meter, trace)
+        trace = vplan.trace(MAX_LEVEL, vplan.num_accuracies - 1)
         t1 = simulate_trace(trace, INTEL_HARPERTOWN, workers=1).makespan
         t4 = simulate_trace(trace, INTEL_HARPERTOWN, workers=4).makespan
         assert 0 < t4 <= t1
 
     def test_cycle_renderable(self, plans):
         vplan, fplan = plans[SUN_NIAGARA.name]
-        problem = make_problem("biased", 17, seed=904)
-        trace = Trace()
-        x = problem.initial_guess()
-        PlanExecutor().run_full_mg(fplan, x, problem.b, 2, trace=trace)
-        text = render_cycle(extract_shape(trace))
+        text = render_cycle(extract_shape(fplan.trace(MAX_LEVEL, 2)))
         assert "level" in text

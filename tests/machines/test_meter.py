@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machines.meter import NULL_METER, OpMeter
+from repro.machines.meter import OpMeter
 
 
 class TestOpMeter:
@@ -67,19 +67,3 @@ class TestOpMeter:
         meter.charge("copy", 9)
         seconds = {"relax": 1e16, "norm": 1.0, "copy": -1e16}
         assert meter.price(lambda op, n: seconds[op]) == 0.0
-
-
-class TestNullMeter:
-    def test_discards_charges(self):
-        NULL_METER.charge("relax", 33, 100)
-        assert len(NULL_METER) == 0
-
-    def test_still_validates_op_names(self):
-        with pytest.raises(ValueError):
-            NULL_METER.charge("bogus", 33)
-
-    def test_merge_noop(self):
-        src = OpMeter()
-        src.charge("relax", 9)
-        NULL_METER.merge(src)
-        assert len(NULL_METER) == 0

@@ -7,7 +7,7 @@ from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import reference_solution
 from repro.grids.norms import residual_norm
 from repro.grids.poisson import residual
-from repro.machines.meter import NULL_METER, OpMeter
+from repro.machines.meter import OpMeter
 from repro.multigrid import full_mg_plan, v_plan
 from repro.tuner.choices import DirectChoice, RecurseChoice
 from repro.tuner.executor import PlanExecutor
@@ -16,11 +16,11 @@ from repro.util.validation import level_of_size
 from repro.workloads.distributions import make_problem
 
 
-def vcycle(x, b, meter=NULL_METER):
+def vcycle(x, b, meter=None):
     return PlanExecutor().run_v(v_plan(level_of_size(x.shape[0])), x, b, 0, meter)
 
 
-def full_multigrid_cycle(x, b, meter=NULL_METER):
+def full_multigrid_cycle(x, b, meter=None):
     plan = full_mg_plan(level_of_size(x.shape[0]))
     return PlanExecutor().run_full_mg(plan, x, b, 0, meter)
 

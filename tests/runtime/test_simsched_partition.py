@@ -5,9 +5,7 @@ import pytest
 
 from repro.machines.presets import INTEL_HARPERTOWN
 from repro.relax.sor import sor_redblack
-from repro.runtime.deque import WorkDeque
 from repro.runtime.partition import partition_rows, sweep_task_graph
-from repro.runtime.scheduler import WorkStealingScheduler
 from repro.runtime.simsched import SimulatedScheduler
 from repro.runtime.task import TaskGraph
 from repro.workloads.distributions import make_problem
@@ -78,21 +76,6 @@ class TestSimulatedScheduler:
             SimulatedScheduler(workers=0)
 
 
-class TestWorkDeque:
-    def test_lifo_for_owner_fifo_for_thief(self):
-        d = WorkDeque()
-        for i in range(3):
-            d.push(i)
-        assert d.pop() == 2  # owner: most recent
-        assert d.steal() == 0  # thief: oldest
-        assert len(d) == 1
-
-    def test_empty_returns_none(self):
-        d = WorkDeque()
-        assert d.pop() is None
-        assert d.steal() is None
-
-
 class TestPartition:
     def test_rows_cover_interior_exactly(self):
         for n in (5, 9, 17, 33):
@@ -115,7 +98,8 @@ class TestPartition:
         sor_redblack(serial, problem.b, 1.15, 1)
         parallel = problem.initial_guess()
         graph = sweep_task_graph(parallel, problem.b, 1.15, blocks)
-        WorkStealingScheduler(workers=3).run(graph)
+        for task in graph.topological_order():
+            task.run()
         np.testing.assert_allclose(parallel, serial, rtol=1e-12, atol=1e-12)
 
     def test_costs_attached_with_profile(self):

@@ -1,14 +1,7 @@
-"""Tests for the task graph and both schedulers."""
-
-import threading
+"""Tests for the task graph."""
 
 import pytest
 
-from repro.runtime.scheduler import (
-    SerialScheduler,
-    WorkStealingScheduler,
-    validate_completion_order,
-)
 from repro.runtime.task import TaskGraph
 
 
@@ -46,65 +39,3 @@ class TestTaskGraph:
         g = diamond_graph()
         assert "a" in g and "z" not in g
         assert len(g) == 4
-
-
-class TestSerialScheduler:
-    def test_executes_all_in_order(self):
-        effects = []
-        g = diamond_graph(effects)
-        order = SerialScheduler().run(g)
-        assert sorted(effects) == ["a", "b", "c", "d"]
-        assert validate_completion_order(g, order)
-
-    def test_empty_graph(self):
-        assert SerialScheduler().run(TaskGraph()) == []
-
-
-class TestWorkStealingScheduler:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_valid_completion_order(self, workers):
-        effects = []
-        g = diamond_graph(effects)
-        order = WorkStealingScheduler(workers=workers).run(g)
-        assert validate_completion_order(g, order)
-        assert sorted(effects) == ["a", "b", "c", "d"]
-
-    def test_large_fanout_stress(self):
-        g = TaskGraph()
-        counter = {"n": 0}
-        lock = threading.Lock()
-
-        def bump():
-            with lock:
-                counter["n"] += 1
-
-        g.add("root", fn=bump)
-        for i in range(200):
-            g.add(f"mid-{i}", fn=bump, deps=("root",))
-        g.add("sink", fn=bump, deps=tuple(f"mid-{i}" for i in range(200)))
-        order = WorkStealingScheduler(workers=4).run(g)
-        assert counter["n"] == 202
-        assert validate_completion_order(g, order)
-
-    def test_exception_propagates(self):
-        g = TaskGraph()
-        g.add("boom", fn=lambda: (_ for _ in ()).throw(RuntimeError("bang")))
-        with pytest.raises(RuntimeError, match="bang"):
-            WorkStealingScheduler(workers=2).run(g)
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            WorkStealingScheduler(workers=0)
-
-    def test_empty_graph(self):
-        assert WorkStealingScheduler(workers=2).run(TaskGraph()) == []
-
-    def test_chain_order_strict(self):
-        g = TaskGraph()
-        effects = []
-        prev = ()
-        for i in range(20):
-            g.add(f"t{i}", fn=(lambda i=i: effects.append(i)), deps=prev)
-            prev = (f"t{i}",)
-        WorkStealingScheduler(workers=3).run(g)
-        assert effects == list(range(20))

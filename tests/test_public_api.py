@@ -70,29 +70,6 @@ class TestFullMGCorePath:
             autotune(max_level=2, machine="pdp11")
 
 
-class TestTraceModule:
-    def test_min_level_empty_raises(self):
-        from repro.tuner.trace import Trace
-
-        with pytest.raises(ValueError):
-            Trace().min_level()
-
-    def test_null_trace_is_shared_and_inert(self):
-        from repro.tuner.trace import NULL_TRACE
-
-        before = len(NULL_TRACE)
-        NULL_TRACE.emit("relax", 3)
-        assert len(NULL_TRACE) == before
-
-    def test_kinds_listing(self):
-        from repro.tuner.trace import Trace
-
-        t = Trace()
-        t.emit("enter", 2, 0)
-        t.emit("direct", 1)
-        assert t.kinds() == ["enter", "direct"]
-
-
 class TestOpShapeCoverage:
     def test_all_meterable_stencil_ops_have_shapes(self):
         from repro.machines.meter import OPS_2D, OPS_3D
