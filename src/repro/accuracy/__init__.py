@@ -14,6 +14,7 @@ from repro.accuracy.judge import AccuracyJudge, accuracy_ratio
 from repro.accuracy.reference import reference_solution, ReferenceSolutionCache
 from repro.accuracy.estimator import (
     InfeasibleCandidate,
+    Trajectories,
     iterations_to_accuracy,
 )
 
@@ -21,6 +22,7 @@ __all__ = [
     "AccuracyJudge",
     "InfeasibleCandidate",
     "ReferenceSolutionCache",
+    "Trajectories",
     "accuracy_ratio",
     "iterations_to_accuracy",
     "reference_solution",

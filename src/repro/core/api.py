@@ -200,9 +200,10 @@ def autotune(
 ) -> TunedVPlan:
     """Tune the MULTIGRID-V_i family for a machine, distribution and operator.
 
-    ``jobs`` > 1 evaluates candidate trials on a process pool
-    (:mod:`repro.parallel`); trial tasks are deterministically seeded,
-    so the tuned plan is identical to a serial (``jobs=1``) tune.
+    ``jobs`` > 1 evaluates the model-guided search's candidates on a
+    process pool (:mod:`repro.parallel`); its tasks are deterministically
+    seeded, so the tuned plan is identical to a serial (``jobs=1``)
+    tune.  The DP tune takes ``jobs`` and runs serially.
     ``ndim=3`` selects the 3-D workload family (``operator=None`` then
     means the 3-D Poisson default).  ``backend`` makes accelerated
     kernel backends available to the tuner as a per-level choice
@@ -325,11 +326,12 @@ def autotune_cached(
     An exact registry hit returns the stored plan without running the
     tuner; otherwise the nearest known machine's plan serves (when
     ``allow_nearest``), and only a genuinely cold key pays for a tuning
-    pass — across ``jobs`` worker processes when ``jobs`` > 1, with a
-    plan identical to the serial tune.  ``tuner="model"`` makes that
-    cold pass the budgeted model-guided search warm-started from the
-    store's accumulated trials (:mod:`repro.modeltuner`) instead of the
-    exhaustive DP.  ``operator`` is part of the tuning key, so each
+    pass.  ``tuner="model"`` makes that cold pass the budgeted
+    model-guided search warm-started from the store's accumulated trials
+    (:mod:`repro.modeltuner`) instead of the exhaustive DP, and only then
+    does ``jobs`` > 1 spread the pass across worker processes (with a
+    plan identical to the serial one); a DP pass runs serially.
+    ``operator`` is part of the tuning key, so each
     problem family gets its own registry entries.  ``store`` is a
     :class:`~repro.store.registry.PlanRegistry`,
     :class:`~repro.store.trialdb.TrialDB`, or database path; default is
@@ -363,8 +365,8 @@ def solve_service(
     tuner entirely.  ``distribution="auto"`` classifies the problem's
     right-hand side (:func:`repro.tuner.dynamic.classify_by_bias`)
     instead of trusting the label — the escape hatch for problems built
-    outside the named distributions.  A cold key tunes across ``jobs``
-    worker processes when ``jobs`` > 1 (identical plan, lower latency).
+    outside the named distributions.  A cold key runs the serial DP
+    tune; ``jobs`` is accepted and does not change it.
     Returns (solution, meter, registry hit) so callers can log where
     their plan came from.
     """

@@ -26,7 +26,9 @@ Every candidate evaluation — serial or parallel — is a
 :class:`~repro.tuner.spec.TuneSpec`, run through the DP's own
 single-candidate code without a pruning budget (the surrogate needs
 every trained iteration count), so a given seed selects a
-byte-identical plan at any ``jobs`` count.  The spec prices evaluation
+byte-identical plan at any ``jobs`` count.  A candidate picked for
+several slots of a level is trained once per process: its slots read
+their iteration counts off the same runs.  The spec prices evaluation
 with the search's pricing; a learned model given beside it only steers
 acquisition.  The returned plan carries ``tuner="model"`` metadata with
 the trial budget actually spent.
@@ -143,6 +145,7 @@ class BOSearch:
         """Run the budgeted bottom-up search and return the tuned plan."""
         from repro.obs.runtime import get_tracer
         from repro.parallel.executor import SerialExecutor
+        from repro.parallel.tasks import release_runs
 
         start = time.perf_counter()
         executor = self.trial_executor or SerialExecutor()
@@ -162,6 +165,7 @@ class BOSearch:
             for level in range(2, self.max_level + 1):
                 with tracer.span("modeltuner.level", level=level):
                     self._tune_level(level, table, executor, rng)
+        release_runs()
         plan = self._build_plan(table, time.perf_counter() - start)
         return plan
 

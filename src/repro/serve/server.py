@@ -105,8 +105,8 @@ class SolveServer:
     queue_size, batch_size:
         Admission-control bound and micro-batch cap.
     tune_jobs:
-        Worker *processes* for background DP tunes (None/1 = in the
-        tuner thread).
+        Passed to background tunes as ``jobs``.  They are DP tunes,
+        which do not fan out, so every value tunes in the tuner thread.
     clock:
         Injectable :class:`~repro.util.clock.Clock` used for every
         *measured duration* (queue wait, solve time, request latency,

@@ -322,9 +322,11 @@ class PlanRegistry:
         search warm-started from this store's accumulated trials (see
         :func:`repro.modeltuner.warmstart.model_plan_for_key`), and
         ``None`` / ``"dp"`` runs the paper's exhaustive DP tuner for
-        ``key.kind``, fanning candidate evaluations across ``jobs``
-        worker processes when ``jobs`` > 1 (the tuned plan is identical
-        either way).
+        ``key.kind``.  ``jobs`` > 1 fans the model search's candidate
+        evaluations across that many worker processes (the tuned plan is
+        identical either way); DP tunes do not fan out, since every
+        accuracy slot of a level reads one set of training runs per
+        candidate.
 
         ``provenance`` overrides the structured execution metadata
         stamped on a cold tune's trial row (fleet workers pass their

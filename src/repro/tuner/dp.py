@@ -15,6 +15,15 @@ Because the optimal choice for accuracy p_i at level k may recurse into
 moving up — the paper's key departure from single-accuracy tuning.  Level
 k is tuned on the plan built through level k-1: candidates are priced from
 its meters and trained and run on it through the executor.
+
+A candidate's training run does not depend on the accuracy target; only
+where it stops does.  So each candidate of a level is trained once per
+training instance, with the accuracy recorded after every step
+(:class:`~repro.accuracy.estimator.Trajectories`), and every slot reads
+its iteration count off those runs under its own pruning cap — the
+plan and audit are those of training every slot from fresh starts.
+Because a level's slots share the runs, the DP tunes serially; only
+:class:`~repro.modeltuner.bo.BOSearch` fans candidates out to a pool.
 """
 
 from __future__ import annotations
@@ -26,11 +35,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.accuracy.estimator import (
-    Aggregate,
-    InfeasibleCandidate,
-    iterations_to_accuracy,
-)
+from repro.accuracy.estimator import Aggregate, InfeasibleCandidate, Trajectories
 from repro.tuner.choices import Choice, DirectChoice, RecurseChoice, SORChoice
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan, level_backend
@@ -198,13 +203,6 @@ class VCycleTuner:
     #: reports one trial record to it (duck-typed so the tuner layer does
     #: not import the store at module scope)
     sink: Any | None = None
-    #: optional :class:`repro.parallel.TrialExecutor`.  ``None`` or a
-    #: serial executor keeps the classic in-process DP; a parallel
-    #: executor runs each of a level's accuracy slots, with its serial
-    #: pruning, in a worker process, so it selects exactly the same plan
-    #: (duck-typed so the tuner layer does not import
-    #: :mod:`repro.parallel` at module scope)
-    trial_executor: Any | None = None
     #: kernel backend tuning dimension: ``"numpy"`` (default, bare-op
     #: pricing and byte-identical plans), an accelerated backend name, or
     #: ``"auto"`` (resolved to the best backend available on this host)
@@ -226,6 +224,10 @@ class VCycleTuner:
         # Lazy per-level backend placement (worker pools reuse one tuner
         # across levels beyond its construction-time max_level).
         self._level_backends: dict[int, str] = {}
+        # Training runs of the level being tuned, per candidate, and the
+        # plan below it they run on (see _trajectories).
+        self._trained_on: TunedVPlan | None = None
+        self._trained: dict[Choice, Trajectories] = {}
 
     def _backend_at(self, level: int) -> str:
         cached = self._level_backends.get(level)
@@ -290,16 +292,28 @@ class VCycleTuner:
         table: dict[tuple[int, int], Choice],
         audit: list[CandidateReport],
     ) -> None:
-        if _parallel(self.trial_executor):
-            from repro.parallel.tasks import tune_level_parallel
-
-            tune_level_parallel(self, level, table, audit)
-            return
         plan = self._plan_below(table, level)
+        m = len(self.accuracies)
+        outcomes: list[list[CandidateOutcome]] = [[] for _ in range(m)]
+        best_time = [math.inf] * m
+        # Candidate by candidate, so one candidate's training runs are
+        # alive at a time.  Each slot still sees its candidates in
+        # enumeration order, each pruned against the fastest feasible one
+        # before it, so outcomes are those of a slot-by-slot walk.
+        for kind, j in self._candidate_order():
+            for i in range(m):
+                if self.candidate_filter is not None and not self.candidate_filter(
+                    level, i, probe_choice(kind, j)
+                ):
+                    continue
+                outcome = self._evaluate_candidate(plan, level, i, kind, j, best_time[i])
+                outcomes[i].append(outcome)
+                if outcome.feasible:
+                    best_time[i] = min(best_time[i], outcome.seconds)
+            self._drop_runs()
         kept = audit if self.keep_audit else None
-        for i in range(len(self.accuracies)):
-            outcomes = self._evaluate_slot(plan, level, i, self._slot_candidates(level, i))
-            table[(level, i)] = select_fastest(level, i, outcomes, kept)
+        for i in range(m):
+            table[(level, i)] = select_fastest(level, i, outcomes[i], kept)
 
     def _plan_below(
         self, table: dict[tuple[int, int], Choice], level: int
@@ -328,36 +342,6 @@ class VCycleTuner:
         order.append(("sor", None))
         return order
 
-    def _slot_candidates(
-        self, level: int, acc_index: int
-    ) -> tuple[tuple[str, int | None], ...]:
-        """The slot's candidates the ``candidate_filter`` keeps, in
-        enumeration order (plain data, so a pool task can carry it)."""
-        return tuple(
-            (kind, j)
-            for kind, j in self._candidate_order()
-            if self.candidate_filter is None
-            or self.candidate_filter(level, acc_index, probe_choice(kind, j))
-        )
-
-    def _evaluate_slot(
-        self,
-        plan: TunedVPlan,
-        level: int,
-        acc_index: int,
-        candidates: Sequence[tuple[str, int | None]],
-    ) -> list[CandidateOutcome]:
-        """Every candidate of one slot, in the given order, each pruned
-        against the fastest feasible one before it."""
-        outcomes: list[CandidateOutcome] = []
-        best_time = math.inf
-        for kind, j in candidates:
-            outcome = self._evaluate_candidate(plan, level, acc_index, kind, j, best_time)
-            outcomes.append(outcome)
-            if outcome.feasible:
-                best_time = min(best_time, outcome.seconds)
-        return outcomes
-
     def _evaluate_candidate(
         self,
         plan: TunedVPlan,
@@ -372,35 +356,51 @@ class VCycleTuner:
         ``plan`` is :meth:`_plan_below` ``level``.  ``best_time`` is the
         fastest feasible candidate seen so far for this slot;
         ``math.inf`` disables pruning (``BOSearch``, which observes
-        every trained iteration count).
+        every trained iteration count).  Every slot of the level reads
+        its iteration count off the candidate's one set of training runs.
         """
         probe = probe_choice(kind, j)
         if isinstance(probe, DirectChoice):
             # Direct: exact, always feasible.
             return self._outcome(plan, level, probe)
-        if isinstance(probe, RecurseChoice):
-            hard_cap = self.max_recurse_iters
-            step = recurse_step(self._executor, plan, level, probe.sub_accuracy)
-        else:
-            hard_cap = self.max_sor_iters
-            step = sor_step(self._executor, plan, level)
+        hard_cap = (
+            self.max_recurse_iters if isinstance(probe, RecurseChoice) else self.max_sor_iters
+        )
         unit_cost = self.timing.price(plan.choice_meter(level, probe))
         cap = self._budget_cap(unit_cost, best_time, hard_cap)
         if cap < 1:
             return CandidateOutcome(probe.describe() + " [pruned]", math.inf, False, None)
-        bundle = self.training.at_level(level)
         try:
-            iters = iterations_to_accuracy(
-                step,
-                bundle.fresh_starts(),
-                bundle.accuracy_fns(),
-                self.accuracies[acc_index],
-                max_iters=cap,
-                aggregate=self.aggregate,
+            iters = self._trajectories(plan, level, probe).iterations(
+                self.accuracies[acc_index], cap, self.aggregate
             )
         except InfeasibleCandidate:
             return CandidateOutcome(probe.describe(), math.inf, False, None)
         return self._outcome(plan, level, replace(probe, iterations=max(iters, 1)))
+
+    def _trajectories(
+        self, plan: TunedVPlan, level: int, probe: RecurseChoice | SORChoice
+    ) -> Trajectories:
+        """The candidate's training runs on ``plan``, shared by every slot
+        of ``level`` (and by every ``BOSearch`` task of it a worker gets);
+        a different plan means the level moved on, and the runs go."""
+        if plan != self._trained_on:
+            self._drop_runs()
+            self._trained_on = plan
+        runs = self._trained.get(probe)
+        if runs is None:
+            if isinstance(probe, RecurseChoice):
+                step = recurse_step(self._executor, plan, level, probe.sub_accuracy)
+            else:
+                step = sor_step(self._executor, plan, level)
+            bundle = self.training.at_level(level)
+            runs = Trajectories(step, bundle.fresh_starts(), bundle.accuracy_fns())
+            self._trained[probe] = runs
+        return runs
+
+    def _drop_runs(self) -> None:
+        """Release the training runs of the level trained last."""
+        self._trained_on, self._trained = None, {}
 
     def _outcome(self, plan: TunedVPlan, level: int, choice: Choice) -> CandidateOutcome:
         """A trained candidate, timed: priced from the plan's meter, or
@@ -437,8 +437,3 @@ class VCycleTuner:
             executor.run_v(probe, x, b, 0)
 
         return run
-
-
-def _parallel(executor: Any) -> bool:
-    """True when the executor should trigger the fan-out tuning path."""
-    return executor is not None and getattr(executor, "jobs", 1) > 1

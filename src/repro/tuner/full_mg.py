@@ -13,7 +13,10 @@ The DP tunes the V family first (it is the solve-phase building block),
 then builds FULL-MULTIGRID bottom-up the same way: level k is tuned on
 the full-MG plan built through level k-1, its ESTIMATE_j runs as the
 executor's estimation step on that plan's kernel backends, and every
-candidate is priced from the plan's meters.
+candidate is priced from the plan's meters.  As in the V tuner, each
+(ESTIMATE_j, solver variant) pair is trained once per level from the
+post-ESTIMATE_j states, and every accuracy slot reads its iteration
+count off those shared runs; tunes are serial.
 """
 
 from __future__ import annotations
@@ -25,11 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.accuracy.estimator import (
-    Aggregate,
-    InfeasibleCandidate,
-    iterations_to_accuracy,
-)
+from repro.accuracy.estimator import Aggregate, InfeasibleCandidate, Trajectories
 from repro.tuner.choices import (
     Choice,
     DirectChoice,
@@ -40,7 +39,6 @@ from repro.tuner.choices import (
 from repro.tuner.dp import (
     CandidateOutcome,
     CandidateReport,
-    _parallel,
     recurse_step,
     select_fastest,
     sor_step,
@@ -67,10 +65,6 @@ class FullMGTuner:
     keep_audit: bool = True
     #: optional :class:`repro.store.sink.TrialSink` (see VCycleTuner.sink)
     sink: Any | None = None
-    #: optional :class:`repro.parallel.TrialExecutor` (see
-    #: VCycleTuner.trial_executor); parallel executors run each of a
-    #: level's accuracy slots in a worker process
-    trial_executor: Any | None = None
 
     def __post_init__(self) -> None:
         vplan_operator = self.vplan.metadata.get("operator", "poisson")
@@ -162,49 +156,53 @@ class FullMGTuner:
         table: dict[tuple[int, int], Choice],
         audit: list[CandidateReport],
     ) -> None:
-        if _parallel(self.trial_executor):
-            from repro.parallel.tasks import tune_level_parallel
+        """Direct, then every ESTIMATE_j + solver variant, for every slot.
 
-            tune_level_parallel(self, level, table, audit)
-            return
+        Candidate by candidate: each variant is trained once from the
+        post-ESTIMATE_j states, every slot reads its iteration count off
+        those runs, and the runs go before the next variant.  Each slot
+        still sees its candidates in enumeration order, each pruned
+        against the fastest feasible one before it.
+        """
         plan = self._plan_below(table, level)
         estimate_states = self._estimate_states(plan, level)
-        kept = audit if self.keep_audit else None
-        for i in range(len(self.vplan.accuracies)):
-            outcomes = self._evaluate_slot(plan, level, i, estimate_states)
-            table[(level, i)] = select_fastest(level, i, outcomes, kept)
-
-    def _variant_order(self) -> list[tuple[str, int | None]]:
-        """Solver-variant enumeration order for one estimate accuracy j:
-        SOR(omega_opt) first, then RECURSE_l highest l first."""
+        accuracy_fns = self.training.at_level(level).accuracy_fns()
         m = len(self.vplan.accuracies)
-        order: list[tuple[str, int | None]] = [("sor", None)]
-        order.extend(("recurse", sub) for sub in range(m - 1, -1, -1))
-        return order
-
-    def _evaluate_slot(
-        self,
-        plan: TunedFullMGPlan,
-        level: int,
-        acc_index: int,
-        estimate_states,
-    ) -> list[CandidateOutcome]:
-        """Direct, then every ESTIMATE_j + solver variant, each pruned
-        against the fastest feasible candidate before it."""
         direct = DirectChoice()  # always feasible
-        best_time = self.timing.time_candidate(plan.choice_meter(level, direct))
-        outcomes = [CandidateOutcome(direct.describe(), best_time, True, direct)]
-        for j in range(len(self.vplan.accuracies)):
-            for kind, sub in self._variant_order():
-                outcome = self._evaluate_variant(
-                    plan, level, acc_index, j, kind, sub, estimate_states[j], best_time
-                )
-                if outcome is None:
-                    continue
-                outcomes.append(outcome)
-                if outcome.feasible:
-                    best_time = min(best_time, outcome.seconds)
-        return outcomes
+        direct_time = self.timing.time_candidate(plan.choice_meter(level, direct))
+        outcomes = [
+            [CandidateOutcome(direct.describe(), direct_time, True, direct)] for _ in range(m)
+        ]
+        best_time = [direct_time] * m
+        for j in range(m):
+            for probe in self._variant_order():
+                if isinstance(probe, RecurseChoice):
+                    step = recurse_step(self._executor, self.vplan, level, probe.sub_accuracy)
+                else:
+                    step = sor_step(self._executor, self.vplan, level)
+                starts = [(x.copy(), b) for x, b in estimate_states[j]]
+                runs = Trajectories(step, starts, accuracy_fns)
+                for i in range(m):
+                    outcome = self._evaluate_variant(
+                        plan, level, i, j, probe, runs, best_time[i]
+                    )
+                    if outcome is None:
+                        continue
+                    outcomes[i].append(outcome)
+                    if outcome.feasible:
+                        best_time[i] = min(best_time[i], outcome.seconds)
+        kept = audit if self.keep_audit else None
+        for i in range(m):
+            table[(level, i)] = select_fastest(level, i, outcomes[i], kept)
+
+    def _variant_order(self) -> list[SORChoice | RecurseChoice]:
+        """Solver variants, one application each, in enumeration order
+        for one estimate accuracy j: SOR(omega_opt) first, then RECURSE_l
+        highest l first."""
+        m = len(self.vplan.accuracies)
+        order: list[SORChoice | RecurseChoice] = [SORChoice(1)]
+        order.extend(RecurseChoice(sub, 1) for sub in range(m - 1, -1, -1))
+        return order
 
     def _evaluate_variant(
         self,
@@ -212,15 +210,14 @@ class FullMGTuner:
         level: int,
         acc_index: int,
         j: int,
-        kind: str,
-        sub: int | None,
-        starts_proto,
+        probe: SORChoice | RecurseChoice,
+        runs: Trajectories,
         best_time: float,
     ) -> CandidateOutcome | None:
-        """Train and time ESTIMATE_j followed by one solver variant.
+        """Time ESTIMATE_j followed by one solver variant (``probe``),
+        its iteration count read off the variant's training ``runs``.
 
-        ``plan`` is :meth:`_plan_below` ``level`` and ``starts_proto``
-        the post-ESTIMATE_j training states.  ``best_time`` is the
+        ``plan`` is :meth:`_plan_below` ``level``.  ``best_time`` is the
         fastest candidate seen so far for this slot and drives budget
         pruning.  Returns ``None`` when the variant is pruned without a
         report.
@@ -228,35 +225,20 @@ class FullMGTuner:
         est_cost = self.timing.price(
             plan.choice_meter(level, EstimateChoice(j, SORChoice(0)))
         )
-        probe: SORChoice | RecurseChoice
-        if kind == "sor":
+        if isinstance(probe, SORChoice):
             # Solve phase variant 1: SOR(omega_opt) until p_i.
-            probe, hard_cap = SORChoice(1), self.max_sor_iters
-            label = f"estimate(j={j}) -> sor"
-        elif kind == "recurse":
-            # Solve phase variant 2: RECURSE_l until p_i.
-            assert sub is not None
-            probe, hard_cap = RecurseChoice(sub, 1), self.max_recurse_iters
-            label = f"estimate(j={j}) -> recurse(l={sub})"
+            hard_cap, label = self.max_sor_iters, f"estimate(j={j}) -> sor"
         else:
-            raise ValueError(f"unknown solver variant kind {kind!r}")
+            # Solve phase variant 2: RECURSE_l until p_i.
+            hard_cap = self.max_recurse_iters
+            label = f"estimate(j={j}) -> recurse(l={probe.sub_accuracy})"
         unit_cost = self.timing.price(self.vplan.choice_meter(level, probe))
         cap = self._budget_cap(unit_cost, best_time - est_cost, hard_cap)
         if cap < 0:
             return None
-        if isinstance(probe, RecurseChoice):
-            step = recurse_step(self._executor, self.vplan, level, probe.sub_accuracy)
-        else:
-            step = sor_step(self._executor, self.vplan, level)
-        bundle = self.training.at_level(level)
         try:
-            iters = iterations_to_accuracy(
-                step,
-                [(x.copy(), b) for x, b in starts_proto],
-                bundle.accuracy_fns(),
-                self.vplan.accuracies[acc_index],
-                max_iters=max(cap, 1),
-                aggregate=self.aggregate,
+            iters = runs.iterations(
+                self.vplan.accuracies[acc_index], max(cap, 1), self.aggregate
             )
         except InfeasibleCandidate:
             return CandidateOutcome(label, math.inf, False, None)

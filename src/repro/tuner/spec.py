@@ -6,15 +6,14 @@ grows it into everything a tuner needs: the pricing (a machine profile
 or a fitted cost model) and the search caps.
 A spec is frozen, hashable and picklable pure data, so the same value
 builds the tuner of a serial tune, keys the tuner cache of a pool
-worker, and ships inside every pool task.
+worker, and ships inside every model-tuner pool task.
 
 * :meth:`TuneSpec.build` is the one function that turns a spec into a
   DP tuner (the V-cycle tuner, or the full-MG tuner over a tuned V plan);
-* :meth:`TuneSpec.of` is its inverse for a live tuner, which is what the
-  parallel level driver ships to workers;
+* :meth:`TuneSpec.of` is its inverse for a live tuner;
 * :func:`tune` is the one entry every cold path calls — ``core.autotune*``,
   the registry, the model tuner's warm start and the solve server's
-  background tunes.  It owns the trial executor's lifecycle.
+  background tunes.  It owns the model search's trial executor.
 """
 
 from __future__ import annotations
@@ -156,16 +155,14 @@ class TuneSpec:
     def of(cls, tuner: VCycleTuner | FullMGTuner) -> "TuneSpec":
         """The spec a live DP tuner prices and searches by.
 
-        Pool workers rebuild the tuner from it, so the tuner must price
-        deterministically: wall-clock timing measured across racing
-        worker processes would not reproduce the serial tuner's choices.
+        A spec prices deterministically, so the tuner must too:
+        wall-clock timing cannot be rebuilt from a spec.
         """
         timing = tuner.timing
         if not isinstance(timing, CostModelTiming):
             raise NotImplementedError(
-                "parallel trial execution requires deterministic CostModelTiming; "
-                "wallclock timing measured across racing worker processes would "
-                "not reproduce the serial tuner's choices"
+                "a TuneSpec prices with deterministic CostModelTiming; a "
+                "wallclock-timed tuner has no spec"
             )
         if isinstance(tuner, FullMGTuner):
             vplan = tuner.vplan
@@ -204,7 +201,6 @@ class TuneSpec:
         training: TrainingData | None = None,
         *,
         vplan: TunedVPlan | None = None,
-        trial_executor: Any | None = None,
     ) -> VCycleTuner | FullMGTuner:
         """The DP tuner for this spec: V-cycle, or full MG over ``vplan``.
 
@@ -218,7 +214,6 @@ class TuneSpec:
             max_recurse_iters=self.max_recurse_iters,
             aggregate=self.aggregate,
             keep_audit=False,
-            trial_executor=trial_executor,
         )
         if vplan is not None:
             return FullMGTuner(vplan=vplan, **common)
@@ -241,15 +236,17 @@ def tune(
 ) -> TunedVPlan | TunedFullMGPlan:
     """Tune the plan ``spec`` describes.
 
-    ``jobs`` is an int (``None``/1 serial, N > 1 a process pool this call
-    opens and closes) or a caller-owned :class:`~repro.parallel.TrialExecutor`,
-    which is left open.  ``tuner="model"`` runs the budgeted
+    ``tuner="model"`` runs the budgeted
     :class:`~repro.modeltuner.bo.BOSearch` for the V plan: the spec's
     pricing prices its evaluations, ``model`` (or else the spec's
-    pricing) steers its acquisition, and ``search_seed`` seeds its
-    candidate picks.  Full-MG keys then tune
-    FULL-MULTIGRID on top of the V plan — or on top of ``vplan``, when a
-    caller supplies one.
+    pricing) steers its acquisition, ``search_seed`` seeds its candidate
+    picks, and ``jobs`` is where its candidates run — an int (``None``/1
+    serial, N > 1 a process pool this call opens and closes) or a
+    caller-owned :class:`~repro.parallel.TrialExecutor`, which is left
+    open.  DP tunes accept ``jobs`` and run serially (no pool starts):
+    each level's accuracy slots read one set of training runs per
+    candidate.  Full-MG keys then tune FULL-MULTIGRID on top of the V
+    plan — or on top of ``vplan``, when a caller supplies one.
     """
     if tuner not in ("dp", "model"):
         raise ValueError(f"unknown tuner {tuner!r}; use 'dp' or 'model'")
@@ -278,10 +275,10 @@ def tune(
                 )
                 vplan = search.tune()
             else:
-                vplan = spec.build(training, trial_executor=executor).tune()
+                vplan = spec.build(training).tune()
             if spec.key.kind == "multigrid-v":
                 return vplan
-        full_mg = spec.build(training, vplan=vplan, trial_executor=executor)
+        full_mg = spec.build(training, vplan=vplan)
         plan = full_mg.tune(spec.key.max_level)
         if search is not None:
             # The full-MG pass stamps its own metadata; keep the model

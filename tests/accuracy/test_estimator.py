@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.accuracy.estimator import InfeasibleCandidate, iterations_to_accuracy
+from repro.accuracy.estimator import Trajectories
 
 
 def _contraction_setup(factors):
@@ -81,3 +82,95 @@ class TestIterationsToAccuracy:
         starts, fns = _contraction_setup([0.5])
         with pytest.raises(ValueError):
             iterations_to_accuracy(_step, starts, fns, 1e3, 50, "p99")
+
+
+def _fresh_answer(factors, target, cap):
+    starts, fns = _contraction_setup(factors)
+    try:
+        return iterations_to_accuracy(_step, starts, fns, target, cap)
+    except InfeasibleCandidate as exc:
+        return ("infeasible", exc.iterations_tried)
+
+
+def _counting_step(counts):
+    """_step that counts applications per instance (keyed by its b)."""
+
+    def step(x, b):
+        counts[id(b)] = counts.get(id(b), 0) + 1
+        _step(x, b)
+
+    return step
+
+
+class TestTrajectories:
+    FACTORS = [0.5, 0.25, 0.5]
+    QUERIES = [(2.0**k, cap) for k in (0, 1, 3, 6, 9, 12) for cap in (1, 4, 7, 12, 20)]
+
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "mixed"])
+    def test_every_query_matches_a_fresh_run(self, order):
+        queries = sorted(self.QUERIES)
+        if order == "decreasing":
+            queries.reverse()
+        elif order == "mixed":
+            # Alternate between the two ends of the sorted queries.
+            queries = [
+                queries[i // 2] if i % 2 == 0 else queries[-1 - i // 2]
+                for i in range(len(queries))
+            ]
+        starts, fns = _contraction_setup(self.FACTORS)
+        runs = Trajectories(_step, starts, fns)
+        for target, cap in queries:
+            try:
+                got = runs.iterations(target, cap)
+            except InfeasibleCandidate as exc:
+                got = ("infeasible", exc.iterations_tried)
+            assert got == _fresh_answer(self.FACTORS, target, cap), (target, cap)
+
+    def test_smaller_cap_after_longer_run_is_infeasible(self):
+        starts, fns = _contraction_setup([0.5])
+        runs = Trajectories(_step, starts, fns)
+        assert runs.iterations(2.0**8, 20) == 8
+        with pytest.raises(InfeasibleCandidate) as exc:
+            runs.iterations(2.0**8, 5)
+        assert exc.value.iterations_tried == 5
+        assert runs.iterations(2.0**8, 8) == 8
+
+    def test_steps_stop_at_each_querys_cap(self):
+        counts = {}
+        starts, fns = _contraction_setup([0.5])
+        runs = Trajectories(_counting_step(counts), starts, fns)
+        # (target exponent, cap, total steps on the instance afterwards):
+        # a query steps only as far as its crossing or its cap, and the
+        # run is extended only past the longest query before it.
+        for k, cap, total in [(3, 10, 3), (8, 5, 5), (6, 20, 6), (2, 1, 6), (12, 30, 12)]:
+            try:
+                runs.iterations(2.0**k, cap)
+            except InfeasibleCandidate:
+                pass
+            assert sum(counts.values()) == total, (k, cap)
+
+    def test_first_query_applies_the_fresh_runs_steps(self):
+        # An infeasible instance stops the query where a fresh run stops:
+        # instances after it are not stepped.
+        for factors, target, cap in [([0.5, 1.0, 0.5], 64.0, 9), ([0.5, 0.25], 256.0, 20)]:
+            fresh, shared = {}, {}
+            starts, fns = _contraction_setup(factors)
+            try:
+                iterations_to_accuracy(_counting_step(fresh), starts, fns, target, cap)
+            except InfeasibleCandidate:
+                pass
+            starts, fns = _contraction_setup(factors)
+            try:
+                Trajectories(_counting_step(shared), starts, fns).iterations(target, cap)
+            except InfeasibleCandidate:
+                pass
+            assert sorted(shared.values()) == sorted(fresh.values())
+
+    def test_crossing_at_step_zero_is_zero(self):
+        counts = {}
+        starts, fns = _contraction_setup([0.5])
+        starts[0][0][1, 1] = 1e-9  # already accurate
+        runs = Trajectories(_counting_step(counts), starts, fns)
+        assert runs.iterations(1e3, 50) == 0
+        assert runs.iterations(1e3, 1) == 0
+        assert counts == {}
