@@ -592,13 +592,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="skip warmup entirely (cold keys serve the heuristic fallback "
         "and tune in the background)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for warmup and background DP tunes",
-    )
     parser.add_argument("--workers", type=int, default=2, help="serving threads")
     parser.add_argument("--queue-size", type=int, default=128)
     parser.add_argument("--batch-size", type=int, default=8)
@@ -695,15 +688,12 @@ def _serve_main(argv: list[str]) -> int:
     import json
     import os
 
-    from repro.core.api import STORE_ENV
-    from repro.serve import FrontDoor, SolveServer
+    from repro.core.api import STORE_ENV, open_server
     from repro.serve.loadgen import run_load
-    from repro.store import TrialDB
 
     args = build_serve_parser().parse_args(argv)
     db_path = args.db or os.environ.get(STORE_ENV, "repro-mg-store.sqlite")
     specs = args.warm_specs or [parse_warm_spec("unbiased:5")]
-    slo_p99_s = args.slo_p99_ms / 1e3 if args.slo_p99_ms is not None else None
 
     tracer = None
     if args.trace:
@@ -711,44 +701,24 @@ def _serve_main(argv: list[str]) -> int:
 
         tracer = Tracer(capacity=65536)
 
-    server: "FrontDoor | SolveServer"
-    if args.shards is not None:
-        server = FrontDoor(
-            shards=args.shards,
-            machine=args.machine,
-            store_path=db_path,
-            workers=args.workers,
-            queue_size=args.queue_size,
-            batch_size=args.batch_size,
-            kind=args.kind,
-            seed=args.seed,
-            instances=args.instances,
-            tune_jobs=args.jobs,
-            backend=args.backend,
-            slo_p99_s=slo_p99_s,
-            tracer=tracer,
-        )
-    else:
-        server = SolveServer(
-            machine=args.machine,
-            store=TrialDB(db_path),
-            workers=args.workers,
-            queue_size=args.queue_size,
-            batch_size=args.batch_size,
-            kind=args.kind,
-            seed=args.seed,
-            instances=args.instances,
-            tune_jobs=args.jobs,
-            backend=args.backend,
-            slo_p99_s=slo_p99_s,
-            tracer=tracer,
-        )
+    options = dict(
+        workers=args.workers,
+        queue_size=args.queue_size,
+        batch_size=args.batch_size,
+        kind=args.kind,
+        seed=args.seed,
+        instances=args.instances,
+        backend=args.backend,
+        slo_p99_s=args.slo_p99_ms / 1e3 if args.slo_p99_ms is not None else None,
+        tracer=tracer,
+    )
+    server = open_server(args.machine, db_path, shards=args.shards, **options)
     report = None
     with server:
         if not args.no_warm:
             for dist, level, operator in specs:
                 start = time.perf_counter()
-                entry = server.warm(dist, level, operator, jobs=args.jobs)
+                entry = server.warm(dist, level, operator)
                 source = (
                     entry.get("source", "?")
                     if isinstance(entry, dict)

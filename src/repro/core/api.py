@@ -227,7 +227,6 @@ def autotune_full_mg(
     instances: int = 3,
     seed: int | None = 0,
     vplan: TunedVPlan | None = None,
-    jobs: int | None = None,
     operator: OperatorSpec | str | None = None,
     ndim: int | None = None,
     backend: str = "numpy",
@@ -243,7 +242,7 @@ def autotune_full_mg(
         "full-multigrid", max_level, distribution, accuracies, instances, seed,
         operator, ndim, backend,
     )
-    return tune(TuneSpec(key, pricing=_profile(machine)), jobs, vplan=vplan)
+    return tune(TuneSpec(key, pricing=_profile(machine)), vplan=vplan)
 
 
 def solve(
@@ -354,7 +353,6 @@ def solve_service(
     seed: int | None = 0,
     kind: Literal["multigrid-v", "full-multigrid"] = "multigrid-v",
     store: object = None,
-    jobs: int | None = None,
     backend: str = "numpy",
 ) -> tuple[np.ndarray, OpMeter, "RegistryHit"]:
     """Solve like a long-running service: plans come from the registry.
@@ -365,8 +363,7 @@ def solve_service(
     tuner entirely.  ``distribution="auto"`` classifies the problem's
     right-hand side (:func:`repro.tuner.dynamic.classify_by_bias`)
     instead of trusting the label — the escape hatch for problems built
-    outside the named distributions.  A cold key runs the serial DP
-    tune; ``jobs`` is accepted and does not change it.
+    outside the named distributions.  A cold key runs the DP tune.
     Returns (solution, meter, registry hit) so callers can log where
     their plan came from.
     """
@@ -384,7 +381,7 @@ def solve_service(
         operator=problem.operator.canonical(),
         backend=backend,
     )
-    hit = registry.get_or_tune(profile, key, jobs=jobs)
+    hit = registry.get_or_tune(profile, key)
     x, meter = solve(hit.plan, problem, target_accuracy)
     return x, meter, hit
 
@@ -402,19 +399,20 @@ def open_server(
     :class:`~repro.serve.server.SolveServer`: worker threads start
     immediately and the object is a context manager (``with
     core.open_server() as server: ...`` drains and shuts down on exit).
-    Keyword options pass through — ``workers``, ``queue_size``,
-    ``batch_size``, ``tune_jobs``, the tuning configuration (``kind``,
-    ``accuracies``, ``seed``, ``instances``),
-    the SLO controls (``slo_p99_s``, ...), and the observability hooks
-    (``tracer``/``profiler`` in-process, ``trace=True`` sharded — see
-    :mod:`repro.obs`).
+    Keyword options are ``SolveServer``'s — ``workers``, ``queue_size``,
+    ``batch_size``, the tuning configuration (``kind``, ``accuracies``,
+    ``seed``, ``instances``, ``backend``, ``allow_nearest``,
+    ``model_fallback``), the SLO controls (``slo_p99_s``, ...), and the
+    observability hooks (``tracer``, ``profiler`` — see :mod:`repro.obs`).
 
     With ``shards=N`` it is a :class:`~repro.serve.frontdoor.FrontDoor`
     over N shard-worker processes with the same ``submit``/``solve``/
     ``warm``/``stats`` surface; grid payloads then travel through
     shared memory instead of the in-process queue.  ``store`` must be a
     path (or None) in that case — worker processes open their own
-    connections.
+    connections — and the front door forwards every plain-data option
+    to each worker's server; it adds ``trace=True`` and its own
+    ``pool_slots``, ``autoscaler``, ``telemetry`` and ``clock``.
     """
     if shards is not None:
         from pathlib import Path

@@ -26,10 +26,11 @@ separate tuning problems.  This subsystem runs both in parallel:
   and commits its cell atomically, so an interrupted parallel campaign
   resumes exactly like a serial one.
 
-Entry points for callers: ``Campaign.run(jobs=N)``,
-``core.autotune_cached(jobs=N)``, ``core.solve_service(jobs=N)``, and
-``repro-mg store tune --jobs N``; outside campaigns, ``jobs`` fans out
-only model-tuner (``tuner="model"``) searches, and DP keys tune serially.
+Entry points for callers: ``Campaign.run(jobs=N)`` and
+``repro-mg store tune --jobs N`` (campaign cells), and
+``core.autotune(jobs=N)``, ``core.autotune_cached(jobs=N)`` and
+``PlanRegistry.get_or_tune(jobs=N)``, where ``jobs`` fans out only
+model-tuner (``tuner="model"``) searches; DP keys tune serially.
 """
 
 from repro.parallel.campaigns import run_cells_parallel

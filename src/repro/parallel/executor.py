@@ -1,8 +1,8 @@
 """Trial executors: where candidate evaluations actually run.
 
-The tuners hand an executor an ordered batch of picklable tasks and a
-module-level task function; the executor returns the results in task
-order.  Two implementations:
+The model-guided search hands an executor an ordered batch of
+picklable tasks and a module-level task function; the executor returns
+the results in task order.  Two implementations:
 
 * :class:`SerialExecutor` — evaluate in the calling process, in order.
   This is the default and is bit-identical to pre-parallel behavior.
@@ -84,28 +84,20 @@ class ProcessPoolTrialExecutor(TrialExecutor):
     """Evaluate tasks on a persistent pool of worker processes.
 
     The pool is created lazily on first :meth:`map` and reused across
-    calls (the DP tuners issue one batch per level; respawning workers
-    per batch would dominate small tunes).  Close it explicitly or use
-    the executor as a context manager.
+    calls (a model-guided search issues a candidate batch per level;
+    respawning workers per batch would dominate small tunes).  Close it
+    explicitly or use the executor as a context manager.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        mp_context: multiprocessing.context.BaseContext | None = None,
-    ) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, not {jobs}")
         self.jobs = jobs
-        self._mp_context = mp_context
         self._pool: _FuturesPool | None = None
 
     def _ensure_pool(self) -> _FuturesPool:
         if self._pool is None:
-            self._pool = _FuturesPool(
-                max_workers=self.jobs,
-                mp_context=self._mp_context or _default_context(),
-            )
+            self._pool = _FuturesPool(max_workers=self.jobs, mp_context=_default_context())
         return self._pool
 
     def map(self, fn: Callable[[T], R], tasks: Iterable[T]) -> list[R]:

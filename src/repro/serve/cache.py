@@ -372,7 +372,6 @@ class PlanCache:
         distribution: str,
         level: int,
         operator: OperatorSpec | str | None = None,
-        jobs: int | None = None,
     ) -> CacheEntry:
         """Synchronously ensure a *tuned* plan is cached for this class.
 
@@ -386,7 +385,7 @@ class PlanCache:
             if entry is not None and not entry.stale:
                 return entry
         hit = self.registry.get_or_tune(
-            profile, self.tune_key(key), allow_nearest=self.allow_nearest, jobs=jobs
+            profile, self.tune_key(key), allow_nearest=self.allow_nearest
         )
         self.telemetry.incr("warmed_keys")
         entry = CacheEntry(plan=hit.plan, source=hit.source, plan_json=hit.plan_json)
@@ -396,12 +395,10 @@ class PlanCache:
         self,
         profile: MachineProfile,
         specs: Iterable[tuple[str, int, "OperatorSpec | str | None"]],
-        jobs: int | None = None,
     ) -> list[CacheEntry]:
         """Warm a batch of (distribution, level, operator) classes."""
         return [
-            self.warm(profile, dist, level, operator, jobs=jobs)
-            for dist, level, operator in specs
+            self.warm(profile, dist, level, operator) for dist, level, operator in specs
         ]
 
     def swap(

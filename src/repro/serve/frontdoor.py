@@ -54,6 +54,7 @@ from repro.serve.sharding import (
     Autoscaler,
     ShardStats,
     ShardWorkerConfig,
+    check_server_options,
     decode_message,
     encode_message,
     shard_key,
@@ -148,12 +149,11 @@ class FrontDoor:
     ----------
     shards:
         Initial worker-process count.
-    machine, store_path, and the keyword serving options:
-        Forwarded to each worker's inner
-        :class:`~repro.serve.server.SolveServer` via
-        :class:`~repro.serve.sharding.ShardWorkerConfig`.  ``store_path``
-        is a *path* (workers open their own SQLite connections); ``None``
-        gives each worker a private in-memory registry.
+    machine, store_path:
+        The preset name and store *path* each worker's inner
+        :class:`~repro.serve.server.SolveServer` opens (workers open
+        their own SQLite connections); ``None`` gives each worker a
+        private in-memory registry.
     pool_slots:
         Shared-memory slots per payload shape — the admission-control
         bound of the sharded tier; ``submit`` raises
@@ -163,8 +163,14 @@ class FrontDoor:
         Optional :class:`~repro.serve.sharding.Autoscaler`;
         :meth:`autoscale_tick` then applies its decisions via
         :meth:`resize`.
-    clock:
-        Injectable clock for front-door latency telemetry.
+    telemetry, clock, trace, tracer:
+        The front door's own telemetry (windowed by the ``slo_window_s``
+        server option), latency clock and tracing; ``trace=True`` also
+        traces every worker, and a ``tracer`` overrides the front door's.
+    server_options:
+        Every other keyword is a ``SolveServer`` option, forwarded
+        unchanged to each worker; an unknown name, or a value that is not
+        plain data, raises ``TypeError`` before any worker spawns.
     """
 
     def __init__(
@@ -173,35 +179,21 @@ class FrontDoor:
         machine: str = "intel",
         store_path: str | None = None,
         *,
-        workers: int = 2,
-        queue_size: int = 128,
-        batch_size: int = 8,
-        kind: str = "multigrid-v",
-        seed: int | None = 0,
-        instances: int = 3,
-        tune_jobs: int | None = None,
-        backend: str = "numpy",
-        slo_p99_s: float | None = None,
-        slo_window_s: float = 5.0,
-        slo_min_samples: int = 8,
-        slo_recovery_fraction: float = 0.8,
-        slo_degrade_rungs: int = 1,
         pool_slots: int = 32,
         autoscaler: Autoscaler | None = None,
         telemetry: Telemetry | None = None,
         clock: Clock | None = None,
         trace: bool = False,
         tracer: Tracer | NoopTracer | None = None,
-        op_span_min_points: int | None = None,
+        **server_options: Any,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, not {shards}")
+        window_s = check_server_options(server_options)["slo_window_s"]
         import multiprocessing
 
         self.clock = clock or MONOTONIC_CLOCK
-        self.telemetry = telemetry or Telemetry(
-            clock=self.clock, window_s=slo_window_s
-        )
+        self.telemetry = telemetry or Telemetry(clock=self.clock, window_s=window_s)
         # ``trace=True`` is the one-knob form: a tracer here plus traced
         # workers whose spans ship home in solve replies.  An explicit
         # ``tracer`` overrides the instance (e.g. a ManualClock one).
@@ -215,21 +207,8 @@ class FrontDoor:
         self._worker_options = dict(
             machine=machine,
             store_path=store_path,
-            workers=workers,
-            queue_size=queue_size,
-            batch_size=batch_size,
-            kind=kind,
-            seed=seed,
-            instances=instances,
-            tune_jobs=tune_jobs,
-            backend=backend,
-            slo_p99_s=slo_p99_s,
-            slo_window_s=slo_window_s,
-            slo_min_samples=slo_min_samples,
-            slo_recovery_fraction=slo_recovery_fraction,
-            slo_degrade_rungs=slo_degrade_rungs,
             trace=trace,
-            op_span_min_points=op_span_min_points,
+            server_options=server_options,
         )
         # Workers hold threads, SQLite handles and shm attachments —
         # spawn, never fork.
@@ -345,7 +324,6 @@ class FrontDoor:
         distribution: str,
         level: int,
         operator: "OperatorSpec | str | None" = None,
-        jobs: int | None = None,
         timeout: float | None = 300.0,
     ) -> dict[str, Any]:
         """Tune-and-cache one workload class on the shard that will
@@ -372,7 +350,6 @@ class FrontDoor:
                     "distribution": distribution,
                     "level": level,
                     "operator": canonical if operator is not None else None,
-                    "jobs": jobs,
                 },
                 kind="control",
                 submitted_at=self.clock.now(),
@@ -383,9 +360,8 @@ class FrontDoor:
     def warm_many(
         self,
         specs: Iterable[tuple[str, int, "OperatorSpec | str | None"]],
-        jobs: int | None = None,
     ) -> list[dict[str, Any]]:
-        return [self.warm(d, level, op, jobs=jobs) for d, level, op in specs]
+        return [self.warm(d, level, op) for d, level, op in specs]
 
     def stats(self) -> dict[str, Any]:
         """Front-door telemetry plus every live shard's snapshot."""

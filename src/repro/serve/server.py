@@ -104,9 +104,6 @@ class SolveServer:
         solves on multi-core hosts.
     queue_size, batch_size:
         Admission-control bound and micro-batch cap.
-    tune_jobs:
-        Passed to background tunes as ``jobs``.  They are DP tunes,
-        which do not fan out, so every value tunes in the tuner thread.
     clock:
         Injectable :class:`~repro.util.clock.Clock` used for every
         *measured duration* (queue wait, solve time, request latency,
@@ -148,7 +145,6 @@ class SolveServer:
         accuracies: tuple[float, ...] = DEFAULT_ACCURACIES,
         seed: int | None = 0,
         instances: int = 3,
-        tune_jobs: int | None = None,
         allow_nearest: bool = True,
         telemetry: Telemetry | None = None,
         clock: Clock | None = None,
@@ -196,7 +192,6 @@ class SolveServer:
             model_fallback=model_fallback,
         )
         self.batch_size = batch_size
-        self.tune_jobs = tune_jobs
         self._queue: RequestQueue[SolveRequest] = RequestQueue(queue_size)
         self._state = threading.Condition()
         self._closed = False
@@ -305,18 +300,15 @@ class SolveServer:
         distribution: str,
         level: int,
         operator: OperatorSpec | str | None = None,
-        jobs: int | None = None,
     ) -> CacheEntry:
         """Synchronously tune-and-cache one workload class (no fallback
         will ever serve for a warmed key)."""
-        return self.cache.warm(self.profile, distribution, level, operator, jobs=jobs)
+        return self.cache.warm(self.profile, distribution, level, operator)
 
     def warm_many(
-        self,
-        specs: Iterable[tuple[str, int, OperatorSpec | str | None]],
-        jobs: int | None = None,
+        self, specs: Iterable[tuple[str, int, OperatorSpec | str | None]]
     ) -> list[CacheEntry]:
-        return self.cache.warm_many(self.profile, specs, jobs=jobs)
+        return self.cache.warm_many(self.profile, specs)
 
     def stats(self) -> dict[str, Any]:
         """Telemetry snapshot (JSON-serializable)."""
@@ -642,7 +634,7 @@ class SolveServer:
             tune_key = self.cache.tune_key(key)
 
             def tuner():
-                plan = tune(TuneSpec(tune_key, pricing=profile), self.tune_jobs)
+                plan = tune(TuneSpec(tune_key, pricing=profile))
                 # Swap provenance rides inside the plan JSON, so the
                 # trial row the registry records carries it durably.
                 swap_meta = {

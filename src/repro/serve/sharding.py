@@ -29,10 +29,11 @@ safely.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import threading
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.util.clock import MONOTONIC_CLOCK, Clock
@@ -43,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Autoscaler",
     "ShardWorkerConfig",
+    "check_server_options",
     "decode_message",
     "encode_message",
     "shard_index",
@@ -94,46 +96,35 @@ class ShardWorkerConfig:
     #: store database path; None gives each worker a private in-memory
     #: registry (plans still tune per worker, the bench's cold path)
     store_path: str | None = None
-    workers: int = 2
-    queue_size: int = 128
-    batch_size: int = 8
-    kind: str = "multigrid-v"
-    seed: int | None = 0
-    instances: int = 3
-    tune_jobs: int | None = None
-    backend: str = "numpy"
-    slo_p99_s: float | None = None
-    slo_window_s: float = 5.0
-    slo_min_samples: int = 8
-    slo_recovery_fraction: float = 0.8
-    slo_degrade_rungs: int = 1
     #: enable tracing inside this worker; solve replies then carry the
     #: worker-side span tree (as JSON dicts) back to the front door
     trace: bool = False
     #: ring-buffer capacity of the worker's span sink when tracing
     trace_capacity: int = 4096
-    #: executor op-span floor (None keeps the library default; 0 records
-    #: every op — the tiny-grid test/demo setting)
-    op_span_min_points: int | None = None
+    #: keyword options of the worker's inner
+    #: :class:`~repro.serve.server.SolveServer`, passed through unchanged
+    #: (validate them with :func:`check_server_options`)
+    server_options: Mapping[str, Any] = field(default_factory=dict)
 
-    def server_kwargs(self) -> dict[str, Any]:
-        return {
-            "machine": self.machine,
-            "workers": self.workers,
-            "queue_size": self.queue_size,
-            "batch_size": self.batch_size,
-            "kind": self.kind,
-            "seed": self.seed,
-            "instances": self.instances,
-            "tune_jobs": self.tune_jobs,
-            "backend": self.backend,
-            "slo_p99_s": self.slo_p99_s,
-            "slo_window_s": self.slo_window_s,
-            "slo_min_samples": self.slo_min_samples,
-            "slo_recovery_fraction": self.slo_recovery_fraction,
-            "slo_degrade_rungs": self.slo_degrade_rungs,
-            "op_span_min_points": self.op_span_min_points,
-        }
+
+def check_server_options(options: Mapping[str, Any]) -> dict[str, Any]:
+    """Validate shard-worker server options before any worker spawns.
+
+    Every name must be a :class:`~repro.serve.server.SolveServer`
+    keyword other than the three the worker sets itself (``machine``,
+    ``store``, ``tracer``), and every value must be plain data the
+    control-bus codec can encode — a clock, profiler or array cannot
+    cross into a spawned process.  Both faults raise ``TypeError``.
+    Returns the options with ``SolveServer``'s defaults filled in.
+    """
+    from repro.serve.server import SolveServer
+
+    bound = inspect.signature(SolveServer).bind(
+        machine="intel", store=None, tracer=None, **options
+    )
+    encode_message(options)
+    bound.apply_defaults()
+    return dict(bound.arguments)
 
 
 def shard_worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
@@ -146,8 +137,8 @@ def shard_worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
       (zero-copy views), submit to the inner server with ``out=`` the
       slot's solution region, reply ``{"type": "result", ...}`` when
       the future resolves (or ``"error"`` with the traceback).
-    * ``{"type": "warm", "id", "distribution", "level", "operator",
-      "jobs"}`` — synchronous tune-and-cache, replies ``"warmed"``.
+    * ``{"type": "warm", "id", "distribution", "level", "operator"}`` —
+      synchronous tune-and-cache, replies ``"warmed"``.
     * ``{"type": "stats", "id"}`` — telemetry snapshot reply.
     * ``{"type": "wait_swaps", "id", "timeout"}`` — block until no
       background tune is in flight.
@@ -169,7 +160,9 @@ def shard_worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
         config.store_path if config.store_path is not None else PlanRegistry(":memory:")
     )
     tracer = Tracer(capacity=config.trace_capacity) if config.trace else None
-    server = SolveServer(store=store, tracer=tracer, **config.server_kwargs())
+    server = SolveServer(
+        machine=config.machine, store=store, tracer=tracer, **config.server_options
+    )
     attachments = ShmAttachments()
     send_lock = threading.Lock()
 
@@ -265,10 +258,7 @@ def shard_worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
             elif kind == "warm":
                 try:
                     entry = server.warm(
-                        msg["distribution"],
-                        msg["level"],
-                        msg.get("operator"),
-                        jobs=msg.get("jobs"),
+                        msg["distribution"], msg["level"], msg.get("operator")
                     )
                     reply(
                         {

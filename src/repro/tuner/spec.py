@@ -10,7 +10,6 @@ worker, and ships inside every model-tuner pool task.
 
 * :meth:`TuneSpec.build` is the one function that turns a spec into a
   DP tuner (the V-cycle tuner, or the full-MG tuner over a tuned V plan);
-* :meth:`TuneSpec.of` is its inverse for a live tuner;
 * :func:`tune` is the one entry every cold path calls — ``core.autotune*``,
   the registry, the model tuner's warm start and the solve server's
   background tunes.  It owns the model search's trial executor.
@@ -149,38 +148,6 @@ class TuneSpec:
             aggregate=str(aggregate),
             max_sor_iters=max_sor_iters,
             max_recurse_iters=max_recurse_iters,
-        )
-
-    @classmethod
-    def of(cls, tuner: VCycleTuner | FullMGTuner) -> "TuneSpec":
-        """The spec a live DP tuner prices and searches by.
-
-        A spec prices deterministically, so the tuner must too:
-        wall-clock timing cannot be rebuilt from a spec.
-        """
-        timing = tuner.timing
-        if not isinstance(timing, CostModelTiming):
-            raise NotImplementedError(
-                "a TuneSpec prices with deterministic CostModelTiming; a "
-                "wallclock-timed tuner has no spec"
-            )
-        if isinstance(tuner, FullMGTuner):
-            vplan = tuner.vplan
-            kind, max_level, accuracies = "full-multigrid", vplan.max_level, vplan.accuracies
-            backend = vplan.metadata.get("backend", "numpy")
-        else:
-            kind, max_level, accuracies = "multigrid-v", tuner.max_level, tuner.accuracies
-            backend = tuner.backend
-        return cls.from_training(
-            tuner.training,
-            pricing=timing.pricing,
-            kind=kind,
-            max_level=max_level,
-            accuracies=accuracies,
-            backend=backend,
-            aggregate=str(tuner.aggregate),
-            max_sor_iters=tuner.max_sor_iters,
-            max_recurse_iters=tuner.max_recurse_iters,
         )
 
     def training(self) -> TrainingData:

@@ -21,7 +21,7 @@ from repro.tuner.config import plan_to_dict
 from repro.tuner.dp import VCycleTuner
 from repro.tuner.full_mg import FullMGTuner
 from repro.tuner.spec import TuneSpec, tune
-from repro.tuner.timing import CostModelTiming, WallclockTiming
+from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
 
 
@@ -128,28 +128,51 @@ class TestPricing:
         assert plan.metadata["tuner"] == "model"
         assert plan.metadata["model_fingerprint"] == model.fingerprint()
 
-    def test_of_rebuilds_a_model_priced_tuner(self):
+    def test_build_prices_with_the_spec_model(self):
         model = CostModel(base=SUN_NIAGARA, calibration=3.0)
         spec = TuneSpec(_key(), pricing=model)
-        assert TuneSpec.of(spec.build()) == spec
+        _assert_built_from(spec.build(), spec)
 
-    def test_of_rebuilds_a_live_tuner(self):
-        spec = TuneSpec(_key(operator="anisotropic", backend="cnative"), pricing=SUN_NIAGARA)
-        assert TuneSpec.of(spec.build()) == spec
-
-    def test_of_names_the_full_mg_pass(self):
-        spec = TuneSpec(_key(kind="full-multigrid"), pricing=INTEL_HARPERTOWN)
-        fmg = spec.build(vplan=spec.build().tune())
-        assert isinstance(fmg, FullMGTuner)
-        assert TuneSpec.of(fmg).key.kind == "full-multigrid"
-
-    def test_of_rejects_nondeterministic_pricing(self):
-        training = TrainingData(instances=1, seed=3)
-        tuner = VCycleTuner(
-            max_level=3, training=training, timing=WallclockTiming(repeats=1)
+    def test_build_carries_every_key_and_cap_field(self):
+        spec = TuneSpec(
+            _key(operator="anisotropic", backend="cnative", accuracies=(10.0, 1e3)),
+            pricing=SUN_NIAGARA,
+            aggregate="mean",
+            max_sor_iters=50,
+            max_recurse_iters=8,
         )
-        with pytest.raises(NotImplementedError, match="CostModelTiming"):
-            TuneSpec.of(tuner)
+        _assert_built_from(spec.build(), spec)
+
+    def test_build_with_vplan_is_the_full_mg_pass(self):
+        spec = TuneSpec(_key(kind="full-multigrid"), pricing=INTEL_HARPERTOWN)
+        vplan = spec.build().tune()
+        fmg = spec.build(vplan=vplan)
+        assert isinstance(fmg, FullMGTuner)
+        assert fmg.vplan is vplan
+        assert (vplan.max_level, vplan.accuracies) == (
+            spec.key.max_level,
+            spec.key.accuracies,
+        )
+        _assert_built_from(fmg, spec)
+
+
+def _assert_built_from(tuner, spec):
+    """Every field of ``spec`` reaches the tuner ``spec.build`` returns."""
+    key = spec.key
+    if isinstance(tuner, VCycleTuner):
+        assert tuner.max_level == key.max_level
+        assert tuner.accuracies == key.accuracies
+        assert tuner.backend == key.backend
+    assert isinstance(tuner.timing, CostModelTiming)
+    assert tuner.timing.pricing is spec.pricing
+    assert str(tuner.aggregate) == spec.aggregate
+    assert tuner.max_sor_iters == spec.max_sor_iters
+    assert tuner.max_recurse_iters == spec.max_recurse_iters
+    training = tuner.training
+    assert training.distribution == key.distribution
+    assert training.seed == key.seed
+    assert training.instances == key.instances
+    assert training.operator_name == key.operator
 
 
 class TestOneTuneForEveryPath:
