@@ -51,7 +51,7 @@ Environment overrides (for CI without editing workflows):
 
 Runnable standalone (CI's obs-smoke job uses ``--smoke``)::
 
-    python benchmarks/bench_obs.py --smoke --json out.json
+    python benchmarks/bench_obs.py --smoke --json out.json   # 100 samples/config
     python benchmarks/bench_obs.py --level 7 --repeats 30
 """
 
@@ -94,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--distribution", default="unbiased")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--repeats", type=int, default=30,
+        "--repeats", type=int, default=None,
         help="timed samples per configuration (the per-config minimum "
-        "is the gate statistic)",
+        "is the gate statistic; default 30 full, 100 smoke)",
     )
     parser.add_argument(
         "--max-overhead", type=float, default=None, metavar="FRAC",
@@ -117,10 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="looser noise-certification bar for CI runners (same level 7 "
-        "workload and sample count: smaller grids have too little per-op "
-        "work to gate a percentage against, and samples are ~11ms each "
-        "so repeats are not where the time goes)",
+        help="looser noise-certification bar and 100 samples per config "
+        "for CI runners, whose min-of-30 moves by several percent between "
+        "runs (same level 7 workload: smaller grids have too little per-op "
+        "work to gate a percentage against)",
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,
@@ -167,6 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     level = args.level
     repeats = args.repeats
+    if repeats is None:
+        repeats = 100 if args.smoke else 30
     max_overhead = args.max_overhead
     if max_overhead is None:
         env = os.environ.get(OVERHEAD_ENV)

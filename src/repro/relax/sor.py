@@ -4,14 +4,18 @@ A sweep updates all red points (index-sum even over interior indices), then
 all black points.  Within a colour, every neighbour of an updated point has
 the other colour (the stencils couple only along axes), so the whole colour
 updates as one vectorized expression while remaining a true
-Gauss-Seidel-style sweep.  This holds in any dimension: the 2-D paths are
-the historical kernels, and 3-D inputs branch into the per-axis-coefficient
-7-point sweeps (:func:`sor_redblack_axes3d`).
+Gauss-Seidel-style sweep.  This holds in any dimension: 3-D inputs branch
+into the per-axis-coefficient 7-point sweeps (:func:`sor_redblack_axes3d`).
+
+Each colour is one stride-2 slice of the raveled grid (:func:`_color_span`),
+its neighbours the same slice shifted by an axis stride, so a colour costs
+one short run of ufunc calls whatever the dimension.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,75 +31,84 @@ __all__ = [
 ]
 
 
-def _color_slices(n: int, parity: int):
-    """Yield (rows, cols, north, south, west, east) index slices covering all
-    interior points with (i + j) % 2 == parity."""
-    for istart in (1, 2):
-        # Pick jstart in {1, 2} so that (istart + jstart) % 2 == parity.
-        jstart = 1 + ((istart + 1 + parity) % 2)
-        if istart > n - 2 or jstart > n - 2:
-            continue
-        rows = slice(istart, n - 1, 2)
-        cols = slice(jstart, n - 1, 2)
-        north = slice(istart - 1, n - 2, 2)
-        south = slice(istart + 1, n, 2)
-        west = slice(jstart - 1, n - 2, 2)
-        east = slice(jstart + 1, n, 2)
-        yield rows, cols, north, south, west, east
+@functools.lru_cache(maxsize=None)
+def _color_span(shape: tuple[int, ...], parity: int) -> tuple[int, int, np.ndarray]:
+    """One colour of the raveled grid as ``(start, stop, mask)``: the slice
+    ``start:stop:2`` and which of its lanes are interior points.
+
+    Grid sides are odd (2**k + 1), so every axis stride is odd and a
+    point's colour (its index-sum parity) is its flat index's parity.  The
+    slice runs from the first to the last interior point, so shifting it by
+    an axis stride gives that neighbour of every lane.
+    """
+    n = shape[0]
+    first = sum(n**axis for axis in range(len(shape)))
+    start = first + (first - parity) % 2
+    stop = (n - 2) * first + 1
+    coords = np.unravel_index(np.arange(start, stop, 2), shape)
+    mask = np.logical_and.reduce([(c >= 1) & (c <= n - 2) for c in coords])
+    mask.setflags(write=False)
+    return start, stop, mask
 
 
-def _sweep_color(u: np.ndarray, b: np.ndarray, h2: float, omega: float, parity: int) -> None:
-    n = u.shape[0]
-    quarter_omega = 0.25 * omega
-    for rows, cols, north, south, west, east in _color_slices(n, parity):
-        c = u[rows, cols]
-        stencil = u[north, cols] + u[south, cols]
-        stencil += u[rows, west]
-        stencil += u[rows, east]
-        stencil += h2 * b[rows, cols]
-        c *= 1.0 - omega
-        c += quarter_omega * stencil
+def _sweeps_in_place(
+    u: np.ndarray, sweeps: int, sweep_color: Callable[..., None], *args
+) -> np.ndarray:
+    """Run ``sweeps`` red-then-black ``sweep_color(flat_u, *args, parity)``
+    phases; a non-contiguous ``u`` is swept as a C-contiguous copy and
+    written back."""
+    work = np.ascontiguousarray(u)
+    flat = work.reshape(-1)
+    for _ in range(sweeps):
+        sweep_color(flat, *args, 0)
+        sweep_color(flat, *args, 1)
+    if work is not u:
+        u[...] = work
+    return u
 
 
-def _color_blocks_3d(n: int, parity: int):
-    """Yield interior slice blocks covering all points with
-    (i + j + k) % 2 == parity, plus the six neighbour slices per block."""
-    for istart in (1, 2):
-        for jstart in (1, 2):
-            kstart = 1 + ((istart + jstart + parity + 1) % 2)
-            if istart > n - 2 or jstart > n - 2 or kstart > n - 2:
-                continue
-            ii = slice(istart, n - 1, 2)
-            jj = slice(jstart, n - 1, 2)
-            kk = slice(kstart, n - 1, 2)
-            yield (
-                ii, jj, kk,
-                slice(istart - 1, n - 2, 2), slice(istart + 1, n, 2),
-                slice(jstart - 1, n - 2, 2), slice(jstart + 1, n, 2),
-                slice(kstart - 1, n - 2, 2), slice(kstart + 1, n, 2),
-            )
+def _relax_color(
+    uf: np.ndarray, s: int, e: int, mask: np.ndarray, omega: float, gs: np.ndarray
+) -> None:
+    """``c = (1 - omega) c + gs`` on the colour's interior lanes, where ``gs``
+    is the Gauss-Seidel value already scaled by ``omega``."""
+    c = uf[s:e:2]
+    new = c * (1.0 - omega)
+    new += gs
+    np.copyto(c, new, where=mask)
+
+
+def _sweep_color(
+    uf: np.ndarray, bf: np.ndarray, n: int, h2: float, omega: float, parity: int
+) -> None:
+    s, e, mask = _color_span((n, n), parity)
+    stencil = uf[s - n:e - n:2] + uf[s + n:e + n:2]
+    stencil += uf[s - 1:e - 1:2]
+    stencil += uf[s + 1:e + 1:2]
+    stencil += h2 * bf[s:e:2]
+    stencil *= 0.25 * omega
+    _relax_color(uf, s, e, mask, omega, stencil)
 
 
 def _sweep_color_axes_3d(
-    u: np.ndarray,
-    b: np.ndarray,
+    uf: np.ndarray,
+    bf: np.ndarray,
+    n: int,
     coeffs: Sequence[float],
     h2: float,
     omega: float,
     parity: int,
 ) -> None:
-    n = u.shape[0]
+    s, e, mask = _color_span((n, n, n), parity)
     c0, c1, c2 = coeffs
-    inv_diag = 1.0 / (2.0 * (c0 + c1 + c2))
-    for ii, jj, kk, im, ip, jm, jp, km, kp in _color_blocks_3d(n, parity):
-        gs = c0 * (u[im, jj, kk] + u[ip, jj, kk])
-        gs += c1 * (u[ii, jm, kk] + u[ii, jp, kk])
-        gs += c2 * (u[ii, jj, km] + u[ii, jj, kp])
-        gs += h2 * b[ii, jj, kk]
-        gs *= inv_diag
-        c = u[ii, jj, kk]
-        c *= 1.0 - omega
-        c += omega * gs
+    nn = n * n
+    gs = c0 * (uf[s - nn:e - nn:2] + uf[s + nn:e + nn:2])
+    gs += c1 * (uf[s - n:e - n:2] + uf[s + n:e + n:2])
+    gs += c2 * (uf[s - 1:e - 1:2] + uf[s + 1:e + 1:2])
+    gs += h2 * bf[s:e:2]
+    gs *= 1.0 / (2.0 * (c0 + c1 + c2))
+    gs *= omega
+    _relax_color(uf, s, e, mask, omega, gs)
 
 
 def sor_redblack_axes3d(
@@ -119,12 +132,12 @@ def sor_redblack_axes3d(
         raise ValueError(f"need 3 coefficients, got {len(coeffs)}")
     if sweeps < 0:
         raise ValueError("sweeps must be >= 0")
-    h = mesh_width(u.shape[0])
+    n = u.shape[0]
+    h = mesh_width(n)
     h2 = h * h
-    for _ in range(sweeps):
-        _sweep_color_axes_3d(u, b, coeffs, h2, omega, parity=0)
-        _sweep_color_axes_3d(u, b, coeffs, h2, omega, parity=1)
-    return u
+    return _sweeps_in_place(
+        u, sweeps, _sweep_color_axes_3d, b.reshape(-1), n, coeffs, h2, omega
+    )
 
 
 def sor_redblack(u: np.ndarray, b: np.ndarray, omega: float, sweeps: int = 1) -> np.ndarray:
@@ -142,12 +155,10 @@ def sor_redblack(u: np.ndarray, b: np.ndarray, omega: float, sweeps: int = 1) ->
         raise ValueError(f"b shape {b.shape} != u shape {u.shape}")
     if sweeps < 0:
         raise ValueError("sweeps must be >= 0")
-    h = mesh_width(u.shape[0])
+    n = u.shape[0]
+    h = mesh_width(n)
     h2 = h * h
-    for _ in range(sweeps):
-        _sweep_color(u, b, h2, omega, parity=0)
-        _sweep_color(u, b, h2, omega, parity=1)
-    return u
+    return _sweeps_in_place(u, sweeps, _sweep_color, b.reshape(-1), n, h2, omega)
 
 
 def sor_sweeps(u: np.ndarray, b: np.ndarray, omega: float, sweeps: int) -> np.ndarray:
@@ -156,27 +167,24 @@ def sor_sweeps(u: np.ndarray, b: np.ndarray, omega: float, sweeps: int) -> np.nd
 
 
 def _sweep_color_stencil(
-    u: np.ndarray,
-    b: np.ndarray,
-    north: np.ndarray,
-    south: np.ndarray,
-    west: np.ndarray,
-    east: np.ndarray,
-    diag: np.ndarray,
+    uf: np.ndarray,
+    bf: np.ndarray,
+    weights: tuple[np.ndarray, ...],
+    n: int,
     omega: float,
     parity: int,
 ) -> None:
-    n = u.shape[0]
-    for rows, cols, nsl, ssl, wsl, esl in _color_slices(n, parity):
-        gs = north[rows, cols] * u[nsl, cols]
-        gs += south[rows, cols] * u[ssl, cols]
-        gs += west[rows, cols] * u[rows, wsl]
-        gs += east[rows, cols] * u[rows, esl]
-        gs += b[rows, cols]
-        gs /= diag[rows, cols]
-        c = u[rows, cols]
-        c *= 1.0 - omega
-        c += omega * gs
+    north, south, west, east, diag = weights
+    s, e, mask = _color_span((n, n), parity)
+    gs = north[s:e:2] * uf[s - n:e - n:2]
+    gs += south[s:e:2] * uf[s + n:e + n:2]
+    gs += west[s:e:2] * uf[s - 1:e - 1:2]
+    gs += east[s:e:2] * uf[s + 1:e + 1:2]
+    gs += bf[s:e:2]
+    # Boundary lanes skip the divide: a boundary diagonal may be 0.
+    np.divide(gs, diag[s:e:2], out=gs, where=mask)
+    gs *= omega
+    _relax_color(uf, s, e, mask, omega, gs)
 
 
 def sor_redblack_stencil(
@@ -194,7 +202,7 @@ def sor_redblack_stencil(
 
     The operator is ``(A u)_ij = diag_ij u_ij - north_ij u_N - south_ij u_S
     - west_ij u_W - east_ij u_E``; the weight arrays are full-grid shaped
-    (only interior entries are read).  With the constant Poisson weights
+    (only interior entries reach ``u``).  With the constant Poisson weights
     this reduces to :func:`sor_redblack`'s update rule.
     """
     check_square_grid(u, "u")
@@ -206,10 +214,10 @@ def sor_redblack_stencil(
             raise ValueError(f"{name} shape {arr.shape} != u shape {u.shape}")
     if sweeps < 0:
         raise ValueError("sweeps must be >= 0")
-    for _ in range(sweeps):
-        _sweep_color_stencil(u, b, north, south, west, east, diag, omega, parity=0)
-        _sweep_color_stencil(u, b, north, south, west, east, diag, omega, parity=1)
-    return u
+    weights = tuple(w.reshape(-1) for w in (north, south, west, east, diag))
+    return _sweeps_in_place(
+        u, sweeps, _sweep_color_stencil, b.reshape(-1), weights, u.shape[0], omega
+    )
 
 
 def _sor_reference_3d(

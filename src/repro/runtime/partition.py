@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.machines.profile import MachineProfile
-from repro.relax.sor import _color_slices
 from repro.runtime.task import TaskGraph
 from repro.grids.grid import mesh_width
 
@@ -38,6 +37,21 @@ def partition_rows(n: int, blocks: int) -> list[tuple[int, int]]:
     ]
 
 
+def _color_slices(n: int, parity: int):
+    """Yield (first row, cols, west, east) per row parity of the colour
+    (i + j) % 2 == parity: rows first, first + 2, ... hold its points in
+    columns ``cols``."""
+    for istart in (1, 2):
+        # Pick jstart in {1, 2} so that (istart + jstart) % 2 == parity.
+        jstart = 1 + ((istart + 1 + parity) % 2)
+        if istart > n - 2 or jstart > n - 2:
+            continue
+        cols = slice(jstart, n - 1, 2)
+        west = slice(jstart - 1, n - 2, 2)
+        east = slice(jstart + 1, n, 2)
+        yield istart, cols, west, east
+
+
 def _sweep_block(
     u: np.ndarray, b: np.ndarray, omega: float, parity: int, rows: tuple[int, int]
 ) -> None:
@@ -51,18 +65,15 @@ def _sweep_block(
     h2 = h * h
     lo, hi = rows
     quarter_omega = 0.25 * omega
-    for crows, cols, north, south, west, east in _color_slices(n, parity):
-        rstart, rstop, rstep = crows.indices(n)[0], crows.indices(n)[1], 2
-        # Clip this colour's rows to [lo, hi).
-        first = rstart if rstart >= lo else rstart + ((lo - rstart + 1) // 2) * 2
-        if first < lo:
-            first += 2
-        last = min(rstop, hi)
+    for istart, cols, west, east in _color_slices(n, parity):
+        # Clip this colour's rows to [lo, hi): they keep istart's parity.
+        first = lo + (istart - lo) % 2
+        last = min(n - 1, hi)
         if first >= last:
             continue
-        rsel = slice(first, last, rstep)
-        nsel = slice(first - 1, last - 1, rstep)
-        ssel = slice(first + 1, last + 1, rstep)
+        rsel = slice(first, last, 2)
+        nsel = slice(first - 1, last - 1, 2)
+        ssel = slice(first + 1, last + 1, 2)
         c = u[rsel, cols]
         stencil = u[nsel, cols] + u[ssel, cols]
         stencil += u[rsel, west]
