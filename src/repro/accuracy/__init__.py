@@ -12,11 +12,7 @@ direct solve at small sizes, deep-converged multigrid beyond).
 
 from repro.accuracy.judge import AccuracyJudge, accuracy_ratio
 from repro.accuracy.reference import reference_solution, ReferenceSolutionCache
-from repro.accuracy.estimator import (
-    InfeasibleCandidate,
-    Trajectories,
-    iterations_to_accuracy,
-)
+from repro.accuracy.estimator import InfeasibleCandidate, Trajectories
 
 __all__ = [
     "AccuracyJudge",
@@ -24,6 +20,5 @@ __all__ = [
     "ReferenceSolutionCache",
     "Trajectories",
     "accuracy_ratio",
-    "iterations_to_accuracy",
     "reference_solution",
 ]

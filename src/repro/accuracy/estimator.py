@@ -15,7 +15,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-__all__ = ["InfeasibleCandidate", "Trajectories", "iterations_to_accuracy"]
+__all__ = ["InfeasibleCandidate", "Trajectories"]
 
 Aggregate = Literal["max", "median", "mean"]
 
@@ -110,15 +110,3 @@ class Trajectories:
             iterations_tried=max_iters,
         )
 
-
-def iterations_to_accuracy(
-    step: StepFn,
-    starts: Sequence[tuple[np.ndarray, np.ndarray]],
-    accuracy_fns: Sequence[Callable[[np.ndarray], float]],
-    target: float,
-    max_iters: int,
-    aggregate: Aggregate = "max",
-) -> int:
-    """Iterations of ``step`` needed to reach ``target`` on every instance:
-    one query of fresh :class:`Trajectories` (see there)."""
-    return Trajectories(step, starts, accuracy_fns).iterations(target, max_iters, aggregate)

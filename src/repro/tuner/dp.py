@@ -16,14 +16,18 @@ moving up — the paper's key departure from single-accuracy tuning.  Level
 k is tuned on the plan built through level k-1: candidates are priced from
 its meters and trained and run on it through the executor.
 
-A candidate's training run does not depend on the accuracy target; only
-where it stops does.  So each candidate of a level is trained once per
-training instance, with the accuracy recorded after every step
-(:class:`~repro.accuracy.estimator.Trajectories`), and every slot reads
-its iteration count off those runs under its own pruning cap — the
-plan and audit are those of training every slot from fresh starts.
-Because a level's slots share the runs, the DP tunes serially; only
-:class:`~repro.modeltuner.bo.BOSearch` fans candidates out to a pool.
+A candidate's training run depends neither on the accuracy target, which
+only sets where it stops, nor on the candidate's label: only on the
+computation its step performs.  So each distinct step of a level is
+trained once per training instance, with the accuracy recorded after
+every step (:class:`~repro.accuracy.estimator.Trajectories`): RECURSE_j
+candidates whose coarse sub-plans are the same choice tree
+(:meth:`~repro.tuner.plan.TunedVPlan.choice_key`) share one set of runs,
+and every slot reads its iteration count off them under its own pruning
+cap — the plan and audit are those of training every slot from fresh
+starts.  Because a level's slots share the runs, the DP tunes serially;
+only :class:`~repro.modeltuner.bo.BOSearch` fans candidates out to a
+pool.
 """
 
 from __future__ import annotations
@@ -224,10 +228,10 @@ class VCycleTuner:
         # Lazy per-level backend placement (worker pools reuse one tuner
         # across levels beyond its construction-time max_level).
         self._level_backends: dict[int, str] = {}
-        # Training runs of the level being tuned, per candidate, and the
+        # Training runs of the level being tuned, per step key, and the
         # plan below it they run on (see _trajectories).
         self._trained_on: TunedVPlan | None = None
-        self._trained: dict[Choice, Trajectories] = {}
+        self._trained: dict[Any, Trajectories] = {}
 
     def _backend_at(self, level: int) -> str:
         cached = self._level_backends.get(level)
@@ -296,11 +300,14 @@ class VCycleTuner:
         m = len(self.accuracies)
         outcomes: list[list[CandidateOutcome]] = [[] for _ in range(m)]
         best_time = [math.inf] * m
-        # Candidate by candidate, so one candidate's training runs are
-        # alive at a time.  Each slot still sees its candidates in
-        # enumeration order, each pruned against the fastest feasible one
-        # before it, so outcomes are those of a slot-by-slot walk.
-        for kind, j in self._candidate_order():
+        # Candidate by candidate, so one step's training runs are alive at
+        # a time: they go once the next candidate trains a different
+        # step.  Each slot still sees its candidates in enumeration order,
+        # each pruned against the fastest feasible one before it, so
+        # outcomes are those of a slot-by-slot walk.
+        order = self._candidate_order()
+        keys = [plan.choice_key(level, probe_choice(kind, j)) for kind, j in order]
+        for n, (kind, j) in enumerate(order):
             for i in range(m):
                 if self.candidate_filter is not None and not self.candidate_filter(
                     level, i, probe_choice(kind, j)
@@ -310,7 +317,8 @@ class VCycleTuner:
                 outcomes[i].append(outcome)
                 if outcome.feasible:
                     best_time[i] = min(best_time[i], outcome.seconds)
-            self._drop_runs()
+            if keys[n + 1 : n + 2] != [keys[n]]:
+                self._drop_runs()
         kept = audit if self.keep_audit else None
         for i in range(m):
             table[(level, i)] = select_fastest(level, i, outcomes[i], kept)
@@ -381,13 +389,16 @@ class VCycleTuner:
     def _trajectories(
         self, plan: TunedVPlan, level: int, probe: RecurseChoice | SORChoice
     ) -> Trajectories:
-        """The candidate's training runs on ``plan``, shared by every slot
-        of ``level`` (and by every ``BOSearch`` task of it a worker gets);
-        a different plan means the level moved on, and the runs go."""
+        """The training runs of ``probe``'s step on ``plan``, shared by
+        every slot of ``level`` and by every candidate whose step has the
+        same :meth:`~repro.tuner.plan.TunedVPlan.choice_key` (and by every
+        ``BOSearch`` task of the level a worker gets); a different plan
+        means the level moved on, and the runs go."""
         if plan != self._trained_on:
             self._drop_runs()
             self._trained_on = plan
-        runs = self._trained.get(probe)
+        key = plan.choice_key(level, probe)
+        runs = self._trained.get(key)
         if runs is None:
             if isinstance(probe, RecurseChoice):
                 step = recurse_step(self._executor, plan, level, probe.sub_accuracy)
@@ -395,7 +406,7 @@ class VCycleTuner:
                 step = sor_step(self._executor, plan, level)
             bundle = self.training.at_level(level)
             runs = Trajectories(step, bundle.fresh_starts(), bundle.accuracy_fns())
-            self._trained[probe] = runs
+            self._trained[key] = runs
         return runs
 
     def _drop_runs(self) -> None:

@@ -14,9 +14,12 @@ then builds FULL-MULTIGRID bottom-up the same way: level k is tuned on
 the full-MG plan built through level k-1, its ESTIMATE_j runs as the
 executor's estimation step on that plan's kernel backends, and every
 candidate is priced from the plan's meters.  As in the V tuner, each
-(ESTIMATE_j, solver variant) pair is trained once per level from the
-post-ESTIMATE_j states, and every accuracy slot reads its iteration
-count off those shared runs; tunes are serial.
+distinct step is trained once per level: ESTIMATE_j runs once per
+distinct estimation call tree (:meth:`TunedFullMGPlan.call_key
+<repro.tuner.plan.TunedFullMGPlan.call_key>` one level down), each
+(estimation tree, solver step) pair is trained once from the states it
+leaves, and every accuracy slot reads its iteration count off those
+shared runs; tunes are serial.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ class FullMGTuner:
         self._executor = PlanExecutor(operator=self.training.operator)
         #: grid dimensionality of the training operator (op vocabulary)
         self._ndim = self.training.ndim
+        # Training runs of the level being tuned, per (estimate key,
+        # variant key), and the post-ESTIMATE states they start from, per
+        # estimate key (see _trajectories).
+        self._trained: dict[Any, Trajectories] = {}
+        self._estimated: dict[Any, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def tune(self, max_level: int | None = None) -> TunedFullMGPlan:
         start = time.perf_counter()
@@ -137,18 +145,43 @@ class FullMGTuner:
             self.vplan.accuracies, level - 1, dict(table), self.vplan, ndim=self._ndim
         )
 
+    def _run_key(
+        self, plan: TunedFullMGPlan, level: int, j: int, probe: SORChoice | RecurseChoice
+    ):
+        """(estimate key, variant key) of ESTIMATE_j followed by ``probe``:
+        pairs with equal keys train the same steps from the same states."""
+        return plan.call_key(level - 1, j), self.vplan.choice_key(level, probe)
+
     def _estimate_states(
-        self, plan: TunedFullMGPlan, level: int
-    ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """Post-ESTIMATE_j states of every training instance, for every
-        j: each estimation variant runs once per instance, and every
-        solver variant continues from copies of these states."""
-        bundle = self.training.at_level(level)
-        states = [bundle.fresh_starts() for _ in self.vplan.accuracies]
-        for j, starts in enumerate(states):
-            for x, b in starts:
-                self._executor._estimate(plan, x, b, level, j)
-        return states
+        self, plan: TunedFullMGPlan, level: int, j: int
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Post-ESTIMATE_j states of every training instance; every
+        solver variant continues from copies of them."""
+        starts = self.training.at_level(level).fresh_starts()
+        for x, b in starts:
+            self._executor._estimate(plan, x, b, level, j)
+        return starts
+
+    def _trajectories(
+        self, plan: TunedFullMGPlan, level: int, j: int, probe: SORChoice | RecurseChoice
+    ) -> Trajectories:
+        """The training runs of ESTIMATE_j followed by ``probe``'s step on
+        ``plan`` (:meth:`_plan_below` ``level``), shared by every slot of
+        the level and by every pair with the same :meth:`_run_key`."""
+        key = self._run_key(plan, level, j, probe)
+        runs = self._trained.get(key)
+        if runs is None:
+            states = self._estimated.get(key[0])
+            if states is None:
+                states = self._estimated[key[0]] = self._estimate_states(plan, level, j)
+            if isinstance(probe, RecurseChoice):
+                step = recurse_step(self._executor, self.vplan, level, probe.sub_accuracy)
+            else:
+                step = sor_step(self._executor, self.vplan, level)
+            starts = [(x.copy(), b) for x, b in states]
+            accuracy_fns = self.training.at_level(level).accuracy_fns()
+            runs = self._trained[key] = Trajectories(step, starts, accuracy_fns)
+        return runs
 
     def _tune_level(
         self,
@@ -158,15 +191,14 @@ class FullMGTuner:
     ) -> None:
         """Direct, then every ESTIMATE_j + solver variant, for every slot.
 
-        Candidate by candidate: each variant is trained once from the
-        post-ESTIMATE_j states, every slot reads its iteration count off
-        those runs, and the runs go before the next variant.  Each slot
-        still sees its candidates in enumeration order, each pruned
-        against the fastest feasible one before it.
+        Candidate by candidate: each distinct (estimate, variant) step is
+        trained once, every slot reads its iteration count off those
+        runs, and the runs go after the last candidate that reads them.
+        Each slot still sees its candidates in enumeration order, each
+        pruned against the fastest feasible one before it.
         """
         plan = self._plan_below(table, level)
-        estimate_states = self._estimate_states(plan, level)
-        accuracy_fns = self.training.at_level(level).accuracy_fns()
+        self._trained, self._estimated = {}, {}
         m = len(self.vplan.accuracies)
         direct = DirectChoice()  # always feasible
         direct_time = self.timing.time_candidate(plan.choice_meter(level, direct))
@@ -174,23 +206,20 @@ class FullMGTuner:
             [CandidateOutcome(direct.describe(), direct_time, True, direct)] for _ in range(m)
         ]
         best_time = [direct_time] * m
-        for j in range(m):
-            for probe in self._variant_order():
-                if isinstance(probe, RecurseChoice):
-                    step = recurse_step(self._executor, self.vplan, level, probe.sub_accuracy)
-                else:
-                    step = sor_step(self._executor, self.vplan, level)
-                starts = [(x.copy(), b) for x, b in estimate_states[j]]
-                runs = Trajectories(step, starts, accuracy_fns)
-                for i in range(m):
-                    outcome = self._evaluate_variant(
-                        plan, level, i, j, probe, runs, best_time[i]
-                    )
-                    if outcome is None:
-                        continue
-                    outcomes[i].append(outcome)
-                    if outcome.feasible:
-                        best_time[i] = min(best_time[i], outcome.seconds)
+        order = [(j, probe) for j in range(m) for probe in self._variant_order()]
+        keys = [self._run_key(plan, level, j, probe) for j, probe in order]
+        last_use = {key: n for n, key in enumerate(keys)}
+        for n, ((j, probe), key) in enumerate(zip(order, keys)):
+            for i in range(m):
+                outcome = self._evaluate_variant(plan, level, i, j, probe, best_time[i])
+                if outcome is None:
+                    continue
+                outcomes[i].append(outcome)
+                if outcome.feasible:
+                    best_time[i] = min(best_time[i], outcome.seconds)
+            if last_use[key] == n:
+                self._trained.pop(key, None)
+        self._estimated = {}
         kept = audit if self.keep_audit else None
         for i in range(m):
             table[(level, i)] = select_fastest(level, i, outcomes[i], kept)
@@ -211,11 +240,10 @@ class FullMGTuner:
         acc_index: int,
         j: int,
         probe: SORChoice | RecurseChoice,
-        runs: Trajectories,
         best_time: float,
     ) -> CandidateOutcome | None:
         """Time ESTIMATE_j followed by one solver variant (``probe``),
-        its iteration count read off the variant's training ``runs``.
+        its iteration count read off the pair's training runs.
 
         ``plan`` is :meth:`_plan_below` ``level``.  ``best_time`` is the
         fastest candidate seen so far for this slot and drives budget
@@ -237,7 +265,7 @@ class FullMGTuner:
         if cap < 0:
             return None
         try:
-            iters = runs.iterations(
+            iters = self._trajectories(plan, level, j, probe).iterations(
                 self.vplan.accuracies[acc_index], max(cap, 1), self.aggregate
             )
         except InfeasibleCandidate:

@@ -201,6 +201,24 @@ class TunedVPlan:
         """The kernel backend executing stencil ops at ``level``."""
         return self.backends.get(level, "numpy")
 
+    def call_key(self, level: int, acc_index: int):
+        """The choice tree of one MULTIGRID-V_{acc_index} call at ``level``.
+
+        ``direct`` and ``sor(xN)`` are their own keys; ``recurse(j, xN)``
+        is ``(N, call_key(level - 1, j))``.  Two slots with equal keys run
+        the same kernels in the same order, so the tuners train a step
+        over either once.
+        """
+        return self.choice_key(level, self.table[(level, acc_index)])
+
+    def choice_key(self, level: int, choice: Choice):
+        """:meth:`call_key` of ``choice`` applied once at ``level``."""
+        if isinstance(choice, RecurseChoice):
+            return (choice.iterations, self.call_key(level - 1, choice.sub_accuracy))
+        if isinstance(choice, (DirectChoice, SORChoice)):
+            return choice
+        raise TypeError(f"invalid V-plan choice {choice!r}")
+
     # -- pricing ----------------------------------------------------------
 
     def unit_meter(self, level: int, acc_index: int) -> OpMeter:
@@ -321,6 +339,21 @@ class TunedFullMGPlan:
 
     def backend_at(self, level: int) -> str:
         return self.vplan.backend_at(level)
+
+    def call_key(self, level: int, acc_index: int):
+        """The choice tree of one FULL-MULTIGRID_{acc_index} call at
+        ``level``, as :meth:`TunedVPlan.call_key`: ``direct`` is its own
+        key, and ``estimate(j) -> solver`` is this plan's key of j one
+        level down paired with the V plan's key of the solver."""
+        choice = self.table[(level, acc_index)]
+        if isinstance(choice, DirectChoice):
+            return choice
+        if not isinstance(choice, EstimateChoice):
+            raise TypeError(f"invalid full-MG choice {choice!r}")
+        return (
+            self.call_key(level - 1, choice.estimate_accuracy),
+            self.vplan.choice_key(level, choice.solver),
+        )
 
     def unit_meter(self, level: int, acc_index: int) -> OpMeter:
         """Exact op multiset of one FULL-MULTIGRID_{acc_index} call."""

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accuracy.estimator import InfeasibleCandidate, iterations_to_accuracy
-from repro.accuracy.estimator import Trajectories
+from repro.accuracy.estimator import InfeasibleCandidate, Trajectories
 
 
 def _contraction_setup(factors):
@@ -37,57 +36,57 @@ class TestIterationsToAccuracy:
     def test_exact_count_single_instance(self):
         starts, fns = _contraction_setup([0.5])
         # Error 2x down per step; accuracy 8 needs exactly 3 steps.
-        assert iterations_to_accuracy(_step, starts, fns, 8.0, 50) == 3
+        assert Trajectories(_step, starts, fns).iterations(8.0, 50) == 3
 
     def test_max_aggregate_takes_worst(self):
         starts, fns = _contraction_setup([0.25, 0.5])
         # 4^s >= 256 needs 4 steps; 2^s >= 256 needs 8.
-        assert iterations_to_accuracy(_step, starts, fns, 256.0, 50, "max") == 8
+        assert Trajectories(_step, starts, fns).iterations(256.0, 50, "max") == 8
 
     def test_median_aggregate(self):
         starts, fns = _contraction_setup([0.25, 0.25, 0.5])
-        assert iterations_to_accuracy(_step, starts, fns, 256.0, 50, "median") == 4
+        assert Trajectories(_step, starts, fns).iterations(256.0, 50, "median") == 4
 
     def test_mean_aggregate_rounds_up(self):
         starts, fns = _contraction_setup([0.25, 0.5])
         # 128: 4 steps at 0.25, 7 steps at 0.5 -> mean 5.5 -> 6.
-        assert iterations_to_accuracy(_step, starts, fns, 128.0, 50, "mean") == 6
+        assert Trajectories(_step, starts, fns).iterations(128.0, 50, "mean") == 6
 
     def test_zero_iterations_when_already_there(self):
         starts, fns = _contraction_setup([0.5])
         starts[0][0][1, 1] = 1e-9  # already accurate
-        assert iterations_to_accuracy(_step, starts, fns, 1e3, 50) == 0
+        assert Trajectories(_step, starts, fns).iterations(1e3, 50) == 0
 
     def test_infeasible_raises(self):
         starts, fns = _contraction_setup([1.0])  # no progress
         with pytest.raises(InfeasibleCandidate) as exc:
-            iterations_to_accuracy(_step, starts, fns, 1e3, max_iters=7)
+            Trajectories(_step, starts, fns).iterations(1e3, max_iters=7)
         assert exc.value.iterations_tried == 7
 
     def test_misaligned_inputs_rejected(self):
         starts, fns = _contraction_setup([0.5, 0.5])
         with pytest.raises(ValueError):
-            iterations_to_accuracy(_step, starts, fns[:1], 1e3, 50)
+            Trajectories(_step, starts, fns[:1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            iterations_to_accuracy(_step, [], [], 1e3, 50)
+            Trajectories(_step, [], [])
 
     def test_bad_max_iters_rejected(self):
         starts, fns = _contraction_setup([0.5])
         with pytest.raises(ValueError):
-            iterations_to_accuracy(_step, starts, fns, 1e3, 0)
+            Trajectories(_step, starts, fns).iterations(1e3, 0)
 
     def test_unknown_aggregate_rejected(self):
         starts, fns = _contraction_setup([0.5])
         with pytest.raises(ValueError):
-            iterations_to_accuracy(_step, starts, fns, 1e3, 50, "p99")
+            Trajectories(_step, starts, fns).iterations(1e3, 50, "p99")
 
 
 def _fresh_answer(factors, target, cap):
     starts, fns = _contraction_setup(factors)
     try:
-        return iterations_to_accuracy(_step, starts, fns, target, cap)
+        return Trajectories(_step, starts, fns).iterations(target, cap)
     except InfeasibleCandidate as exc:
         return ("infeasible", exc.iterations_tried)
 
@@ -150,21 +149,20 @@ class TestTrajectories:
             assert sum(counts.values()) == total, (k, cap)
 
     def test_first_query_applies_the_fresh_runs_steps(self):
-        # An infeasible instance stops the query where a fresh run stops:
-        # instances after it are not stepped.
-        for factors, target, cap in [([0.5, 1.0, 0.5], 64.0, 9), ([0.5, 0.25], 256.0, 20)]:
-            fresh, shared = {}, {}
+        # Each instance is stepped to its crossing or to the cap; an
+        # infeasible instance stops the query there, and instances after
+        # it are not stepped.
+        for factors, target, cap, steps in [
+            ([0.5, 1.0, 0.5], 64.0, 9, [6, 9]),
+            ([0.5, 0.25], 256.0, 20, [4, 8]),
+        ]:
+            counts = {}
             starts, fns = _contraction_setup(factors)
             try:
-                iterations_to_accuracy(_counting_step(fresh), starts, fns, target, cap)
+                Trajectories(_counting_step(counts), starts, fns).iterations(target, cap)
             except InfeasibleCandidate:
                 pass
-            starts, fns = _contraction_setup(factors)
-            try:
-                Trajectories(_counting_step(shared), starts, fns).iterations(target, cap)
-            except InfeasibleCandidate:
-                pass
-            assert sorted(shared.values()) == sorted(fresh.values())
+            assert sorted(counts.values()) == steps
 
     def test_crossing_at_step_zero_is_zero(self):
         counts = {}
