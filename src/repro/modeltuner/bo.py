@@ -1,10 +1,12 @@
 """Deterministic model-guided Bayesian-optimization search over cycle shapes.
 
-The exhaustive DP trains *every* candidate at every (level, accuracy)
-slot — ``(max_level - 1) * m * (m + 1)`` iteration-training runs for an
-``m``-accuracy ladder.  :class:`BOSearch` runs the same bottom-up sweep
-but spends training runs selectively, the way the surrogate-driven
-autotuners in Wu et al. (arXiv:2010.08040) spend benchmark evaluations:
+The exhaustive DP evaluates *every* candidate at every (level, accuracy)
+slot — ``(max_level - 1) * m * (m + 1)`` trained evaluations for an
+``m``-accuracy ladder (:func:`dp_trial_budget`), though each distinct
+step of a level trains only once.  :class:`BOSearch` runs the same
+bottom-up sweep but evaluates candidates selectively, the way the
+surrogate-driven autotuners in Wu et al. (arXiv:2010.08040) spend
+benchmark evaluations:
 
 * a **surrogate** predicts each candidate's cost as (predicted seconds
   per unit cycle) x (predicted iterations).  Seconds come from the
@@ -21,19 +23,20 @@ autotuners in Wu et al. (arXiv:2010.08040) spend benchmark evaluations:
 * the DIRECT candidate is exact and needs no iteration training, so it
   is always evaluated free and every slot is guaranteed feasible.
 
-Every candidate evaluation — serial or parallel — is a
-:class:`~repro.parallel.tasks.CandidateTask` carrying this search's
-:class:`~repro.tuner.spec.TuneSpec`, run through the DP's own
-single-candidate code without a pruning budget (the surrogate needs
-every trained iteration count), so a given seed selects a
-byte-identical plan at any ``jobs`` count.  Each distinct step of a
-level is trained once per process: every pick whose step has the same
-choice tree — the same candidate in several slots, or RECURSE_j picks
-over equal coarse sub-plans — reads its iteration counts off the same
-runs.  The spec prices evaluation
-with the search's pricing; a learned model given beside it only steers
-acquisition.  The returned plan carries ``tuner="model"`` metadata with
-the trial budget actually spent.
+Candidates are the DP's own probe choices (``recurse(j, x1)``,
+``sor(x1)``; ``direct`` is free).  Every candidate evaluation — serial
+or parallel — is a :class:`~repro.parallel.tasks.CandidateTask`
+carrying this search's :class:`~repro.tuner.spec.TuneSpec`, run through
+the DP slot loop's own single-candidate code without a pruning budget
+(the surrogate needs every trained iteration count), so a given seed
+selects a byte-identical plan at any ``jobs`` count.  Each distinct step
+of a level is trained once per process: every pick whose step has the
+same choice tree — the same candidate in several slots, or RECURSE_j
+picks over equal coarse sub-plans — reads its iteration counts off the
+same runs.  The spec prices evaluation with the search's pricing; a
+learned model given beside it only steers acquisition.  The returned
+plan carries ``tuner="model"`` metadata with the trial budget actually
+spent.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from typing import Any
 
 from repro.machines.profile import MachineProfile
 from repro.modeltuner.costmodel import CostModel
-from repro.tuner.choices import Choice, DirectChoice
-from repro.tuner.dp import probe_choice, select_fastest, tuning_metadata
+from repro.tuner.choices import Choice, DirectChoice, RecurseChoice, SORChoice
+from repro.tuner.dp import emit_trial, select_fastest, tuning_metadata
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan
 from repro.tuner.spec import TuneSpec
 from repro.tuner.timing import CostModelTiming
@@ -64,8 +67,8 @@ _SIGMA_TRANSFERRED = 0.1
 
 
 def dp_trial_budget(max_level: int, num_accuracies: int) -> int:
-    """Iteration-training runs the exhaustive DP spends on the same space
-    (per slot: m RECURSE candidates + 1 SOR; DIRECT trains nothing)."""
+    """Trained candidate evaluations the exhaustive DP makes on the same
+    space (per slot: m RECURSE candidates + 1 SOR; DIRECT trains nothing)."""
     return max(0, max_level - 1) * num_accuracies * (num_accuracies + 1)
 
 
@@ -136,9 +139,9 @@ class BOSearch:
         # Acquisition pricing: the learned model when available (its
         # predictions are the point of the exercise), else the pricing.
         self._acq = CostModelTiming(self.model) if self.model is not None else self._timing
-        #: (kind, acc_index, sub_j) -> (level, iterations) observations;
+        #: (probe, acc_index) -> (level, iterations) observations;
         #: iterations is math.inf for trained-but-infeasible arms
-        self._observed: dict[tuple[str, int, int | None], tuple[int, float]] = {}
+        self._observed: dict[tuple[Choice, int], tuple[int, float]] = {}
         self.trials_used = 0
 
     # -- public API -------------------------------------------------------
@@ -168,8 +171,7 @@ class BOSearch:
                 with tracer.span("modeltuner.level", level=level):
                     self._tune_level(level, table, executor, rng)
         release_runs()
-        plan = self._build_plan(table, time.perf_counter() - start)
-        return plan
+        return self._build_plan(table, start)
 
     # -- per-level search -------------------------------------------------
 
@@ -189,28 +191,28 @@ class BOSearch:
         # Decided for the whole level before any evaluation runs, so the
         # task batch (and with it the seeded rng stream) is independent
         # of executor parallelism.
-        chosen: list[list[tuple[str, int | None]]] = []
+        chosen: list[list[Choice]] = []
         for i in range(m):
             picks = self._acquire_slot(level, i, n, plan, rng)
             # DIRECT is exact (no iteration training) so it always
             # evaluates: free feasibility floor for every slot.
-            chosen.append([("direct", None), *picks])
+            chosen.append([DirectChoice(), *picks])
             get_tracer().event(
                 "modeltuner.acquire",
                 level=level,
                 acc_index=i,
-                picks=",".join(self._label(kind, j) for kind, j in picks),
+                picks=",".join(probe.describe() for probe in picks),
             )
         outcomes = self._evaluate(level, table, chosen, executor)
         # Second chance: a slot whose trained picks all came back
         # infeasible retrains the remaining candidates rather than
         # falling back to DIRECT at whatever price.
-        retry: list[list[tuple[str, int | None]]] = []
+        retry: list[list[Choice]] = []
         for i in range(m):
             trained = [
                 (cand, out)
                 for cand, out in outcomes[i]
-                if cand[0] != "direct"
+                if not isinstance(cand, DirectChoice)
             ]
             if trained and not any(out.feasible for _, out in trained):
                 evaluated = {cand for cand, _ in outcomes[i]}
@@ -227,9 +229,9 @@ class BOSearch:
             self._record_observations(level, i, outcomes[i])
             table[(level, i)] = self._select(level, i, outcomes[i])
 
-    def _slot_candidates(self) -> list[tuple[str, int | None]]:
+    def _slot_candidates(self) -> list[Choice]:
         """Trained candidates in the DP's enumeration order (no DIRECT)."""
-        return self._tuner._candidate_order()[1:]
+        return self._tuner._candidates()[1:]
 
     def _acquire_slot(
         self,
@@ -238,13 +240,13 @@ class BOSearch:
         n: int,
         plan: TunedVPlan,
         rng: random.Random,
-    ) -> list[tuple[str, int | None]]:
+    ) -> list[Choice]:
         """The trained candidates this slot will actually evaluate."""
-        scored: list[tuple[float, int, tuple[str, int | None]]] = []
-        unobserved: list[tuple[float, int, tuple[str, int | None]]] = []
-        for idx, (kind, j) in enumerate(self._slot_candidates()):
-            cost, state = self._predict(level, acc_index, kind, j, n, plan)
-            entry = (cost, idx, (kind, j))
+        scored: list[tuple[float, int, Choice]] = []
+        unobserved: list[tuple[float, int, Choice]] = []
+        for idx, probe in enumerate(self._slot_candidates()):
+            cost, state = self._predict(level, acc_index, probe, n, plan)
+            entry = (cost, idx, probe)
             if math.isfinite(cost):
                 scored.append(entry)
             if state == "unobserved" and math.isfinite(cost):
@@ -272,16 +274,15 @@ class BOSearch:
         self,
         level: int,
         acc_index: int,
-        kind: str,
-        j: int | None,
+        probe: Choice,
         n: int,
         plan: TunedVPlan,
     ) -> tuple[float, str]:
         """(acquisition cost, observation state) for one candidate arm."""
-        iters, state = self._predicted_iters(level, acc_index, kind, j, n)
+        iters, state = self._predicted_iters(level, acc_index, probe, n)
         if not math.isfinite(iters):
             return math.inf, state
-        unit_cost = self._acq.price(plan.choice_meter(level, probe_choice(kind, j)))
+        unit_cost = self._acq.price(plan.choice_meter(level, probe))
         sigma = {
             "observed": 0.0,
             "transferred": _SIGMA_TRANSFERRED,
@@ -290,14 +291,14 @@ class BOSearch:
         return unit_cost * iters * math.exp(-sigma), state
 
     def _predicted_iters(
-        self, level: int, acc_index: int, kind: str, j: int | None, n: int
+        self, level: int, acc_index: int, probe: Choice, n: int
     ) -> tuple[float, str]:
-        obs = self._observed.get((kind, acc_index, j))
+        obs = self._observed.get((probe, acc_index))
         if obs is not None:
             obs_level, iters = obs
             if not math.isfinite(iters):
                 return math.inf, "observed"
-            if kind == "sor" and obs_level != level:
+            if isinstance(probe, SORChoice) and obs_level != level:
                 # SOR iteration counts grow ~linearly with side length.
                 iters = min(
                     float(self.max_sor_iters), iters * 2.0 ** (level - obs_level)
@@ -305,9 +306,8 @@ class BOSearch:
             state = "observed" if obs_level == level else "transferred"
             return float(iters), state
         target = self.accuracies[acc_index]
-        if kind == "recurse":
-            assert j is not None
-            sub = self.accuracies[j]
+        if isinstance(probe, RecurseChoice):
+            sub = self.accuracies[probe.sub_accuracy]
             if sub >= target or sub <= 1.0:
                 prior = 1.0
             else:
@@ -324,9 +324,9 @@ class BOSearch:
         self,
         level: int,
         table: dict[tuple[int, int], Choice],
-        picks: list[list[tuple[str, int | None]]],
+        picks: list[list[Choice]],
         executor: Any,
-    ) -> list[list[tuple[tuple[str, int | None], Any]]]:
+    ) -> list[list[tuple[Choice, Any]]]:
         """Evaluate per-slot candidate picks (plus DIRECT on the first
         round) through the picklable worker path, in deterministic order."""
         from repro.parallel.tasks import CandidateTask, evaluate_candidate
@@ -335,57 +335,53 @@ class BOSearch:
         tasks: list[CandidateTask] = []
         m = len(self.accuracies)
         for i in range(m):
-            for kind, j in picks[i]:
-                tasks.append(CandidateTask(self.spec, level, frozen_table, i, kind, j))
-                if kind != "direct":
+            for probe in picks[i]:
+                tasks.append(CandidateTask(self.spec, level, frozen_table, i, probe))
+                if not isinstance(probe, DirectChoice):
                     self.trials_used += 1
         outcomes = executor.map(evaluate_candidate, tasks)
-        per_slot: list[list[tuple[tuple[str, int | None], Any]]] = [
-            [] for _ in range(m)
-        ]
+        per_slot: list[list[tuple[Choice, Any]]] = [[] for _ in range(m)]
         for task, outcome in zip(tasks, outcomes):
-            per_slot[task.acc_index].append(((task.kind, task.sub_accuracy), outcome))
+            per_slot[task.acc_index].append((task.probe, outcome))
         return per_slot
 
     def _record_observations(
         self,
         level: int,
         acc_index: int,
-        outcomes: list[tuple[tuple[str, int | None], Any]],
+        outcomes: list[tuple[Choice, Any]],
     ) -> None:
-        for (kind, j), outcome in outcomes:
-            if kind == "direct":
+        for probe, outcome in outcomes:
+            if isinstance(probe, DirectChoice):
                 continue
             if outcome.feasible and outcome.choice is not None:
                 iters = float(getattr(outcome.choice, "iterations", 1))
             else:
                 iters = math.inf
-            self._observed[(kind, acc_index, j)] = (level, iters)
+            self._observed[(probe, acc_index)] = (level, iters)
 
     def _select(
         self,
         level: int,
         acc_index: int,
-        outcomes: list[tuple[tuple[str, int | None], Any]],
+        outcomes: list[tuple[Choice, Any]],
     ) -> Choice:
         """Fold evaluated outcomes as the DP does: a strict ``<`` in its
         candidate enumeration order (direct, recurse m-1..0, sor)."""
-        order = self._tuner._candidate_order()
+        order = self._tuner._candidates()
         ranked = sorted(outcomes, key=lambda pair: order.index(pair[0]))
         return select_fastest(level, acc_index, [outcome for _, outcome in ranked])
 
     # -- plan assembly ----------------------------------------------------
 
     def _build_plan(
-        self, table: dict[tuple[int, int], Choice], wall_seconds: float
+        self, table: dict[tuple[int, int], Choice], started: float
     ) -> TunedVPlan:
         m = len(self.accuracies)
         budget = dp_trial_budget(self.max_level, m)
         metadata = tuning_metadata(
-            "multigrid-v", self.training, self._timing, self.aggregate
+            "multigrid-v", self.training, self._timing, self.aggregate, self._tuner.backend
         )
-        if self._tuner.backend != "numpy":
-            metadata["backend"] = self._tuner.backend
         metadata.update(
             {
                 "tuner": "model",
@@ -407,14 +403,4 @@ class BOSearch:
             ndim=self.training.ndim,
             backends=self._tuner._backends_through(self.max_level),
         )
-        if self.sink is not None:
-            from repro.store.sink import emit_tuning_trial
-
-            emit_tuning_trial(
-                self.sink, plan, self._timing, self.training, wall_seconds
-            )
-        return plan
-
-    @staticmethod
-    def _label(kind: str, j: int | None) -> str:
-        return kind if j is None else f"{kind}_{j}"
+        return emit_trial(self.sink, plan, self._timing, self.training, started)

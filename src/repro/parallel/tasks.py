@@ -1,12 +1,15 @@
 """Picklable trial tasks for the model tuner, and their worker function.
 
 :class:`CandidateTask` is one V-cycle candidate of a
-:class:`~repro.modeltuner.bo.BOSearch` level, evaluated without a
-pruning budget (the search observes every trained iteration count).  It
-carries the :class:`~repro.tuner.spec.TuneSpec` of its tune — pure data
-whose deterministic training seed makes a re-run in another process
-reproduce the exact training instances — and the plan table tuned
-through the level below.
+:class:`~repro.modeltuner.bo.BOSearch` level: a probe
+:class:`~repro.tuner.choices.Choice` from the DP's candidate list
+(``direct``, ``recurse(j, x1)`` or ``sor(x1)``), evaluated by the DP slot
+loop's own ``_evaluate_candidate`` without a pruning budget (the search
+observes every trained iteration count).  It carries the
+:class:`~repro.tuner.spec.TuneSpec` of its tune — pure data whose
+deterministic training seed makes a re-run in another process reproduce
+the exact training instances — and the plan table tuned through the
+level below.
 
 A worker rebuilds the tuner with :meth:`TuneSpec.build` — the function
 serial tunes use — on the same plan with the same per-level kernel
@@ -19,7 +22,7 @@ direct-solver factorizations live on the process's shared per-size
 operators.
 
 The DP tuners do not fan out: every accuracy slot of a level reads its
-iteration counts off the same per-candidate training runs, so a level's
+iteration counts off the same per-step training runs, so a level's
 slots are not independent work.
 """
 
@@ -44,8 +47,8 @@ class CandidateTask:
     #: ((level, acc_index), choice) pairs of the plan tuned so far
     table: tuple[tuple[tuple[int, int], Choice], ...]
     acc_index: int
-    kind: str
-    sub_accuracy: int | None
+    #: the candidate, applied once (``iterations=1``)
+    probe: Choice
 
 
 # -- worker-side cache -----------------------------------------------------
@@ -70,14 +73,12 @@ def _tuner_for(spec: TuneSpec) -> VCycleTuner:
     return tuner
 
 
-def evaluate_candidate(task: CandidateTask) -> CandidateOutcome:
+def evaluate_candidate(task: CandidateTask) -> CandidateOutcome | None:
     """Evaluate one V-cycle candidate without pruning (module-level:
-    pool-picklable)."""
+    pool-picklable); with no budget to exhaust it always has an outcome."""
     tuner = _tuner_for(task.spec)
     plan = tuner._plan_below(dict(task.table), task.level)
-    return tuner._evaluate_candidate(
-        plan, task.level, task.acc_index, task.kind, task.sub_accuracy, math.inf
-    )
+    return tuner._evaluate_candidate(plan, task.level, task.acc_index, task.probe, math.inf)
 
 
 def release_runs() -> None:

@@ -652,11 +652,14 @@ class SolveServer:
 
             tune_span: Span | None = None
             if self.tracer.enabled:
+                # The tune is its own trace: it may outlive the request,
+                # so it links back by attribute instead of joining the
+                # request's tree as a second root.
                 tune_span = self.tracer.start(
                     "serve.background_tune",
                     parent=None,
-                    trace_id=trace_id,
                     key=key.label(),
+                    request_trace_id=trace_id,
                 )
             started = self.clock.now()
             try:

@@ -6,6 +6,8 @@ Public surface:
 * :class:`VCycleTuner` — discrete DP over (level, accuracy) for the
   MULTIGRID-V_i family (sections 2.1-2.3).
 * :class:`FullMGTuner` — the full-multigrid extension (section 2.4).
+  Both run one bottom-up slot loop (``repro.tuner.dp.SlotTuner``) and
+  differ only in their candidate lists.
 * :class:`ParetoTuner` — the uncapped optimal-set DP (section 2.2); each
   member's cycle shape is a :class:`ChoiceChain`.
 * :class:`TunedVPlan` / :class:`TunedFullMGPlan` — executable, priceable,

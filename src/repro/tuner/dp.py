@@ -1,4 +1,4 @@
-"""The discrete dynamic-programming autotuner (paper sections 2.1-2.3).
+"""The discrete dynamic-programming autotuner (paper sections 2.1-2.4).
 
 Bottom-up over levels: level 1 (3x3) is solved directly; at each higher
 level k and for each accuracy target p_i, the tuner
@@ -16,18 +16,24 @@ moving up — the paper's key departure from single-accuracy tuning.  Level
 k is tuned on the plan built through level k-1: candidates are priced from
 its meters and trained and run on it through the executor.
 
+FULL-MULTIGRID is tuned "bottom-up the same way" (section 2.4): the same
+slot loop (:class:`SlotTuner`) walks both families, and only the
+candidate lists differ — :class:`VCycleTuner`'s above, and
+:class:`~repro.tuner.full_mg.FullMGTuner`'s ESTIMATE_j followed by a
+solver step.
+
 A candidate's training run depends neither on the accuracy target, which
 only sets where it stops, nor on the candidate's label: only on the
-computation its step performs.  So each distinct step of a level is
-trained once per training instance, with the accuracy recorded after
-every step (:class:`~repro.accuracy.estimator.Trajectories`): RECURSE_j
-candidates whose coarse sub-plans are the same choice tree
-(:meth:`~repro.tuner.plan.TunedVPlan.choice_key`) share one set of runs,
-and every slot reads its iteration count off them under its own pruning
-cap — the plan and audit are those of training every slot from fresh
-starts.  Because a level's slots share the runs, the DP tunes serially;
-only :class:`~repro.modeltuner.bo.BOSearch` fans candidates out to a
-pool.
+state it starts from and the computation its step performs.  So each
+distinct (start, step) pair of a level is trained once per training
+instance, with the accuracy recorded after every step
+(:class:`~repro.accuracy.estimator.Trajectories`): candidates whose
+steps are the same choice tree (:meth:`~repro.tuner.plan.TunedVPlan.choice_key`)
+from the same starts share one set of runs, and every slot reads its
+iteration count off them under its own pruning cap — the plan and audit
+are those of training every slot from fresh starts.  Because a level's
+slots share the runs, the DP tunes serially; only
+:class:`~repro.modeltuner.bo.BOSearch` fans candidates out to a pool.
 """
 
 from __future__ import annotations
@@ -40,17 +46,19 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.accuracy.estimator import Aggregate, InfeasibleCandidate, Trajectories
-from repro.tuner.choices import Choice, DirectChoice, RecurseChoice, SORChoice
+from repro.tuner.choices import Choice, DirectChoice, EstimateChoice, RecurseChoice, SORChoice
 from repro.tuner.executor import PlanExecutor
-from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan, level_backend
+from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan, level_backend
 from repro.tuner.timing import CostModelTiming, TimingStrategy
 from repro.tuner.training import TrainingData
 
 __all__ = [
     "CandidateOutcome",
     "CandidateReport",
+    "SlotTuner",
     "VCycleTuner",
-    "probe_choice",
+    "check_caps",
+    "emit_trial",
     "recurse_step",
     "select_fastest",
     "sor_step",
@@ -61,12 +69,15 @@ __all__ = [
 CandidateFilter = Callable[[int, int, Choice], bool]
 
 
-def tuning_metadata(kind: str, training: TrainingData, timing, aggregate) -> dict:
-    """Base metadata of a tuned plan (shared by both DP tuners).
+def tuning_metadata(
+    kind: str, training: TrainingData, timing, aggregate, backend: str = "numpy"
+) -> dict:
+    """Base metadata of a tuned plan (shared by every tuner).
 
-    The operator is recorded only when non-default, so default-path plan
-    JSON (and stored registry bytes) match pre-operator-layer plans —
-    the rule the solve()-side operator-mismatch check relies on.
+    The operator and backend are recorded only when non-default, so
+    default-path plan JSON (and stored registry bytes) match
+    pre-operator-layer plans — the rule the solve()-side
+    operator-mismatch check relies on.
     """
     metadata = {
         "kind": kind,
@@ -81,20 +92,31 @@ def tuning_metadata(kind: str, training: TrainingData, timing, aggregate) -> dic
     profile = getattr(timing, "profile", None)
     if profile is not None:
         metadata["profile"] = profile.name
+    if backend != "numpy":
+        metadata["backend"] = backend
     return metadata
 
 
-def probe_choice(kind: str, j: int | None) -> DirectChoice | RecurseChoice | SORChoice:
-    """One application of a candidate kind: what the candidate_filter
-    sees, and what budget pruning prices."""
-    if kind == "direct":
-        return DirectChoice()
-    if kind == "recurse":
-        assert j is not None
-        return RecurseChoice(sub_accuracy=j, iterations=1)
-    if kind == "sor":
-        return SORChoice(iterations=1)
-    raise ValueError(f"unknown candidate kind {kind!r}")
+def emit_trial(sink, plan, timing, training: TrainingData, started: float):
+    """Report a tune that began at ``started`` (``time.perf_counter``) to
+    ``sink`` — a :class:`repro.store.sink.TrialSink` or ``None`` — as one
+    trial record, and return its plan."""
+    if sink is not None:
+        from repro.store.sink import emit_tuning_trial
+
+        emit_tuning_trial(
+            sink, plan, timing, training, wall_seconds=time.perf_counter() - started
+        )
+    return plan
+
+
+def check_caps(max_sor_iters: int, max_recurse_iters: int) -> None:
+    """Reject iteration caps under which no candidate could train."""
+    if max_sor_iters < 1 or max_recurse_iters < 1:
+        raise ValueError(
+            f"max_sor_iters and max_recurse_iters must be >= 1, got "
+            f"{max_sor_iters} and {max_recurse_iters}"
+        )
 
 
 def sor_step(executor: PlanExecutor, plan: TunedVPlan, level: int):
@@ -183,8 +205,214 @@ def select_fastest(
     return best_choice
 
 
+class SlotTuner:
+    """The bottom-up slot loop both DP tuners run.
+
+    A subclass supplies the fields below, :meth:`_plan_below` and
+    :meth:`_candidates`: single applications (``iterations=1``) of
+    ``direct``, ``sor`` and ``recurse(j)`` for the V family, or of
+    ``estimate(j) -> solver`` for full MG.  A candidate trains from fresh
+    starts, or from the states its ESTIMATE_j leaves; its solver step
+    runs on the V plan.
+    """
+
+    accuracies: tuple[float, ...]
+    training: TrainingData
+    timing: TimingStrategy
+    max_sor_iters: int
+    max_recurse_iters: int
+    aggregate: Aggregate
+    keep_audit: bool
+    sink: Any
+    candidate_filter: CandidateFilter | None = None
+
+    def _setup(self) -> None:
+        check_caps(self.max_sor_iters, self.max_recurse_iters)
+        if self.timing is None:
+            from repro.machines.presets import INTEL_HARPERTOWN
+
+            self.timing = CostModelTiming(INTEL_HARPERTOWN)
+        self._executor = PlanExecutor(operator=self.training.operator)
+        #: grid dimensionality of the training operator (op vocabulary)
+        self._ndim = self.training.ndim
+        self._drop_runs()
+
+    def _plan_below(self, table: dict[tuple[int, int], Choice], level: int):
+        """The plan tuned through ``level - 1``: every candidate for
+        ``level`` is priced and run on it."""
+        raise NotImplementedError
+
+    def _candidates(self) -> list[Choice]:
+        """One slot's candidates, in enumeration order."""
+        raise NotImplementedError
+
+    # -- the level walk -------------------------------------------------------
+
+    def _walk(self, max_level: int, kind: str, backend: str) -> tuple[dict, dict]:
+        """Tune levels 2..``max_level`` bottom-up; returns the table and
+        the plan metadata."""
+        table: dict = {(1, i): DirectChoice() for i in range(len(self.accuracies))}
+        audit: list[CandidateReport] = []
+        for level in range(2, max_level + 1):
+            self._tune_level(level, table, audit)
+        metadata = tuning_metadata(kind, self.training, self.timing, self.aggregate, backend)
+        if self.keep_audit:
+            metadata["audit"] = audit
+        return table, metadata
+
+    def _tune_level(self, level: int, table: dict, audit: list[CandidateReport]) -> None:
+        """Candidate by candidate, so a run lives only until the last
+        candidate that reads it.  Each slot still sees its candidates in
+        enumeration order, each pruned against the fastest feasible one
+        before it, so outcomes are those of a slot-by-slot walk."""
+        plan = self._plan_below(table, level)
+        m = len(self.accuracies)
+        outcomes: list[list[CandidateOutcome]] = [[] for _ in range(m)]
+        best_time = [math.inf] * m
+        order = self._candidates()
+        keys = [self._run_key(plan, level, probe) for probe in order]
+        last_use = {key: n for n, key in enumerate(keys)}
+        for n, probe in enumerate(order):
+            for i in range(m):
+                if self.candidate_filter and not self.candidate_filter(level, i, probe):
+                    continue
+                outcome = self._evaluate_candidate(plan, level, i, probe, best_time[i])
+                if outcome is None:
+                    continue
+                outcomes[i].append(outcome)
+                if outcome.feasible:
+                    best_time[i] = min(best_time[i], outcome.seconds)
+            if last_use[keys[n]] == n:
+                self._trained.pop(keys[n], None)
+        self._drop_runs()
+        kept = audit if self.keep_audit else None
+        for i in range(m):
+            table[(level, i)] = select_fastest(level, i, outcomes[i], kept)
+
+    # -- one candidate ----------------------------------------------------------
+
+    def _evaluate_candidate(
+        self, plan, level: int, acc_index: int, probe: Choice, best_time: float
+    ) -> CandidateOutcome | None:
+        """Train and time one candidate against a pruning budget.
+
+        ``plan`` is :meth:`_plan_below` ``level``.  ``best_time`` is the
+        fastest feasible candidate seen so far for this slot;
+        ``math.inf`` disables pruning (``BOSearch``, which observes
+        every trained iteration count).  Every slot of the level reads
+        its iteration count off the candidate's one set of training runs.
+        Returns ``None`` when its estimation phase alone costs at least
+        ``best_time``.
+        """
+        if isinstance(probe, DirectChoice):
+            # Direct: exact, always feasible.
+            return self._outcome(plan, level, probe)
+        j, solver = _phases(probe)
+        est_cost = 0.0
+        if j is not None:
+            estimate = EstimateChoice(j, SORChoice(0))  # the estimation phase alone
+            est_cost = self.timing.price(plan.choice_meter(level, estimate))
+        recurse = isinstance(solver, RecurseChoice)
+        hard_cap = self.max_recurse_iters if recurse else self.max_sor_iters
+        unit_cost = self.timing.price(_solver_plan(plan).choice_meter(level, solver))
+        cap = self._budget_cap(unit_cost, best_time, hard_cap, est_cost)
+        if cap < 1:
+            return None
+        try:
+            iters = self._trajectories(plan, level, probe).iterations(
+                self.accuracies[acc_index], cap, self.aggregate
+            )
+        except InfeasibleCandidate:
+            return CandidateOutcome(self._describe_infeasible(probe), math.inf, False, None)
+        trained = replace(solver, iterations=iters)
+        return self._outcome(plan, level, trained if j is None else EstimateChoice(j, trained))
+
+    @staticmethod
+    def _describe_infeasible(probe: Choice) -> str:
+        """Audit description of a candidate that missed its target."""
+        return probe.describe()
+
+    @staticmethod
+    def _budget_cap(unit_cost: float, best_time: float, hard_cap: int, est_cost=0.0) -> int:
+        """Iterations beyond which a candidate whose estimation phase
+        costs ``est_cost`` cannot beat ``best_time``; 0 when that phase
+        alone costs at least ``best_time``."""
+        remaining = best_time - est_cost
+        if unit_cost <= 0.0 or math.isinf(remaining):
+            return hard_cap
+        if remaining <= 0.0:
+            return 0
+        return min(hard_cap, int(remaining / unit_cost) + 1)
+
+    def _outcome(self, plan, level: int, choice: Choice) -> CandidateOutcome:
+        """A trained candidate, priced from the plan's meter."""
+        seconds = self.timing.time_candidate(plan.choice_meter(level, choice))
+        return CandidateOutcome(choice.describe(), seconds, True, choice)
+
+    # -- training runs -----------------------------------------------------------
+
+    @staticmethod
+    def _run_key(plan, level: int, probe: Choice):
+        """(start key, step key) of a candidate: ``None`` for fresh
+        starts or the full-MG ``call_key`` of its ESTIMATE_j, and the
+        ``choice_key`` of its solver step.  Candidates with equal keys
+        train the same steps from the same states."""
+        j, solver = _phases(probe)
+        start = None if j is None else plan.call_key(level - 1, j)
+        return start, _solver_plan(plan).choice_key(level, solver)
+
+    def _trajectories(self, plan, level: int, probe: Choice) -> Trajectories:
+        """The training runs of ``probe`` on ``plan``, shared by every
+        slot of ``level`` and by every candidate with the same
+        :meth:`_run_key` (and by every ``BOSearch`` task of the level a
+        worker gets); a different plan means the level moved on, and the
+        runs go."""
+        if plan != self._trained_on:
+            self._drop_runs()
+            self._trained_on = plan
+        key = self._run_key(plan, level, probe)
+        runs = self._trained.get(key)
+        if runs is None:
+            j, solver = _phases(probe)
+            bundle = self.training.at_level(level)
+            states = self._starts.get(key[0])
+            if states is None:
+                states = self._starts[key[0]] = bundle.fresh_starts()
+                if j is not None:
+                    for x, b in states:
+                        self._executor._estimate(plan, x, b, level, j)
+            vplan = _solver_plan(plan)
+            if isinstance(solver, RecurseChoice):
+                step = recurse_step(self._executor, vplan, level, solver.sub_accuracy)
+            else:
+                step = sor_step(self._executor, vplan, level)
+            starts = [(x.copy(), b) for x, b in states]
+            runs = self._trained[key] = Trajectories(step, starts, bundle.accuracy_fns())
+        return runs
+
+    def _drop_runs(self) -> None:
+        """Release the training runs (and their start states) of the
+        level trained last."""
+        self._trained_on: Any = None
+        self._trained: dict[Any, Trajectories] = {}
+        self._starts: dict[Any, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+
+def _phases(probe: Choice) -> tuple[int | None, Choice]:
+    """A candidate's ESTIMATE_j accuracy (``None`` if it has none) and
+    solver step."""
+    if isinstance(probe, EstimateChoice):
+        return probe.estimate_accuracy, probe.solver
+    return None, probe
+
+
+def _solver_plan(plan: TunedVPlan | TunedFullMGPlan) -> TunedVPlan:
+    """The V plan a candidate's solver step runs on."""
+    return plan.vplan if isinstance(plan, TunedFullMGPlan) else plan
+
+
 @dataclass
-class VCycleTuner:
+class VCycleTuner(SlotTuner):
     """Tunes the MULTIGRID-V_i family up to ``max_level``.
 
     Parameters mirror the paper's setup: five discrete accuracy levels by
@@ -215,23 +443,13 @@ class VCycleTuner:
     def __post_init__(self) -> None:
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
-        if self.timing is None:
-            from repro.machines.presets import INTEL_HARPERTOWN
-
-            self.timing = CostModelTiming(INTEL_HARPERTOWN)
-        self._executor = PlanExecutor(operator=self.training.operator)
-        #: grid dimensionality of the training operator (op vocabulary)
-        self._ndim = self.training.ndim
+        self._setup()
         from repro.kernels import resolve_backend
 
         self.backend = resolve_backend(self.backend)
         # Lazy per-level backend placement (worker pools reuse one tuner
         # across levels beyond its construction-time max_level).
         self._level_backends: dict[int, str] = {}
-        # Training runs of the level being tuned, per step key, and the
-        # plan below it they run on (see _trajectories).
-        self._trained_on: TunedVPlan | None = None
-        self._trained: dict[Any, Trajectories] = {}
 
     def _backend_at(self, level: int) -> str:
         cached = self._level_backends.get(level)
@@ -259,18 +477,7 @@ class VCycleTuner:
     def tune(self) -> TunedVPlan:
         """Run the bottom-up DP and return the tuned plan."""
         start = time.perf_counter()
-        m = len(self.accuracies)
-        table: dict[tuple[int, int], Choice] = {}
-        audit: list[CandidateReport] = []
-        for i in range(m):
-            table[(1, i)] = DirectChoice()
-        for level in range(2, self.max_level + 1):
-            self._tune_level(level, table, audit)
-        metadata = tuning_metadata("multigrid-v", self.training, self.timing, self.aggregate)
-        if self.backend != "numpy":
-            metadata["backend"] = self.backend
-        if self.keep_audit:
-            metadata["audit"] = audit
+        table, metadata = self._walk(self.max_level, "multigrid-v", self.backend)
         plan = TunedVPlan(
             accuracies=self.accuracies,
             max_level=self.max_level,
@@ -279,56 +486,13 @@ class VCycleTuner:
             ndim=self._ndim,
             backends=self._backends_through(self.max_level),
         )
-        if self.sink is not None:
-            from repro.store.sink import emit_tuning_trial
+        return emit_trial(self.sink, plan, self.timing, self.training, start)
 
-            emit_tuning_trial(
-                self.sink, plan, self.timing, self.training,
-                wall_seconds=time.perf_counter() - start,
-            )
-        return plan
+    # -- the V family -------------------------------------------------------
 
-    # -- per-level tuning -----------------------------------------------------
-
-    def _tune_level(
-        self,
-        level: int,
-        table: dict[tuple[int, int], Choice],
-        audit: list[CandidateReport],
-    ) -> None:
-        plan = self._plan_below(table, level)
-        m = len(self.accuracies)
-        outcomes: list[list[CandidateOutcome]] = [[] for _ in range(m)]
-        best_time = [math.inf] * m
-        # Candidate by candidate, so one step's training runs are alive at
-        # a time: they go once the next candidate trains a different
-        # step.  Each slot still sees its candidates in enumeration order,
-        # each pruned against the fastest feasible one before it, so
-        # outcomes are those of a slot-by-slot walk.
-        order = self._candidate_order()
-        keys = [plan.choice_key(level, probe_choice(kind, j)) for kind, j in order]
-        for n, (kind, j) in enumerate(order):
-            for i in range(m):
-                if self.candidate_filter is not None and not self.candidate_filter(
-                    level, i, probe_choice(kind, j)
-                ):
-                    continue
-                outcome = self._evaluate_candidate(plan, level, i, kind, j, best_time[i])
-                outcomes[i].append(outcome)
-                if outcome.feasible:
-                    best_time[i] = min(best_time[i], outcome.seconds)
-            if keys[n + 1 : n + 2] != [keys[n]]:
-                self._drop_runs()
-        kept = audit if self.keep_audit else None
-        for i in range(m):
-            table[(level, i)] = select_fastest(level, i, outcomes[i], kept)
-
-    def _plan_below(
-        self, table: dict[tuple[int, int], Choice], level: int
-    ) -> TunedVPlan:
-        """The plan tuned through ``level - 1``, with backends placed
-        through ``level``: every candidate for ``level`` is priced and
-        run on it."""
+    def _plan_below(self, table: dict[tuple[int, int], Choice], level: int) -> TunedVPlan:
+        """As :meth:`SlotTuner._plan_below`, with backends placed
+        through ``level``."""
         return TunedVPlan(
             self.accuracies,
             level - 1,
@@ -337,102 +501,22 @@ class VCycleTuner:
             backends=self._backends_through(level),
         )
 
-    def _candidate_order(self) -> list[tuple[str, int | None]]:
-        """Candidate enumeration order for one slot.
-
-        Direct first, then RECURSE_j highest sub-accuracy first (fewest
+    def _candidates(self) -> list[Choice]:
+        """Direct first, then RECURSE_j highest sub-accuracy first (fewest
         outer iterations, so later candidates get a tight pruning budget
-        early), then standalone SOR.
-        """
-        m = len(self.accuracies)
-        order: list[tuple[str, int | None]] = [("direct", None)]
-        order.extend(("recurse", j) for j in range(m - 1, -1, -1))
-        order.append(("sor", None))
-        return order
-
-    def _evaluate_candidate(
-        self,
-        plan: TunedVPlan,
-        level: int,
-        acc_index: int,
-        kind: str,
-        j: int | None,
-        best_time: float,
-    ) -> CandidateOutcome:
-        """Train and time one candidate against a pruning budget.
-
-        ``plan`` is :meth:`_plan_below` ``level``.  ``best_time`` is the
-        fastest feasible candidate seen so far for this slot;
-        ``math.inf`` disables pruning (``BOSearch``, which observes
-        every trained iteration count).  Every slot of the level reads
-        its iteration count off the candidate's one set of training runs.
-        """
-        probe = probe_choice(kind, j)
-        if isinstance(probe, DirectChoice):
-            # Direct: exact, always feasible.
-            return self._outcome(plan, level, probe)
-        hard_cap = (
-            self.max_recurse_iters if isinstance(probe, RecurseChoice) else self.max_sor_iters
-        )
-        unit_cost = self.timing.price(plan.choice_meter(level, probe))
-        cap = self._budget_cap(unit_cost, best_time, hard_cap)
-        if cap < 1:
-            return CandidateOutcome(probe.describe() + " [pruned]", math.inf, False, None)
-        try:
-            iters = self._trajectories(plan, level, probe).iterations(
-                self.accuracies[acc_index], cap, self.aggregate
-            )
-        except InfeasibleCandidate:
-            return CandidateOutcome(probe.describe(), math.inf, False, None)
-        return self._outcome(plan, level, replace(probe, iterations=max(iters, 1)))
-
-    def _trajectories(
-        self, plan: TunedVPlan, level: int, probe: RecurseChoice | SORChoice
-    ) -> Trajectories:
-        """The training runs of ``probe``'s step on ``plan``, shared by
-        every slot of ``level`` and by every candidate whose step has the
-        same :meth:`~repro.tuner.plan.TunedVPlan.choice_key` (and by every
-        ``BOSearch`` task of the level a worker gets); a different plan
-        means the level moved on, and the runs go."""
-        if plan != self._trained_on:
-            self._drop_runs()
-            self._trained_on = plan
-        key = plan.choice_key(level, probe)
-        runs = self._trained.get(key)
-        if runs is None:
-            if isinstance(probe, RecurseChoice):
-                step = recurse_step(self._executor, plan, level, probe.sub_accuracy)
-            else:
-                step = sor_step(self._executor, plan, level)
-            bundle = self.training.at_level(level)
-            runs = Trajectories(step, bundle.fresh_starts(), bundle.accuracy_fns())
-            self._trained[key] = runs
-        return runs
-
-    def _drop_runs(self) -> None:
-        """Release the training runs of the level trained last."""
-        self._trained_on, self._trained = None, {}
+        early), then standalone SOR."""
+        recurse = [RecurseChoice(j, 1) for j in range(len(self.accuracies) - 1, -1, -1)]
+        return [DirectChoice(), *recurse, SORChoice(1)]
 
     def _outcome(self, plan: TunedVPlan, level: int, choice: Choice) -> CandidateOutcome:
-        """A trained candidate, timed: priced from the plan's meter, or
-        run end to end when the timing measures wall-clock."""
-        meter = plan.choice_meter(level, choice)
+        """Priced from the plan's meter, or timed end to end when the
+        timing measures wall-clock."""
         if isinstance(self.timing, CostModelTiming):
-            seconds = self.timing.time_candidate(meter)
-        else:
-            seconds = self.timing.time_candidate(
-                meter,
-                self._v_run(plan, level, choice),
-                self.training.at_level(level).fresh_starts(),
-            )
+            return super()._outcome(plan, level, choice)
+        starts = self.training.at_level(level).fresh_starts()
+        meter = plan.choice_meter(level, choice)
+        seconds = self.timing.time_candidate(meter, self._v_run(plan, level, choice), starts)
         return CandidateOutcome(choice.describe(), seconds, True, choice)
-
-    @staticmethod
-    def _budget_cap(unit_cost: float, best_time: float, hard_cap: int) -> int:
-        """Iterations beyond which a candidate cannot beat ``best_time``."""
-        if unit_cost <= 0.0 or math.isinf(best_time):
-            return hard_cap
-        return min(hard_cap, int(best_time / unit_cost) + 1)
 
     def _v_run(self, plan: TunedVPlan, level: int, choice: Choice):
         """Wall-clock run of a candidate: the plan extended to ``level``

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.tuner.dp import VCycleTuner
+from repro.tuner.dp import VCycleTuner, check_caps
 from repro.tuner.full_mg import FullMGTuner
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan
 from repro.tuner.timing import CostModelTiming
@@ -117,6 +117,9 @@ class TuneSpec:
     aggregate: str = "max"
     max_sor_iters: int = 400
     max_recurse_iters: int = 64
+
+    def __post_init__(self) -> None:
+        check_caps(self.max_sor_iters, self.max_recurse_iters)
 
     @classmethod
     def from_training(

@@ -70,6 +70,28 @@ class TestSingleServerTrace:
             assert "backend" in span.attrs and "level" in span.attrs
 
 
+    def test_cold_key_tune_is_its_own_linked_trace(self):
+        """A cold key's request trace stays one tree after its background
+        tune finishes; the tune span carries the request's trace id."""
+        tracer = Tracer()
+        server = SolveServer(
+            machine="intel", store=TrialDB(":memory:"), workers=1,
+            instances=1, seed=3, tracer=tracer,
+        )
+        try:
+            result = server.solve(poisson_problem("unbiased", n=N, seed=1), 1e5, timeout=60)
+            assert server.wait_for_swaps(timeout=120)
+        finally:
+            server.shutdown(drain=True)
+        assert result.plan_source == "fallback"
+        assert_single_tree(tracer.for_trace(result.trace_id), "serve.request")
+        tunes = [s for s in tracer.spans() if s.name == "serve.background_tune"]
+        assert len(tunes) == 1
+        assert tunes[0].attrs["request_trace_id"] == result.trace_id
+        assert tunes[0].trace_id != result.trace_id
+        assert_single_tree(tracer.for_trace(tunes[0].trace_id), "serve.background_tune")
+
+
 class TestShardedTrace:
     def test_one_request_through_two_shards_exports_as_chrome_trace(self, tmp_path):
         store = str(tmp_path / "store.sqlite")

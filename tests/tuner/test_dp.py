@@ -5,9 +5,12 @@ import pytest
 from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import ReferenceSolutionCache
 from repro.machines.presets import INTEL_HARPERTOWN, SUN_NIAGARA
-from repro.tuner.choices import DirectChoice, SORChoice
-from repro.tuner.dp import VCycleTuner
+from repro.modeltuner import BOSearch
+from repro.tuner.choices import DirectChoice, EstimateChoice, SORChoice
+from repro.tuner.dp import SlotTuner, VCycleTuner
 from repro.tuner.executor import PlanExecutor
+from repro.tuner.full_mg import FullMGTuner
+from repro.tuner.spec import TuneKey, TuneSpec
 from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
 from repro.workloads.distributions import make_problem
@@ -149,7 +152,50 @@ class TestDeterminismAndFilters:
 
 class TestBudgetPruning:
     def test_budget_cap_math(self):
-        cap = VCycleTuner._budget_cap(unit_cost=1.0, best_time=10.0, hard_cap=100)
+        cap = SlotTuner._budget_cap(unit_cost=1.0, best_time=10.0, hard_cap=100)
         assert cap == 11
-        assert VCycleTuner._budget_cap(0.0, 10.0, 100) == 100
-        assert VCycleTuner._budget_cap(1.0, float("inf"), 100) == 100
+        assert SlotTuner._budget_cap(0.0, 10.0, 100) == 100
+        assert SlotTuner._budget_cap(1.0, float("inf"), 100) == 100
+        # An estimation phase spends part of the budget first ...
+        assert SlotTuner._budget_cap(1.0, 10.0, 100, est_cost=4.0) == 7
+        # ... and, costing the whole budget, leaves no iteration.
+        assert SlotTuner._budget_cap(1.0, 10.0, 100, est_cost=10.0) == 0
+
+    def test_estimate_exhausting_the_budget_has_no_outcome(self, tuned_plan, shared_training):
+        tuner = FullMGTuner(vplan=tuned_plan, training=shared_training)
+        table = {(1, i): DirectChoice() for i in range(tuned_plan.num_accuracies)}
+        plan = tuner._plan_below(table, 2)
+        probe = EstimateChoice(0, SORChoice(1))
+        est_cost = tuner.timing.price(plan.choice_meter(2, EstimateChoice(0, SORChoice(0))))
+        assert tuner._evaluate_candidate(plan, 2, 0, probe, est_cost) is None
+        assert tuner._evaluate_candidate(plan, 2, 0, probe, 2 * est_cost) is not None
+
+    @pytest.mark.parametrize("caps", [(0, 64), (400, 0)])
+    def test_v_tuner_rejects_degenerate_caps(self, caps):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            VCycleTuner(max_level=3, max_sor_iters=caps[0], max_recurse_iters=caps[1])
+
+    @pytest.mark.parametrize("caps", [(0, 64), (400, 0)])
+    def test_full_mg_tuner_rejects_degenerate_caps(self, caps, tuned_plan, shared_training):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            FullMGTuner(
+                vplan=tuned_plan,
+                training=shared_training,
+                max_sor_iters=caps[0],
+                max_recurse_iters=caps[1],
+            )
+
+    @pytest.mark.parametrize("caps", [(0, 64), (400, 0)])
+    def test_tune_spec_rejects_degenerate_caps(self, caps):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            TuneSpec(TuneKey(), INTEL_HARPERTOWN, max_sor_iters=caps[0], max_recurse_iters=caps[1])
+
+    @pytest.mark.parametrize("caps", [(0, 64), (400, 0)])
+    def test_model_search_rejects_degenerate_caps(self, caps):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            BOSearch(
+                max_level=3,
+                pricing=INTEL_HARPERTOWN,
+                max_sor_iters=caps[0],
+                max_recurse_iters=caps[1],
+            )

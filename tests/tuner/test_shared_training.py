@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 import repro.tuner.dp as dp_module
-import repro.tuner.full_mg as full_mg_module
 from repro.machines.presets import INTEL_HARPERTOWN
 from repro.modeltuner import BOSearch
 from repro.tuner.choices import DirectChoice, EstimateChoice, RecurseChoice, SORChoice
@@ -94,7 +93,8 @@ def test_model_search_plan_is_unchanged(backend):
 @pytest.fixture
 def step_count(monkeypatch):
     """Counts every training step the DP tuners apply, by wrapping the
-    steps ``sor_step`` and ``recurse_step`` hand them."""
+    steps ``sor_step`` and ``recurse_step`` hand them (both tuners build
+    their steps in ``repro.tuner.dp``)."""
     count = [0]
 
     def counting(make_step):
@@ -109,10 +109,8 @@ def step_count(monkeypatch):
 
         return make
 
-    sor_step, recurse_step = dp_module.sor_step, dp_module.recurse_step
-    for module in (dp_module, full_mg_module):
-        monkeypatch.setattr(module, "sor_step", counting(sor_step))
-        monkeypatch.setattr(module, "recurse_step", counting(recurse_step))
+    monkeypatch.setattr(dp_module, "sor_step", counting(dp_module.sor_step))
+    monkeypatch.setattr(dp_module, "recurse_step", counting(dp_module.recurse_step))
     return count
 
 
@@ -239,7 +237,7 @@ class TestRunKey:
         tuner = FullMGTuner(vplan=vplan, training=_training("poisson"), timing=TIMING)
 
         def runs(j, probe):
-            return tuner._trajectories(plan, 4, j, probe)
+            return tuner._trajectories(plan, 4, EstimateChoice(j, probe))
 
         sor = SORChoice(1)
         assert runs(0, sor) is not runs(1, sor)
@@ -251,7 +249,7 @@ class TestRunKey:
         assert runs(2, RecurseChoice(1, 1)) is not runs(2, RecurseChoice(3, 1))
         assert runs(2, sor) is not runs(2, RecurseChoice(2, 1))
         # One set of post-estimate states per distinct estimate tree.
-        assert len(tuner._estimated) == 4
+        assert len(tuner._starts) == 4
 
     def test_model_search_applies_each_step_once(self, monkeypatch):
         # At level 2 every level-1 slot is direct, so every RECURSE_j
@@ -276,11 +274,11 @@ class TestRunKey:
         )
         evaluate = VCycleTuner._evaluate_candidate
 
-        def evaluating(self, plan, level, acc_index, kind, j, best_time):
-            picked.add((kind, j))
-            return evaluate(self, plan, level, acc_index, kind, j, best_time)
+        def evaluating(self, plan, level, acc_index, probe, best_time):
+            picked.add(probe)
+            return evaluate(self, plan, level, acc_index, probe, best_time)
 
         monkeypatch.setattr(VCycleTuner, "_evaluate_candidate", evaluating)
         BOSearch(max_level=2, training=_training("poisson"), pricing=INTEL_HARPERTOWN).tune()
-        assert len({j for kind, j in picked if kind == "recurse"}) >= 2
+        assert len({p.sub_accuracy for p in picked if isinstance(p, RecurseChoice)}) >= 2
         assert applied and len(set(applied)) == len(applied)
