@@ -1,11 +1,15 @@
 """C-native kernel backend: gcc-compiled hot loops loaded via ctypes.
 
-The backend embeds a small C translation of the NumPy hot loops and
-compiles it on first use with whatever ``gcc``/``cc`` the host
-provides — no build-time dependency, no extension module.  The shared
-object is cached under ``$REPRO_MG_KERNEL_CACHE`` (default
-``~/.cache/repro-mg-kernels``) keyed on the source hash and compiler
-version, so the compile cost is paid once per host, ever; ``warmup``
+The backend embeds a small C translation of the NumPy hot loops (2-D
+and 3-D smoothers, residuals and both grid transfers) and compiles it on
+first use with whatever ``gcc``/``cc`` the host provides — no
+build-time dependency, no extension module.  The shared object is
+cached under ``$REPRO_MG_KERNEL_CACHE`` (default
+``~/.cache/repro-mg-kernels``) keyed on the source, the compiler version
+and the exact compile flags (:data:`CFLAGS`), so the compile cost is
+paid once per host and a flag change never loads a stale object.  Each
+build compiles a per-process copy of the source, so concurrent first
+builds cannot read each other's half-written files.  ``warmup``
 additionally runs every kernel once so not even the first ctypes
 dispatch lands inside a timed trial.
 
@@ -15,7 +19,10 @@ code it replaces (see ``repro.relax.sor``, ``repro.grids.poisson``,
 ``repro.grids.transfer``), and the compile uses ``-ffp-contract=off``
 so no fused multiply-adds change the rounding.  Within one red-black
 colour every neighbour of an updated point has the other colour, so
-the scalar loop order is exactly the vectorized update.
+the scalar loop order is exactly the vectorized update.  The 3-D
+transfers run the reference's three separable axis passes one plane at
+a time, with per-call O(n**2) scratch and no shared state, so threads
+may run one level's kernels concurrently.
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ C_SOURCE = r"""
  * (compiled with -ffp-contract=off, so no FMA re-rounding).  2-D grids
  * are n x n row-major doubles; 3-D grids are n x n x n.
  */
+
+#include <stdlib.h>
+#include <string.h>
 
 #define U2(a, i, j) (a)[(i) * n + (j)]
 #define U3(a, i, j, k) (a)[((i) * n + (j)) * n + (k)]
@@ -208,6 +218,89 @@ void residual3d_axes(const double *u, const double *b, double *out, long n,
         }
     }
 }
+
+/* One [1/4, 1/2, 1/4] full-weighting point, in _restrict_axis_fw's order. */
+static inline double fw3(double l, double c, double r) {
+    double acc = c * 0.5;
+    acc += 0.25 * l;
+    acc += 0.25 * r;
+    return acc;
+}
+
+/* 3-D full weighting as the three separable passes (axis 0, 1, 2) of
+ * repro.grids.transfer, one coarse plane at a time: the axis-0 pass of
+ * plane ci fills `plane` (nf x nf), the axis-1 pass of row (ci, cj)
+ * fills `row` (nf), the axis-2 pass writes the coarse row.  The boundary
+ * shell is zero, as each NumPy pass leaves it.  Returns -1 (nothing
+ * written) when the per-call scratch cannot be allocated. */
+int restrict3d_fw(const double *fine, double *coarse, long nf, long nc) {
+    double *plane = malloc(sizeof(double) * (size_t)(nf * nf + nf));
+    if (plane == NULL)
+        return -1;
+    double *row = plane + nf * nf;
+    const long pf = nf * nf, pc = nc * nc;
+    memset(coarse, 0, sizeof(double) * (size_t)pc);
+    memset(coarse + (nc - 1) * pc, 0, sizeof(double) * (size_t)pc);
+    for (long ci = 1; ci < nc - 1; ci++) {
+        const double *f1 = fine + 2 * ci * pf;
+        for (long p = nf + 1; p < pf - nf - 1; p++)
+            plane[p] = fw3(f1[p - pf], f1[p], f1[p + pf]);
+        double *out = coarse + ci * pc;
+        memset(out, 0, sizeof(double) * (size_t)nc);
+        memset(out + (nc - 1) * nc, 0, sizeof(double) * (size_t)nc);
+        for (long cj = 1; cj < nc - 1; cj++) {
+            const double *mid = plane + 2 * cj * nf;
+            for (long k = 1; k < nf - 1; k++)
+                row[k] = fw3(mid[k - nf], mid[k], mid[k + nf]);
+            double *o = out + cj * nc;
+            o[0] = 0.0;
+            o[nc - 1] = 0.0;
+            for (long ck = 1; ck < nc - 1; ck++)
+                o[ck] = fw3(row[2 * ck - 1], row[2 * ck], row[2 * ck + 1]);
+        }
+    }
+    free(plane);
+    return 0;
+}
+
+/* u[inner] += trilinear(coarse)[inner], refining axis 0, 1, 2 in turn as
+ * repro.grids.transfer does: even points copy, odd points are
+ * (a + b) * 0.5.  Per fine plane i the axis-0 pass fills `plane`
+ * (nc x nc; even planes read the coarse plane itself), per fine row j
+ * the axis-1 pass fills `row` (nc).  Returns -1 (u untouched) when the
+ * per-call scratch cannot be allocated. */
+int interp3d_corr(double *u, const double *coarse, long nf, long nc) {
+    double *plane = malloc(sizeof(double) * (size_t)(nc * nc + nc));
+    if (plane == NULL)
+        return -1;
+    double *row = plane + nc * nc;
+    const long pc = nc * nc;
+    for (long i = 1; i < nf - 1; i++) {
+        const double *a = coarse + (i / 2) * pc;
+        const double *pl = a;
+        if (i % 2) {
+            for (long p = 0; p < pc; p++)
+                plane[p] = (a[p] + a[p + pc]) * 0.5;
+            pl = plane;
+        }
+        for (long j = 1; j < nf - 1; j++) {
+            const double *r = pl + (j / 2) * nc;
+            if (j % 2) {
+                for (long k = 0; k < nc; k++)
+                    row[k] = (r[k] + r[k + nc]) * 0.5;
+                r = row;
+            }
+            double *o = u + (i * nf + j) * nf;
+            o[1] += (r[0] + r[1]) * 0.5;
+            for (long ck = 1; ck < nc - 1; ck++) {
+                o[2 * ck] += r[ck];
+                o[2 * ck + 1] += (r[ck] + r[ck + 1]) * 0.5;
+            }
+        }
+    }
+    free(plane);
+    return 0;
+}
 """
 
 # Kernels receive raw data pointers (the Python wrappers validate dtype,
@@ -237,7 +330,15 @@ _SIGNATURES: dict[str, list[Any]] = {
         _PTR, _PTR, _PTR, ctypes.c_long, ctypes.c_double, ctypes.c_double,
         ctypes.c_double, ctypes.c_double,
     ],
+    "restrict3d_fw": [_PTR, _PTR, ctypes.c_long, ctypes.c_long],
+    "interp3d_corr": [_PTR, _PTR, ctypes.c_long, ctypes.c_long],
 }
+#: Kernels that allocate per-call scratch return nonzero, having written
+#: nothing, when the allocation fails; the others return void.
+_STATUS_RESULT = frozenset({"restrict3d_fw", "interp3d_corr"})
+
+#: The exact compile arguments; they are part of the kernel cache key.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _F64 = np.dtype(np.float64)
 
@@ -269,6 +370,16 @@ def _compiler_version(cc: str) -> str:
         return "unknown"
 
 
+def _library_path(version: str, flags: tuple[str, ...] = CFLAGS) -> Path:
+    """Cache path of the shared object built from ``C_SOURCE`` by the
+    compiler ``version`` with ``flags``: any change to the three is a
+    different file, never a stale load."""
+    key = hashlib.sha256(
+        "\n".join((C_SOURCE, version, *flags)).encode("utf-8")
+    ).hexdigest()[:16]
+    return kernel_cache_dir() / f"repro_mg_kernels_{key}.so"
+
+
 def _build_library() -> ctypes.CDLL:
     """Compile (if not cached) and load the kernel shared object."""
     from repro.obs.runtime import get_tracer
@@ -277,26 +388,26 @@ def _build_library() -> ctypes.CDLL:
     if cc is None:
         raise RuntimeError("no C compiler (gcc/cc) on PATH")
     version = _compiler_version(cc)
-    key = hashlib.sha256(
-        (C_SOURCE + "\n" + version).encode("utf-8")
-    ).hexdigest()[:16]
-    cache = kernel_cache_dir()
-    so_path = cache / f"repro_mg_kernels_{key}.so"
+    so_path = _library_path(version)
     if not so_path.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        src_path = cache / f"repro_mg_kernels_{key}.c"
+        so_path.parent.mkdir(parents=True, exist_ok=True)
+        # Per-process source and object files: a concurrent first build
+        # never reads a source another process is rewriting.
+        stem = f".{so_path.stem}.{os.getpid()}"
+        src_path = so_path.with_name(stem + ".c")
+        tmp_path = so_path.with_name(stem + ".so")
         src_path.write_text(C_SOURCE)
-        tmp_path = cache / f".repro_mg_kernels_{key}.{os.getpid()}.so"
-        cmd = [
-            cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-            str(src_path), "-o", str(tmp_path),
-        ]
-        with get_tracer().span(
-            "kernels.compile", backend="cnative", compiler=version, key=key
-        ):
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=120
-            )
+        cmd = [cc, *CFLAGS, str(src_path), "-o", str(tmp_path)]
+        try:
+            with get_tracer().span(
+                "kernels.compile", backend="cnative", compiler=version,
+                key=so_path.stem.removeprefix("repro_mg_kernels_"),
+            ):
+                proc = subprocess.run(
+                    cmd, capture_output=True, text=True, timeout=120
+                )
+        finally:
+            src_path.unlink(missing_ok=True)
         if proc.returncode != 0:
             tmp_path.unlink(missing_ok=True)
             raise RuntimeError(
@@ -308,7 +419,7 @@ def _build_library() -> ctypes.CDLL:
     for fname, argtypes in _SIGNATURES.items():
         fn = getattr(lib, fname)
         fn.argtypes = argtypes
-        fn.restype = None
+        fn.restype = ctypes.c_int if fname in _STATUS_RESULT else None
     return lib
 
 
@@ -473,15 +584,15 @@ def _bind_axes3d(lib: ctypes.CDLL, op: Any) -> LevelKernels:
               n, c0, c1, c2, inv_h2)
         return res
 
-    # The separable 3-D transfers are cheap axis passes; the NumPy
-    # implementations stay (byte-identical by construction).
+    # The transfers are compiled too: restrict3d_fw and interp3d_corr run
+    # the NumPy reference's separable axis passes one plane at a time.
     return LevelKernels(
         backend="cnative",
         sor_sweeps=sor_sweeps,
         jacobi_sweeps=jacobi_sweeps,
         residual=residual,
-        restrict=restrict_full_weighting,
-        interpolate_correction=interpolate_correction,
+        restrict=_restrict3d(lib),
+        interpolate_correction=_interp3d(lib),
     )
 
 
@@ -514,6 +625,50 @@ def _interp2d(lib: ctypes.CDLL):
         ):
             return interpolate_correction(u, coarse)
         f_interp(u.ctypes.data, coarse.ctypes.data, nf, coarsen_size(nf))
+        return u
+
+    return interpolate
+
+
+def _coarse_side(nf: int) -> int:
+    """Coarse side of a fine side 2**k + 1 with k >= 2, else 0 (the
+    NumPy reference then validates and raises)."""
+    return (nf >> 1) + 1 if nf >= 5 and (nf - 1) & (nf - 2) == 0 else 0
+
+
+# Anything the 3-D fast paths do not take (subclasses, other dtypes,
+# non-contiguous or mis-shaped arrays, a failed scratch allocation) goes
+# to the NumPy reference, which also raises on invalid input.
+def _restrict3d(lib: ctypes.CDLL):
+    f_restrict = lib.restrict3d_fw
+
+    def restrict(fine, out=None):
+        nf = fine.shape[0] if isinstance(fine, np.ndarray) and fine.ndim == 3 else 0
+        nc = _coarse_side(nf)
+        if nc == 0 or not _cube(fine, nf):
+            return restrict_full_weighting(fine, out=out)
+        # The kernel writes every coarse point, boundary shell included.
+        res = np.empty((nc, nc, nc)) if out is None else out
+        if not _cube(res, nc) or f_restrict(fine.ctypes.data, res.ctypes.data, nf, nc):
+            return restrict_full_weighting(fine, out=out)
+        return res
+
+    return restrict
+
+
+def _interp3d(lib: ctypes.CDLL):
+    f_interp = lib.interp3d_corr
+
+    def interpolate(u, coarse):
+        nf = u.shape[0] if isinstance(u, np.ndarray) and u.ndim == 3 else 0
+        nc = _coarse_side(nf)
+        if (
+            nc == 0
+            or not _cube(u, nf)
+            or not _cube(coarse, nc)
+            or f_interp(u.ctypes.data, coarse.ctypes.data, nf, nc)
+        ):
+            return interpolate_correction(u, coarse)
         return u
 
     return interpolate
@@ -583,6 +738,9 @@ class CNativeBackend:
                          1.0, 1.0, 1.0, 1.0, 1.0, 1)
         lib.residual3d_axes(u3.ctypes.data, b3.ctypes.data, out3.ctypes.data,
                             n, 1.0, 1.0, 1.0, 1.0)
+        coarse3 = np.zeros((3, 3, 3))
+        lib.restrict3d_fw(u3.ctypes.data, coarse3.ctypes.data, n, 3)
+        lib.interp3d_corr(u3.ctypes.data, coarse3.ctypes.data, n, 3)
         self._warmed = True
 
     def provenance(self) -> dict[str, Any]:

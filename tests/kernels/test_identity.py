@@ -150,6 +150,21 @@ class TestKernelIdentityAcrossSizes:
         for name in ref_out:
             assert np.array_equal(ref_out[name], fast_out[name]), name
 
+    @pytest.mark.parametrize("backend_name", ACCELERATED)
+    @pytest.mark.parametrize("spec", ["poisson3d", "anisotropic3d(epsx=0.01)"])
+    @pytest.mark.parametrize("n", [5, 9, 17, 33, 65])
+    def test_3d_kernels_match_numpy(self, backend_name, spec, n):
+        """Every 3-D kernel, the transfers included, at every size."""
+        backend = _available(backend_name)
+        op = shared_operator(spec, n)
+        fast = backend.bind(op)
+        if fast is None:
+            pytest.skip(f"{backend_name} does not bind {spec} at n={n}")
+        ref_out = _kernel_outputs(get_backend("numpy").bind(op), op)
+        fast_out = _kernel_outputs(fast, op)
+        for name in ref_out:
+            assert np.array_equal(ref_out[name], fast_out[name]), name
+
 
 class TestPlanExecutionIdentity:
     @pytest.mark.parametrize("backend_name", ACCELERATED)
@@ -172,6 +187,34 @@ class TestPlanExecutionIdentity:
         for p in (plan, twin):
             x = problem.initial_guess()
             PlanExecutor().run_v(p, x, problem.b, plan.num_accuracies - 1)
+            solutions.append(x)
+        assert np.array_equal(solutions[0], solutions[1])
+
+    @pytest.mark.parametrize("backend_name", ACCELERATED)
+    def test_accelerated_3d_plan_matches_numpy_plan(self, backend_name):
+        """The 3-D twin: a poisson3d L5 plan whose recursing levels run
+        accelerated smoothers, residuals and transfers solves to the
+        same bytes as its all-NumPy twin."""
+        _available(backend_name)
+        plan = autotune(max_level=5, machine="intel", distribution="unbiased",
+                        instances=2, seed=0, operator="poisson3d",
+                        backend=backend_name)
+        assert plan.backends, "tuner should accelerate some level at 3-D L5"
+        twin = TunedVPlan(
+            accuracies=plan.accuracies,
+            max_level=plan.max_level,
+            table=plan.table,
+            metadata={k: v for k, v in plan.metadata.items() if k != "backend"},
+            ndim=plan.ndim,
+        )
+        problem = make_problem("unbiased", size_of_level(5), seed=3,
+                               operator="poisson3d")
+        solutions = []
+        for p in (plan, twin):
+            x = problem.initial_guess()
+            PlanExecutor(operator="poisson3d").run_v(
+                p, x, problem.b, plan.num_accuracies - 1
+            )
             solutions.append(x)
         assert np.array_equal(solutions[0], solutions[1])
 

@@ -26,6 +26,7 @@ OPERATORS = [
     "anisotropic(epsilon=0.01)",
     "varcoeff(field=bump,amplitude=4.0)",
 ]
+OPERATORS_3D = ["poisson3d", "anisotropic3d(epsx=0.01)"]
 
 if not ACCELERATED:  # pragma: no cover - host without any accelerated backend
     pytest.skip(
@@ -85,6 +86,29 @@ class TestSmootherIdentity:
         assert np.array_equal(ref.restrict(r_ref), fast.restrict(r_fast))
         u_ref, u_fast = u.copy(), u.copy()
         coarse = ref.restrict(r_ref)
+        ref.interpolate_correction(u_ref, coarse)
+        fast.interpolate_correction(u_fast, coarse)
+        assert np.array_equal(u_ref, u_fast)
+
+    @pytest.mark.parametrize("backend_name", ACCELERATED)
+    @pytest.mark.parametrize("operator", OPERATORS_3D)
+    @given(seed=st.integers(0, 10_000), level=st.integers(2, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_residual_and_transfers_match_numpy_3d(
+        self, backend_name, operator, seed, level
+    ):
+        op = shared_operator(operator, size_of_level(level))
+        backend = get_backend(backend_name)
+        fast = backend.bind(op)
+        if fast is None:
+            pytest.skip(f"{backend_name} does not bind {operator}")
+        ref = get_backend("numpy").bind(op)
+        u, b = _random_grids(op.n, op.ndim, seed)
+        r_ref, r_fast = ref.residual(u, b), fast.residual(u, b)
+        assert np.array_equal(r_ref, r_fast)
+        coarse = ref.restrict(r_ref)
+        assert np.array_equal(coarse, fast.restrict(r_fast))
+        u_ref, u_fast = u.copy(), u.copy()
         ref.interpolate_correction(u_ref, coarse)
         fast.interpolate_correction(u_fast, coarse)
         assert np.array_equal(u_ref, u_fast)
