@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import socket
-import traceback
 from typing import Any
 
 from repro.fleet.queue import Lease, WorkQueue
@@ -31,33 +30,9 @@ from repro.store.campaign import CampaignSpec, CellResult, tune_cell
 from repro.store.registry import PlanRegistry
 from repro.store.trialdb import TrialDB
 from repro.util.clock import WALL_CLOCK, Clock
+from repro.util.errors import format_worker_error
 
 __all__ = ["FleetWorker", "format_worker_error", "load_campaign_spec"]
-
-#: Cap on the persisted traceback, in characters.  The tail is kept —
-#: the innermost frames are the ones that identify the failure.
-TRACEBACK_LIMIT = 4000
-
-
-def format_worker_error(exc: BaseException, limit: int = TRACEBACK_LIMIT) -> str:
-    """A structured, bounded ``last_error`` payload for a failed cell.
-
-    JSON with the exception type, its message, and the traceback tail —
-    enough to diagnose a poisoned cell from the store alone, without the
-    worker's stdout.  Bounded so one pathological repr can't bloat the
-    cell row.  Stored as text in ``campaign_cells.last_error``; readers
-    that expect the old ``"Type: message"`` form still get a readable
-    string, and ``json.loads`` recovers the structure.
-    """
-    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-    if len(tb) > limit:
-        tb = "...(truncated)...\n" + tb[-limit:]
-    message = str(exc)
-    if len(message) > 500:
-        message = message[:500] + "..."
-    return json.dumps(
-        {"type": type(exc).__name__, "message": message, "traceback": tb}
-    )
 
 
 def load_campaign_spec(db: TrialDB, name: str) -> CampaignSpec:

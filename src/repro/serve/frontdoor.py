@@ -242,7 +242,11 @@ class FrontDoor:
 
         Raises :class:`Backpressure` when the payload pool for the
         request's shape has no free slot, and :class:`RuntimeError`
-        after :meth:`shutdown`.
+        after :meth:`shutdown`.  Requests are validated on the shard,
+        by :meth:`SolveServer.submit <repro.serve.server.SolveServer.submit>`:
+        an invalid target or non-finite data does not raise here, but
+        fails the returned future with a :class:`RuntimeError` whose
+        message starts ``"ValueError: "``, and schedules no tune.
         """
         from repro.tuner.dynamic import resolve_distribution
 

@@ -18,8 +18,10 @@ call into a long-running system shaped like production serving:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
@@ -37,12 +39,16 @@ from repro.serve.telemetry import Telemetry
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.plan import DEFAULT_ACCURACIES
 from repro.util.clock import MONOTONIC_CLOCK, Clock
+from repro.util.errors import error_record
 from repro.workloads.problem import PoissonProblem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.registry import PlanRegistry
 
-__all__ = ["ServeResult", "SolveRequest", "SolveServer"]
+__all__ = ["TUNE_FAILURE_LIMIT", "ServeResult", "SolveRequest", "SolveServer"]
+
+#: How many background-tune failures a server keeps (the newest).
+TUNE_FAILURE_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -197,6 +203,7 @@ class SolveServer:
         self._closed = False
         self._inflight = 0
         self._tuning: set[ServeKey] = set()
+        self._tune_failures: deque[dict[str, Any]] = deque(maxlen=TUNE_FAILURE_LIMIT)
         self._tuner_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-tuner"
         )
@@ -233,7 +240,11 @@ class SolveServer:
         sharded front door passes the context it stamped on the control
         message); without it, a traced request roots a fresh trace.
 
-        Raises :class:`Backpressure` when the queue is full and
+        Raises :class:`ValueError` for a request no plan could serve —
+        a target that is not finite, not > 0 or above the server's
+        accuracy ladder, or a non-finite ``b`` or boundary — before it
+        is queued, so it never schedules a tune;
+        :class:`Backpressure` when the queue is full; and
         :class:`RuntimeError` after :meth:`shutdown`.
         """
         if out is not None and (
@@ -242,6 +253,7 @@ class SolveServer:
             raise ValueError(
                 f"out must be a writable array of shape {problem.b.shape}"
             )
+        self._validate(problem, target_accuracy)
         with self._state:
             if self._closed:
                 raise RuntimeError("server is shut down")
@@ -285,6 +297,23 @@ class SolveServer:
         self.telemetry.set_gauge("queue_depth", depth)
         return future
 
+    def _validate(self, problem: PoissonProblem, target_accuracy: float) -> None:
+        """Reject a request no plan of this server could serve."""
+        if not math.isfinite(target_accuracy) or target_accuracy <= 0:
+            raise ValueError(
+                f"target accuracy must be finite and > 0, not {target_accuracy!r}"
+            )
+        # The tolerance of TunedVPlan.accuracy_index: what passes here
+        # always finds a rung.
+        if target_accuracy - 1e-12 > self.cache.accuracies[-1]:
+            raise ValueError(
+                f"target accuracy {target_accuracy:g} above the ladder "
+                f"{self.cache.accuracies}"
+            )
+        for name in ("b", "boundary"):
+            if not np.isfinite(getattr(problem, name)).all():
+                raise ValueError(f"problem {name} has non-finite values")
+
     def solve(
         self,
         problem: PoissonProblem,
@@ -309,6 +338,16 @@ class SolveServer:
         self, specs: Iterable[tuple[str, int, OperatorSpec | str | None]]
     ) -> list[CacheEntry]:
         return self.cache.warm_many(self.profile, specs)
+
+    def tune_failures(self) -> list[dict[str, Any]]:
+        """The newest :data:`TUNE_FAILURE_LIMIT` background-tune
+        failures, oldest first: each the exception ``type``, a bounded
+        ``message``, the workload-class ``key`` label and the
+        ``trace_id`` of the request that triggered the tune (``None``
+        when tracing is off).  ``stats()["counters"]["tune_errors"]``
+        counts them all."""
+        with self._state:
+            return list(self._tune_failures)
 
     def stats(self) -> dict[str, Any]:
         """Telemetry snapshot (JSON-serializable)."""
@@ -628,6 +667,7 @@ class SolveServer:
         # The registry serializes only its DB touches (lookup, store,
         # trial record) — never the DP tune itself, so other cold keys
         # keep resolving while this one tunes.
+        tune_span: Span | None = None
         try:
             from repro.tuner.spec import TuneSpec, tune
 
@@ -650,7 +690,7 @@ class SolveServer:
                 plan.metadata["serve_swap"] = swap_meta
                 return plan
 
-            tune_span: Span | None = None
+            started = self.clock.now()
             if self.tracer.enabled:
                 # The tune is its own trace: it may outlive the request,
                 # so it links back by attribute instead of joining the
@@ -661,31 +701,35 @@ class SolveServer:
                     key=key.label(),
                     request_trace_id=trace_id,
                 )
-            started = self.clock.now()
-            try:
-                if tune_span is not None:
-                    with self.tracer.activate(tune_span):
-                        hit = self.registry.get_or_tune(
-                            profile, tune_key, allow_nearest=False, tuner=tuner
-                        )
-                else:
+                with self.tracer.activate(tune_span):
                     hit = self.registry.get_or_tune(
                         profile, tune_key, allow_nearest=False, tuner=tuner
                     )
-            finally:
-                if tune_span is not None:
-                    self.tracer.finish(tune_span)
+                self.tracer.finish(tune_span)
+                tune_span = None
+            else:
+                hit = self.registry.get_or_tune(
+                    profile, tune_key, allow_nearest=False, tuner=tuner
+                )
             if hit.source == "tuned":
                 self.telemetry.observe(
                     "background_tune", self.clock.now() - started
                 )
             source = "swapped" if hit.source == "tuned" else hit.source
             self.cache.swap(key, hit.plan, source=source, plan_json=hit.plan_json)
-        except Exception:
+        except Exception as exc:
             # A failed background tune must not take the server down; the
             # fallback plan keeps serving and the next cold hit retries.
+            # The failure is counted and kept for inspection.
+            failure = {**error_record(exc), "key": key.label(), "trace_id": trace_id}
             self.telemetry.incr("tune_errors")
+            with self._state:
+                self._tune_failures.append(failure)
+            if tune_span is not None:
+                tune_span.set(error=failure["type"], error_message=failure["message"])
         finally:
+            if tune_span is not None:
+                self.tracer.finish(tune_span)
             with self._state:
                 self._tuning.discard(key)
                 self._state.notify_all()

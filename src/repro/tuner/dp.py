@@ -14,7 +14,10 @@ Because the optimal choice for accuracy p_i at level k may recurse into
 *any* accuracy p_j at level k-1, all accuracies at a level are tuned before
 moving up — the paper's key departure from single-accuracy tuning.  Level
 k is tuned on the plan built through level k-1: candidates are priced from
-its meters and trained and run on it through the executor.
+its meters and trained and run on it through the executor.  Training only
+reads the bytes a run leaves, so priced tunes train on the fastest
+available kernels (:class:`~repro.tuner.executor.TrainingExecutor`)
+whatever backend the plan places; wall-clock tunes run the placement.
 
 FULL-MULTIGRID is tuned "bottom-up the same way" (section 2.4): the same
 slot loop (:class:`SlotTuner`) walks both families, and only the
@@ -47,7 +50,7 @@ import numpy as np
 
 from repro.accuracy.estimator import Aggregate, InfeasibleCandidate, Trajectories
 from repro.tuner.choices import Choice, DirectChoice, EstimateChoice, RecurseChoice, SORChoice
-from repro.tuner.executor import PlanExecutor
+from repro.tuner.executor import PlanExecutor, TrainingExecutor
 from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan, level_backend
 from repro.tuner.timing import CostModelTiming, TimingStrategy
 from repro.tuner.training import TrainingData
@@ -120,8 +123,10 @@ def check_caps(max_sor_iters: int, max_recurse_iters: int) -> None:
 
 
 def sor_step(executor: PlanExecutor, plan: TunedVPlan, level: int):
-    """One standalone SOR(omega_opt) sweep at ``level`` on the plan's
-    kernel backend — the step SOR iteration counts are trained with."""
+    """One standalone SOR(omega_opt) sweep at ``level`` — the step SOR
+    iteration counts are trained with — on the kernels ``executor``
+    binds for the plan's backend there (a :class:`TrainingExecutor`
+    binds the fastest available one; the bytes are the same)."""
     kernels = executor._kernels(level, plan.backend_at(level))
     omega = executor._op(level).omega_opt()
 
@@ -232,7 +237,13 @@ class SlotTuner:
             from repro.machines.presets import INTEL_HARPERTOWN
 
             self.timing = CostModelTiming(INTEL_HARPERTOWN)
-        self._executor = PlanExecutor(operator=self.training.operator)
+        # Priced tuning reads only the bytes a training run leaves, so it
+        # trains on the fastest kernels; wall-clock tuning measures what
+        # it runs, so it runs the plan's own placement throughout.
+        if isinstance(self.timing, CostModelTiming):
+            self._executor = TrainingExecutor(operator=self.training.operator)
+        else:
+            self._executor = PlanExecutor(operator=self.training.operator)
         #: grid dimensionality of the training operator (op vocabulary)
         self._ndim = self.training.ndim
         self._drop_runs()

@@ -21,7 +21,7 @@ from threading import get_ident
 
 import numpy as np
 
-from repro.kernels import LevelKernels, get_backend
+from repro.kernels import LevelKernels, get_backend, resolve_backend
 from repro.machines.meter import OpMeter
 from repro.obs.profile import SolveProfiler
 from repro.obs.trace import NOOP_TRACER, NoopTracer, Span, Tracer
@@ -37,7 +37,7 @@ from repro.tuner.choices import (
 from repro.tuner.plan import TunedFullMGPlan, TunedVPlan
 from repro.util.validation import level_of_size, size_of_level
 
-__all__ = ["OP_SPAN_MIN_POINTS", "PlanExecutor"]
+__all__ = ["OP_SPAN_MIN_POINTS", "PlanExecutor", "TrainingExecutor"]
 
 #: Default floor (in grid points) below which per-op spans are not
 #: recorded.  A relax sweep on a sub-1k-point grid runs in single-digit
@@ -517,3 +517,22 @@ class PlanExecutor:
         ec = np.zeros_like(rc)
         self._run_full(plan, ec, rc, level - 1, estimate_accuracy)
         kernels.interpolate_correction(x, ec)
+
+
+class TrainingExecutor(PlanExecutor):
+    """A :class:`PlanExecutor` for runs whose only product is bytes.
+
+    Iteration training and reference solves read the arrays a run
+    leaves, never its wall-clock.  Every backend is byte-identical to
+    NumPy, so these runs bind every level to the fastest backend
+    available here (the one ``"auto"`` resolves to) whatever the plan
+    placed there; the plan's placement stays what its meters price.
+    Without an accelerated backend this is the plain NumPy executor.
+    """
+
+    def __init__(self, operator: OperatorSpec | str | None = None) -> None:
+        super().__init__(operator)
+        self._fastest = resolve_backend("auto")
+
+    def _kernels(self, level: int, backend: str) -> LevelKernels:
+        return super()._kernels(level, self._fastest)

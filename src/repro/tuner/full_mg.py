@@ -13,8 +13,9 @@ The DP tunes the V family first (it is the solve-phase building block),
 then builds FULL-MULTIGRID bottom-up the same way — the V tuner's slot
 loop (:class:`~repro.tuner.dp.SlotTuner`) with this module's candidate
 list: level k is tuned on the full-MG plan built through level k-1, its
-ESTIMATE_j runs as the executor's estimation step on that plan's kernel
-backends, the solver steps run on the V plan, and every candidate is
+ESTIMATE_j runs as the executor's estimation step on that plan (on the
+fastest available kernels, as every priced training run), the solver
+steps run on the V plan, and every candidate is
 priced from the plans' meters.  Each distinct estimation call tree
 (:meth:`TunedFullMGPlan.call_key
 <repro.tuner.plan.TunedFullMGPlan.call_key>` one level down) runs once

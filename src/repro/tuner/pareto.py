@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.tuner.choices import Choice, DirectChoice, RecurseChoice, SORChoice
-from repro.tuner.executor import PlanExecutor
+from repro.tuner.executor import TrainingExecutor
 from repro.tuner.plan import TunedVPlan, fixed_vplan
 from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
@@ -103,8 +103,8 @@ class ParetoTuner:
 
     Intended for small levels (the search is exponential without capping);
     the discrete tuner is the production path.  Every candidate runs as a
-    one-rung plan on a :class:`PlanExecutor` bound to the training
-    operator.
+    one-rung plan on a :class:`TrainingExecutor` bound to the training
+    operator: points are priced, so runs only supply accuracies.
     """
 
     max_level: int
@@ -113,7 +113,7 @@ class ParetoTuner:
     max_set_size: int = 12
     max_sor_iters: int = 64
     max_recurse_iters: int = 6
-    executor: PlanExecutor = field(init=False, repr=False)
+    executor: TrainingExecutor = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.training.ndim != 2:
@@ -128,7 +128,7 @@ class ParetoTuner:
             from repro.machines.presets import INTEL_HARPERTOWN
 
             self.timing = CostModelTiming(INTEL_HARPERTOWN)
-        self.executor = PlanExecutor(operator=self.training.operator)
+        self.executor = TrainingExecutor(operator=self.training.operator)
 
     def tune(self) -> dict[int, list[ParetoPoint]]:
         """Return the optimal set per level."""

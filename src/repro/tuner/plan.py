@@ -89,8 +89,11 @@ def level_backend(
     keeps tiny coarse grids on NumPy (dispatch overhead dominates) while
     fine grids accelerate; without a cost model (wall-clock tuning)
     every supported level accelerates.  Backends never change numerics,
-    so this is purely a pricing decision — iteration training is
-    backend-independent.
+    so under a cost model this is purely a pricing decision: the meters
+    charge the placed backend, while iteration training runs on the
+    fastest available one whatever is placed
+    (:class:`~repro.tuner.executor.TrainingExecutor`).  Only wall-clock
+    tuning, whose measured seconds are the price, runs the placement.
     """
     if backend in ("", "numpy") or level < 2:
         return "numpy"

@@ -193,6 +193,19 @@ class TestAdmissionAndLifecycle:
             door.submit(poisson_problem("unbiased", n=N, seed=1), 1e5)
         door.shutdown()  # idempotent
 
+    def test_invalid_request_fails_its_future_not_submit(self, tmp_path):
+        """The shard's server validates: the front door's submit accepts
+        the request, and its future fails with the shard's ValueError."""
+        with FrontDoor(
+            shards=1, store_path=str(tmp_path / "s.sqlite"), workers=1,
+            instances=1, seed=3,
+        ) as door:
+            bad = door.submit(poisson_problem("unbiased", n=N, seed=1), 1e99)
+            with pytest.raises(RuntimeError, match="^ValueError: .*ladder"):
+                bad.result(timeout=120)
+            good = door.solve(poisson_problem("unbiased", n=N, seed=2), 1e5)
+            assert good.solution.shape == (N, N)
+
     def test_resize_grows_shrinks_and_keeps_serving(self, tmp_path):
         store = str(tmp_path / "store.sqlite")
         with FrontDoor(

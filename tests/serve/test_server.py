@@ -161,11 +161,108 @@ class TestRequestValidation:
     def test_target_above_ladder_fails_that_request_only(self):
         with make_server() as server:
             server.warm("unbiased", LEVEL)
-            bad = server.submit(poisson_problem("unbiased", n=N, seed=1), 1e99)
-            good = server.submit(poisson_problem("unbiased", n=N, seed=2), 1e5)
             with pytest.raises(ValueError, match="ladder"):
-                bad.result(timeout=60)
+                server.submit(poisson_problem("unbiased", n=N, seed=1), 1e99)
+            good = server.submit(poisson_problem("unbiased", n=N, seed=2), 1e5)
             assert good.result(timeout=60).solution.shape == (N, N)
+
+    @pytest.mark.parametrize(
+        "target,match",
+        [(float("nan"), "finite"), (float("inf"), "finite"), (0.0, "> 0"),
+         (-1e5, "> 0"), (1e9 * 1.5, "ladder")],
+    )
+    def test_unservable_target_raises_before_any_tune(self, target, match):
+        with make_server() as server:
+            with pytest.raises(ValueError, match=match):
+                server.submit(poisson_problem("unbiased", n=N, seed=1), target)
+            assert server.wait_for_swaps(timeout=60)
+            counters = server.stats()["counters"]
+            assert len(server.cache) == 0
+            assert counters.get("requests_submitted", 0) == 0
+            assert counters.get("fallback_served", 0) == 0
+
+    def test_top_rung_is_servable(self):
+        with make_server() as server:
+            result = server.solve(poisson_problem("unbiased", n=N, seed=1), 1e9)
+            assert result.solution.shape == (N, N)
+
+    @pytest.mark.parametrize("field", ["b", "boundary"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_raises_before_any_tune(self, field, value):
+        from dataclasses import replace
+
+        clean = poisson_problem("unbiased", n=N, seed=1)
+        data = getattr(clean, field).copy()
+        data.flat[1] = value
+        problem = replace(clean, **{field: data})
+        with make_server() as server:
+            with pytest.raises(ValueError, match=f"{field} has non-finite"):
+                server.submit(problem, 1e5)
+            assert len(server.cache) == 0
+            assert server.stats()["counters"].get("requests_submitted", 0) == 0
+
+
+class TestBackgroundTuneFailures:
+    def test_failing_tune_is_recorded_and_fallback_keeps_serving(self, monkeypatch):
+        import repro.tuner.spec as spec_module
+        from repro.util.errors import MESSAGE_LIMIT
+
+        def broken_tune(*args, **kwargs):
+            raise RuntimeError("tuner exploded " + "x" * 2 * MESSAGE_LIMIT)
+
+        monkeypatch.setattr(spec_module, "tune", broken_tune)
+        with make_server(workers=1) as server:
+            problem = poisson_problem("unbiased", n=N, seed=7)
+            first = server.solve(problem, 1e5, timeout=60)
+            assert server.wait_for_swaps(timeout=60)
+            (failure,) = server.tune_failures()
+            assert failure["type"] == "RuntimeError"
+            assert failure["message"].startswith("tuner exploded")
+            assert len(failure["message"]) == MESSAGE_LIMIT + 3
+            assert failure["key"] == server.cache.keys()[0].label()
+            assert failure["trace_id"] is None
+            assert server.stats()["counters"]["tune_errors"] == 1
+            second = server.solve(problem, 1e5, timeout=60)
+            assert server.wait_for_swaps(timeout=60)
+        assert first.plan_source == second.plan_source == "fallback"
+        assert second.stale
+        assert len(server.tune_failures()) == 2
+
+    def test_traced_failure_marks_the_tune_span(self, monkeypatch):
+        import repro.tuner.spec as spec_module
+        from repro.obs.trace import Tracer
+
+        def broken_tune(*args, **kwargs):
+            raise KeyError("plan")
+
+        monkeypatch.setattr(spec_module, "tune", broken_tune)
+        tracer = Tracer()
+        with make_server(workers=1, tracer=tracer) as server:
+            result = server.solve(poisson_problem("unbiased", n=N, seed=7), 1e5, timeout=60)
+            assert server.wait_for_swaps(timeout=60)
+            (failure,) = server.tune_failures()
+        assert failure["trace_id"] == result.trace_id is not None
+        (span,) = [s for s in tracer.spans() if s.name == "serve.background_tune"]
+        assert span.attrs["error"] == failure["type"] == "KeyError"
+        assert span.attrs["error_message"] == failure["message"]
+        assert span.attrs["key"] == failure["key"]
+        assert span.attrs["request_trace_id"] == failure["trace_id"]
+
+    def test_failure_list_is_bounded(self, monkeypatch):
+        import repro.tuner.spec as spec_module
+        from repro.serve.server import TUNE_FAILURE_LIMIT
+
+        def broken_tune(*args, **kwargs):
+            raise ValueError("no")
+
+        monkeypatch.setattr(spec_module, "tune", broken_tune)
+        with make_server(workers=1) as server:
+            problem = poisson_problem("unbiased", n=N, seed=7)
+            for _ in range(TUNE_FAILURE_LIMIT + 2):
+                server.solve(problem, 1e5, timeout=60)
+                assert server.wait_for_swaps(timeout=60)
+            assert len(server.tune_failures()) == TUNE_FAILURE_LIMIT
+            assert server.stats()["counters"]["tune_errors"] == TUNE_FAILURE_LIMIT + 2
 
 
 class TestLifecycle:
