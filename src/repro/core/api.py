@@ -412,7 +412,11 @@ def open_server(
     path (or None) in that case — worker processes open their own
     connections — and the front door forwards every plain-data option
     to each worker's server; it adds ``trace=True`` and its own
-    ``pool_slots``, ``autoscaler``, ``telemetry`` and ``clock``.
+    ``pool_slots``, ``autoscaler`` and ``clock``.
+
+    Either way ``stats()`` is the metrics snapshot — every tier keeps
+    one :class:`~repro.serve.telemetry.Telemetry` — and
+    :func:`repro.obs.export.prometheus_text` renders it.
     """
     if shards is not None:
         from pathlib import Path

@@ -2,9 +2,10 @@
 
 The coordinator is the control-plane view of one campaign: it seeds the
 work queue (cells + the stored :class:`CampaignSpec` workers rebuild
-tuning keys from), tracks worker heartbeats, aggregates fleet-wide
-telemetry (cells/sec, renewals, requeues — the same counter/histogram
-machinery the solve server reports with), and exports the campaign as a
+tuning keys from), tracks worker heartbeats, sums them into fleet-wide
+totals (cells/sec, renewals, requeues) in :meth:`FleetCoordinator.status`,
+counts the expired leases it releases in its
+:class:`~repro.serve.telemetry.Telemetry`, and exports the campaign as a
 ``run_table.csv`` whose rows carry per-cell provenance: which worker
 completed the cell, after how many attempts, in how much wall-clock.
 """
@@ -141,9 +142,6 @@ class FleetCoordinator:
             "requeues_claimed": sum(w["requeues_claimed"] for w in workers),
             "cells_per_second": sum(w["cells_per_second"] for w in workers),
         }
-        for name, value in totals.items():
-            if name != "cells_per_second":
-                self.telemetry.set_gauge(f"fleet_{name}", value)
         return {
             "campaign": self.campaign,
             "cells": self.queue.counts(),

@@ -79,7 +79,6 @@ class FleetWorker:
         clock: Clock = WALL_CLOCK,
         machines: tuple[str, ...] | None = None,
         profile: MachineProfile | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         self.db = db
         self.registry = PlanRegistry(db)
@@ -92,7 +91,7 @@ class FleetWorker:
         self.clock = clock
         self.machines = machines
         self.profile = profile
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.telemetry = Telemetry()
         self._stopped = False
         self._started_at: float | None = None
 

@@ -1,4 +1,4 @@
-"""Observability: tracing, unified metrics, per-level solve profiling.
+"""Observability: tracing, latency histograms, per-level solve profiling.
 
 The paper's discipline is that performance is *measured, not assumed* —
 the tuner times choices per level instead of trusting a model.  This
@@ -12,17 +12,18 @@ Three layers, all optional and zero-overhead when off:
   clock layer, a lock-free ring-buffer :class:`~repro.obs.trace.SpanSink`,
   and a shared no-op tracer (:data:`~repro.obs.trace.NOOP_TRACER`) whose
   hot-path cost is one attribute load.
-- :mod:`~repro.obs.metrics` — one :class:`~repro.obs.metrics.MetricsRegistry`
-  of ``Counter``/``Gauge``/``Histogram`` families (with labels) that the
-  serving telemetry re-homes onto without changing its JSON exports.
+- :mod:`~repro.obs.metrics` — the geometric-bucket latency
+  :class:`~repro.obs.metrics.Histogram` that every serving tier records
+  into.  Counters, gauges and windows live in the one metrics front
+  end, :class:`repro.serve.telemetry.Telemetry`.
 - :mod:`~repro.obs.profile` — per-(level, op, backend) wall-clock
   aggregation from executor spans: exactly the training rows a learned
   cost model needs, and the drift signal for stored machine profiles.
 
 Exporters (:mod:`~repro.obs.export`) emit JSONL span logs, Chrome
 ``trace_event`` JSON (loadable in Perfetto / ``about:tracing``), and
-Prometheus text format.  ``repro-mg obs {report,trace,export}`` drives
-them from the command line.
+the Prometheus text of a telemetry snapshot.  ``repro-mg obs
+{report,trace,export}`` drives them from the command line.
 """
 
 from repro.obs.bench import (
@@ -39,13 +40,7 @@ from repro.obs.export import (
     span_to_dict,
     write_spans_jsonl,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_bounds,
-)
+from repro.obs.metrics import Histogram, default_bounds
 from repro.obs.profile import SolveProfiler
 from repro.obs.runtime import configure, get_tracer, reset
 from repro.obs.trace import (
@@ -60,10 +55,7 @@ from repro.obs.trace import (
 __all__ = [
     "BENCH_SCHEMA",
     "NOOP_TRACER",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "NoopTracer",
     "SolveProfiler",
     "Span",

@@ -9,9 +9,9 @@ Three consumers, three formats:
   complete events, microsecond timestamps) loads directly into
   Perfetto / ``about:tracing`` for flame-chart inspection of one
   request's span tree.
-- **Prometheus text exposition** renders a metrics snapshot — either a
-  live :class:`~repro.obs.metrics.MetricsRegistry` or the JSON snapshot
-  dict the serve telemetry exports — for scrape-style dashboards.
+- **Prometheus text exposition** renders the JSON snapshot dict the
+  serve telemetry exports (one server's, or a sharded front door's
+  tiers) for scrape-style dashboards.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import re
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.trace import Span
 
 __all__ = [
@@ -136,39 +135,16 @@ def _prom_name(name: str, prefix: str) -> str:
     return safe
 
 
-def _prom_labels(labels: Iterable[tuple[str, str]]) -> str:
-    rendered = ",".join(f'{k}="{v}"' for k, v in labels)
-    return f"{{{rendered}}}" if rendered else ""
+def prometheus_text(source: dict[str, Any], prefix: str = "repro_") -> str:
+    """Prometheus text exposition of a telemetry snapshot.
 
-
-def prometheus_text(
-    source: MetricsRegistry | dict[str, Any],
-    prefix: str = "repro_",
-) -> str:
-    """Prometheus text exposition of a registry or a telemetry snapshot.
-
-    Accepts either a live :class:`MetricsRegistry` or the snapshot dict
-    exported by :meth:`repro.serve.telemetry.Telemetry.snapshot` (the
-    shape ``repro-mg serve --json`` writes), so the CLI can export from
-    a file long after the server is gone.
+    Accepts the snapshot dict exported by
+    :meth:`repro.serve.telemetry.Telemetry.snapshot` (the shape
+    ``repro-mg serve --json`` writes, and what ``server.stats()``
+    returns for a live server), or the ``FrontDoor.stats()`` shape that
+    nests one snapshot per tier, so the CLI can export from a file long
+    after the server is gone.
     """
-    lines: list[str] = []
-    if isinstance(source, MetricsRegistry):
-        for metric in source.collect():
-            name = _prom_name(metric.name, prefix)
-            labels = _prom_labels(metric.labels)
-            if isinstance(metric, Counter):
-                lines.append(f"# TYPE {name} counter")
-                lines.append(f"{name}{labels} {metric.value}")
-            elif isinstance(metric, Gauge):
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{name}{labels} {metric.value}")
-            else:
-                lines.append(f"# TYPE {name} summary")
-                for key, value in metric.to_dict().items():
-                    lines.append(f"{name}_{key}{labels} {value}")
-        return "\n".join(lines) + "\n"
-
     # One family may collect samples from several tiers (front door +
     # every shard); Prometheus requires a family's samples contiguous
     # under a single # TYPE line, so group first, render second.
@@ -193,6 +169,7 @@ def prometheus_text(
                         f'{{tier="shard",shard="{index}"}}',
                         families,
                     )
+    lines: list[str] = []
     for name, (kind, samples) in families.items():
         lines.append(f"# TYPE {name} {kind}")
         lines.extend(samples)

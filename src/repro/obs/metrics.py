@@ -1,39 +1,23 @@
-"""Unified metrics: counters, gauges, histograms in one labeled registry.
+"""The latency histogram every serving tier records into.
 
-One :class:`MetricsRegistry` owns every metric family in a process.
-Callers mint metric handles once (``registry.counter("requests",
-shard="0")``) and mutate them directly on the hot path — no name
-lookup, no global lock per increment.  The serving telemetry
-(:mod:`repro.serve.telemetry`) re-homes its counters, gauges, and
-latency histograms onto these primitives while keeping its exported
-JSON byte-identical; the fleet worker's heartbeat counters do the same.
-
-The :class:`Histogram` here is the geometric-bucket latency histogram
-that previously lived in the serve telemetry module, promoted so every
-subsystem shares one implementation (and one Prometheus exposition).
+:class:`Histogram` is the one latency primitive: geometric buckets,
+percentile estimates, and a ``to_dict`` summary that the serve
+telemetry (:mod:`repro.serve.telemetry`) puts in its snapshot and the
+Prometheus exporter renders as a summary.  Counters and gauges are
+plain ``name -> value`` dicts inside
+:class:`~repro.serve.telemetry.Telemetry`, the one metrics front end.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
-from typing import Any, Iterator
+from typing import Any
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PERCENTILES",
-    "default_bounds",
-]
+__all__ = ["Histogram", "PERCENTILES", "default_bounds"]
 
 #: Default percentiles reported by snapshots.
 PERCENTILES = (0.50, 0.95, 0.99)
-
-#: label dicts are stored canonically as sorted (key, value) tuples.
-LabelKey = tuple[tuple[str, str], ...]
 
 
 def default_bounds() -> tuple[float, ...]:
@@ -43,45 +27,6 @@ def default_bounds() -> tuple[float, ...]:
     under ~33% — plenty for tail-latency reporting — with 72 buckets.
     """
     return tuple(1e-6 * 10 ** (i / 8) for i in range(1, 73))
-
-
-def _label_key(labels: dict[str, str]) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class Counter:
-    """Monotonic integer counter.
-
-    Increments are a single ``+=`` on one attribute — atomic enough
-    under the GIL for telemetry, and callers that need snapshot
-    consistency (the serve telemetry) serialize with their own lock.
-    """
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0
-
-    def inc(self, by: int = 1) -> None:
-        if by < 0:
-            raise ValueError(f"counter increment must be >= 0, not {by}")
-        self.value += by
-
-
-class Gauge:
-    """Last-write-wins float gauge."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -94,16 +39,9 @@ class Histogram:
     :class:`~repro.serve.telemetry.Telemetry`) serialize access.
     """
 
-    __slots__ = ("name", "labels", "bounds", "counts", "count", "sum", "max")
+    __slots__ = ("bounds", "counts", "count", "sum", "max")
 
-    def __init__(
-        self,
-        bounds: tuple[float, ...] | None = None,
-        name: str = "",
-        labels: LabelKey = (),
-    ) -> None:
-        self.name = name
-        self.labels = labels
+    def __init__(self, bounds: tuple[float, ...] | None = None) -> None:
         self.bounds = bounds if bounds is not None else default_bounds()
         if list(self.bounds) != sorted(self.bounds):
             raise ValueError("histogram bounds must be sorted ascending")
@@ -151,96 +89,3 @@ class Histogram:
         for q in percentiles:
             out[f"p{int(round(q * 100))}_s"] = self.percentile(q)
         return out
-
-
-class MetricsRegistry:
-    """Registry of labeled metric families for one process.
-
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create: the same
-    (name, labels) pair always returns the same object, so callers keep
-    the handle and mutate it without further lookups.  Creation is
-    serialized; mutation happens on the handles themselves.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: dict[tuple[str, LabelKey], Counter] = {}
-        self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
-        self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
-        self._kinds: dict[str, str] = {}
-
-    def _claim(self, name: str, kind: str) -> None:
-        # Prometheus forbids one metric name with two types; catching
-        # the clash at mint time beats silently exporting garbage.
-        claimed = self._kinds.setdefault(name, kind)
-        if claimed != kind:
-            raise ValueError(f"metric {name!r} already registered as a {claimed}")
-
-    def counter(self, name: str, **labels: str) -> Counter:
-        key = (name, _label_key(labels))
-        with self._lock:
-            metric = self._counters.get(key)
-            if metric is None:
-                self._claim(name, "counter")
-                metric = self._counters[key] = Counter(name, key[1])
-            return metric
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        key = (name, _label_key(labels))
-        with self._lock:
-            metric = self._gauges.get(key)
-            if metric is None:
-                self._claim(name, "gauge")
-                metric = self._gauges[key] = Gauge(name, key[1])
-            return metric
-
-    def histogram(
-        self,
-        name: str,
-        bounds: tuple[float, ...] | None = None,
-        **labels: str,
-    ) -> Histogram:
-        key = (name, _label_key(labels))
-        with self._lock:
-            metric = self._histograms.get(key)
-            if metric is None:
-                self._claim(name, "histogram")
-                metric = self._histograms[key] = Histogram(bounds, name, key[1])
-            return metric
-
-    # -- reading -----------------------------------------------------------
-
-    def collect(self) -> Iterator[Counter | Gauge | Histogram]:
-        """Every registered metric, counters then gauges then histograms,
-        each family sorted by (name, labels)."""
-        with self._lock:
-            counters = [self._counters[k] for k in sorted(self._counters)]
-            gauges = [self._gauges[k] for k in sorted(self._gauges)]
-            hists = [self._histograms[k] for k in sorted(self._histograms)]
-        yield from counters
-        yield from gauges
-        yield from hists
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-serializable view: ``{counters, gauges, histograms}``.
-
-        Labeled metrics render their labels into the key as
-        ``name{k=v,...}`` so the flat dicts stay unambiguous.
-        """
-        out: dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for metric in self.collect():
-            key = _render_key(metric.name, metric.labels)
-            if isinstance(metric, Counter):
-                out["counters"][key] = metric.value
-            elif isinstance(metric, Gauge):
-                out["gauges"][key] = metric.value
-            else:
-                out["histograms"][key] = metric.to_dict()
-        return out
-
-
-def _render_key(name: str, labels: LabelKey) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in labels)
-    return f"{name}{{{inner}}}"

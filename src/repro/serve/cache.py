@@ -316,13 +316,14 @@ class PlanCache:
         heuristic whenever the store has evidence; the heuristic remains
         the last resort (and the only path when the model tuner fails
         for any reason, since a fallback build must never take serving
-        down).
+        down; ``telemetry.failures("model_fallback_errors")`` keeps what
+        failed).
         """
         if self.model_fallback:
             try:
                 plan = self._model_fallback_plan(profile, key)
-            except Exception:
-                self.telemetry.incr("model_fallback_errors")
+            except Exception as exc:
+                self.telemetry.failure("model_fallback_errors", exc, key=key.label())
             else:
                 self.telemetry.incr("model_fallback_builds")
                 plan.metadata["serve_fallback"] = True
@@ -568,7 +569,8 @@ class PlanCache:
     ) -> None:
         """Durably log an SLO swap as a trial row with ``serve_swap``
         provenance (best-effort: telemetry already has the event, and a
-        full trial log must never take the serving path down)."""
+        full trial log must never take the serving path down; a failed
+        write is kept in ``telemetry.failures("swap_log_errors")``)."""
         import json
 
         from repro.store.registry import build_provenance
@@ -613,8 +615,10 @@ class PlanCache:
                     plan_json=plan_json,
                 )
             )
-        except Exception:
-            self.telemetry.incr("swap_log_errors")
+        except Exception as exc:
+            self.telemetry.failure(
+                "swap_log_errors", exc, key=key.label(), trace_id=trace_id
+            )
 
     def _install(self, key: ServeKey, entry: CacheEntry) -> CacheEntry:
         """Install a fresh (non-swap) entry, keeping any newer one."""

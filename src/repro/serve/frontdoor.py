@@ -163,10 +163,11 @@ class FrontDoor:
         Optional :class:`~repro.serve.sharding.Autoscaler`;
         :meth:`autoscale_tick` then applies its decisions via
         :meth:`resize`.
-    telemetry, clock, trace, tracer:
-        The front door's own telemetry (windowed by the ``slo_window_s``
-        server option), latency clock and tracing; ``trace=True`` also
-        traces every worker, and a ``tracer`` overrides the front door's.
+    clock, trace, tracer:
+        The front door's latency clock (its own telemetry reads it and
+        is windowed by the ``slo_window_s`` server option) and tracing;
+        ``trace=True`` also traces every worker, and a ``tracer``
+        overrides the front door's.
     server_options:
         Every other keyword is a ``SolveServer`` option, forwarded
         unchanged to each worker; an unknown name, or a value that is not
@@ -181,7 +182,6 @@ class FrontDoor:
         *,
         pool_slots: int = 32,
         autoscaler: Autoscaler | None = None,
-        telemetry: Telemetry | None = None,
         clock: Clock | None = None,
         trace: bool = False,
         tracer: Tracer | NoopTracer | None = None,
@@ -193,7 +193,7 @@ class FrontDoor:
         import multiprocessing
 
         self.clock = clock or MONOTONIC_CLOCK
-        self.telemetry = telemetry or Telemetry(clock=self.clock, window_s=window_s)
+        self.telemetry = Telemetry(clock=self.clock, window_s=window_s)
         # ``trace=True`` is the one-knob form: a tracer here plus traced
         # workers whose spans ship home in solve replies.  An explicit
         # ``tracer`` overrides the instance (e.g. a ManualClock one).

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
@@ -35,20 +34,16 @@ from repro.obs.trace import NOOP_TRACER, NoopTracer, Span, SpanContext, Tracer
 from repro.operators.spec import OperatorSpec
 from repro.serve.batching import Backpressure, RequestQueue
 from repro.serve.cache import CacheEntry, PlanCache, ServeKey
-from repro.serve.telemetry import Telemetry
+from repro.serve.telemetry import TUNE_FAILURE_LIMIT, Telemetry
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.plan import DEFAULT_ACCURACIES
 from repro.util.clock import MONOTONIC_CLOCK, Clock
-from repro.util.errors import error_record
 from repro.workloads.problem import PoissonProblem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.registry import PlanRegistry
 
 __all__ = ["TUNE_FAILURE_LIMIT", "ServeResult", "SolveRequest", "SolveServer"]
-
-#: How many background-tune failures a server keeps (the newest).
-TUNE_FAILURE_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,6 @@ class SolveServer:
         seed: int | None = 0,
         instances: int = 3,
         allow_nearest: bool = True,
-        telemetry: Telemetry | None = None,
         clock: Clock | None = None,
         backend: str = "numpy",
         slo_p99_s: float | None = None,
@@ -177,9 +171,7 @@ class SolveServer:
         self.op_span_min_points = op_span_min_points
         self.profile = get_preset(machine) if isinstance(machine, str) else machine
         self.registry: "PlanRegistry" = _resolve_registry(store)
-        self.telemetry = telemetry or Telemetry(
-            clock=self.clock, window_s=slo_window_s
-        )
+        self.telemetry = Telemetry(clock=self.clock, window_s=slo_window_s)
         self.slo_p99_s = slo_p99_s
         self.slo_window_s = slo_window_s
         self.slo_min_samples = slo_min_samples
@@ -203,7 +195,6 @@ class SolveServer:
         self._closed = False
         self._inflight = 0
         self._tuning: set[ServeKey] = set()
-        self._tune_failures: deque[dict[str, Any]] = deque(maxlen=TUNE_FAILURE_LIMIT)
         self._tuner_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-tuner"
         )
@@ -346,8 +337,7 @@ class SolveServer:
         ``trace_id`` of the request that triggered the tune (``None``
         when tracing is off).  ``stats()["counters"]["tune_errors"]``
         counts them all."""
-        with self._state:
-            return list(self._tune_failures)
+        return self.telemetry.failures("tune_errors")
 
     def stats(self) -> dict[str, Any]:
         """Telemetry snapshot (JSON-serializable)."""
@@ -721,10 +711,9 @@ class SolveServer:
             # A failed background tune must not take the server down; the
             # fallback plan keeps serving and the next cold hit retries.
             # The failure is counted and kept for inspection.
-            failure = {**error_record(exc), "key": key.label(), "trace_id": trace_id}
-            self.telemetry.incr("tune_errors")
-            with self._state:
-                self._tune_failures.append(failure)
+            failure = self.telemetry.failure(
+                "tune_errors", exc, key=key.label(), trace_id=trace_id
+            )
             if tune_span is not None:
                 tune_span.set(error=failure["type"], error_message=failure["message"])
         finally:

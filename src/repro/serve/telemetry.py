@@ -1,19 +1,13 @@
-"""Serving telemetry: latency histograms, cache counters, swap events.
+"""Serving telemetry: the one metrics front end.
 
 The solve server's hot path is request latency, not tune time, so the
 metrics of record change with it: percentile latency (p50/p95/p99),
 cache hit/miss/fallback counters, queue depth, and plan hot-swap
 events.  Everything here is cheap enough to sit on the request path —
-histogram recording is one bisect plus one increment under a lock —
-and the whole state exports as JSON for dashboards or CI artifacts.
-
-Since the observability PR, the primitives live in
-:mod:`repro.obs.metrics`: every counter, gauge, and histogram here is a
-handle minted from a :class:`~repro.obs.metrics.MetricsRegistry` (one
-per :class:`Telemetry` by default, or a shared one passed in), so the
-same metrics are visible to the unified Prometheus exporter.  The JSON
-``snapshot()`` shape is unchanged — byte-compatible with every earlier
-release — and is regression-tested against a hand-rolled baseline.
+a counter is one dict update and a histogram record one bisect plus one
+increment, each under one lock — and the whole state exports as JSON
+for dashboards or CI artifacts, or as Prometheus text through
+:func:`repro.obs.export.prometheus_text`.
 
 Two latency views coexist.  A :class:`~repro.obs.metrics.Histogram` is
 cumulative — the whole lifetime of the server — which is the right
@@ -23,6 +17,11 @@ view an SLO controller may act on: a breach must clear again once the
 slow samples age out, and a cumulative histogram never forgets.
 Windows read time from the telemetry's injected clock, so SLO tests
 drive them deterministically with a ``ManualClock``.
+
+Failures the serving path swallows on purpose (a background tune, a
+model-predicted fallback, a swap's trial-log row) go through
+:meth:`Telemetry.failure`: each is counted and its record kept in a
+bounded per-counter log, so what failed can be inspected afterwards.
 """
 
 from __future__ import annotations
@@ -33,10 +32,14 @@ import threading
 from collections import deque
 from typing import Any, Deque
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.util.clock import MONOTONIC_CLOCK, Clock
+from repro.util.errors import error_record
 
-__all__ = ["SlidingWindow", "SwapEvent", "Telemetry"]
+__all__ = ["TUNE_FAILURE_LIMIT", "SlidingWindow", "SwapEvent", "Telemetry"]
+
+#: How many failure records a telemetry keeps per counter (the newest).
+TUNE_FAILURE_LIMIT = 32
 
 
 class SlidingWindow:
@@ -128,14 +131,13 @@ class Telemetry:
 
     Counters (monotonic ints), gauges (last-write-wins floats), named
     latency histograms, named sliding windows (recent-percentile view
-    for SLO control), and a bounded log of plan swap events.  A
-    :meth:`snapshot` is a plain dict — JSON-serializable as-is — taken
-    under the lock, so it is internally consistent.
+    for SLO control), a bounded log of plan swap events, and bounded
+    per-counter logs of swallowed failures.  A :meth:`snapshot` is a
+    plain dict — JSON-serializable as-is — taken under the lock, so it
+    is internally consistent.
 
-    The counters, gauges, and histograms are handles on a
-    :class:`~repro.obs.metrics.MetricsRegistry` (a private one unless
-    ``registry`` is passed), so a process-wide registry sees serving
-    metrics alongside everything else; the snapshot shape is unchanged.
+    A name is either a counter or a gauge, never both: Prometheus allows
+    one type per metric family, so the clash raises ``ValueError``.
 
     ``clock`` timestamps window samples and window reads; the default
     real clock is right for production, tests inject a
@@ -148,52 +150,68 @@ class Telemetry:
         max_events: int = 256,
         clock: Clock | None = None,
         window_s: float = 5.0,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.clock = clock or MONOTONIC_CLOCK
         self.window_s = window_s
-        self.registry = registry if registry is not None else MetricsRegistry()
         self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
+        self._counters: dict[str, int] = {}
+        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
         self._windows: dict[str, SlidingWindow] = {}
+        self._failures: dict[str, Deque[dict[str, Any]]] = {}
         self._events: Deque[SwapEvent] = deque(maxlen=max_events)
         self._seq = 0
 
-    # -- registry plumbing -------------------------------------------------
+    # -- recording (the ``_locked`` helpers run under ``self._lock``) -----
 
-    def _counter(self, name: str) -> Counter:
-        metric = self._counters.get(name)
-        if metric is None:
-            metric = self._counters[name] = self.registry.counter(name)
-        return metric
+    def _incr_locked(self, name: str, by: int) -> None:
+        if name not in self._counters:
+            if name in self._gauges:
+                raise ValueError(f"metric {name!r} already registered as a gauge")
+            self._counters[name] = 0
+        self._counters[name] += by
 
-    def _gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            metric = self._gauges[name] = self.registry.gauge(name)
-        return metric
-
-    def _histogram(self, name: str) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            metric = self._histograms[name] = self.registry.histogram(name)
-        return metric
-
-    # -- recording --------------------------------------------------------
+    def _record_locked(self, name: str, seconds: float) -> None:
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self._histograms[name] = Histogram()
+        hist.record(seconds)
 
     def incr(self, name: str, by: int = 1) -> None:
+        if by < 0:
+            raise ValueError(f"counter increment must be >= 0, not {by}")
         with self._lock:
-            self._counter(name).inc(by)
+            self._incr_locked(name, by)
 
     def set_gauge(self, name: str, value: float) -> None:
         with self._lock:
-            self._gauge(name).set(value)
+            if name in self._counters:
+                raise ValueError(f"metric {name!r} already registered as a counter")
+            self._gauges[name] = float(value)
 
     def observe(self, name: str, seconds: float) -> None:
         with self._lock:
-            self._histogram(name).record(seconds)
+            self._record_locked(name, seconds)
+
+    def failure(
+        self, counter: str, exc: BaseException, **context: Any
+    ) -> dict[str, Any]:
+        """Count a swallowed failure and keep its record.
+
+        Increments ``counter`` and appends ``{**error_record(exc),
+        **context}`` — the exception ``type``, a bounded ``message`` and
+        whatever the caller names (a key label, a trace id) — to that
+        counter's log of the newest :data:`TUNE_FAILURE_LIMIT` records,
+        read back by :meth:`failures`.  Returns the record.
+        """
+        record = {**error_record(exc), **context}
+        with self._lock:
+            self._incr_locked(counter, 1)
+            log = self._failures.get(counter)
+            if log is None:
+                log = self._failures[counter] = deque(maxlen=TUNE_FAILURE_LIMIT)
+            log.append(record)
+        return record
 
     def observe_windowed(
         self, name: str, seconds: float, window_s: float | None = None
@@ -205,7 +223,7 @@ class Telemetry:
         """
         now = self.clock.now()
         with self._lock:
-            self._histogram(name).record(seconds)
+            self._record_locked(name, seconds)
             window = self._windows.get(name)
             if window is None:
                 window = self._windows[name] = SlidingWindow(
@@ -241,20 +259,18 @@ class Telemetry:
                 self._seq, key, old_source, new_source, generation, stale_served
             )
             self._events.append(event)
-            self._counter("plan_swaps").inc()
+            self._incr_locked("plan_swaps", 1)
             return event
 
     # -- reading ----------------------------------------------------------
 
     def counter(self, name: str) -> int:
         with self._lock:
-            metric = self._counters.get(name)
-            return metric.value if metric is not None else 0
+            return self._counters.get(name, 0)
 
     def gauge(self, name: str) -> float:
         with self._lock:
-            metric = self._gauges.get(name)
-            return metric.value if metric is not None else 0.0
+            return self._gauges.get(name, 0.0)
 
     def percentile(self, histogram: str, q: float) -> float:
         with self._lock:
@@ -266,15 +282,19 @@ class Telemetry:
         with self._lock:
             return list(self._events)
 
+    def failures(self, counter: str) -> list[dict[str, Any]]:
+        """The kept records of :meth:`failure` calls on ``counter``,
+        oldest first (``[]`` when there were none)."""
+        with self._lock:
+            return list(self._failures.get(counter, ()))
+
     def snapshot(self) -> dict[str, Any]:
         """A consistent, JSON-serializable view of every metric."""
         now = self.clock.now()
         with self._lock:
             return {
-                "counters": {
-                    name: c.value for name, c in sorted(self._counters.items())
-                },
-                "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
+                "counters": dict(sorted(self._counters.items())),
+                "gauges": dict(sorted(self._gauges.items())),
                 "latency": {
                     name: hist.to_dict()
                     for name, hist in sorted(self._histograms.items())

@@ -7,7 +7,6 @@ import pytest
 from repro.fleet import FleetCoordinator, FleetWorker, WorkQueue, load_campaign_spec
 from repro.fleet.worker import format_worker_error
 from repro.machines.presets import get_preset
-from repro.serve.telemetry import Telemetry
 from repro.store import Campaign, CampaignSpec, PlanRegistry, TrialDB
 from repro.util.clock import ManualClock
 
@@ -92,8 +91,9 @@ class TestDrain:
     def test_worker_records_telemetry(self):
         db = TrialDB(":memory:")
         enqueue(db)
-        telemetry = Telemetry()
-        FleetWorker(db, "fleet-test", worker_id="w1", telemetry=telemetry).run()
+        worker = FleetWorker(db, "fleet-test", worker_id="w1")
+        worker.run()
+        telemetry = worker.telemetry
         assert telemetry.counter("cells_done") == 4
         assert telemetry.counter("lease_renewals") == 4
         assert telemetry.counter("cells_failed") == 0

@@ -12,7 +12,6 @@ from repro.obs.export import (
     span_to_dict,
     write_spans_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.util.clock import ManualClock
 
@@ -80,18 +79,6 @@ class TestChromeTrace:
 
 
 class TestPrometheus:
-    def test_registry_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("requests", shard="0").inc(3)
-        reg.gauge("queue_depth").set(2)
-        reg.histogram("solve_latency").record(0.01)
-        text = prometheus_text(reg)
-        assert '# TYPE repro_requests counter' in text
-        assert 'repro_requests{shard="0"} 3' in text
-        assert "# TYPE repro_queue_depth gauge" in text
-        assert "# TYPE repro_solve_latency summary" in text
-        assert text.endswith("\n")
-
     def test_telemetry_snapshot_exposition(self):
         snapshot = {
             "counters": {"requests": 10, "rejected": 1},

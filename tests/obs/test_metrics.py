@@ -1,33 +1,11 @@
-"""Unified metrics registry: handles, labels, snapshots."""
-
-import json
+"""The latency histogram primitive."""
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_bounds,
-)
+from repro.obs.metrics import Histogram, default_bounds
 
 
 class TestPrimitives:
-    def test_counter_monotone(self):
-        c = Counter("requests")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_last_write_wins(self):
-        g = Gauge("depth")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
-
     def test_histogram_percentiles_bracket_samples(self):
         h = Histogram()
         for v in (0.001, 0.002, 0.004, 0.1):
@@ -47,39 +25,3 @@ class TestPrimitives:
         bounds = default_bounds()
         assert list(bounds) == sorted(bounds)
         assert bounds[0] > 1e-6 / 2 and bounds[-1] > 100.0
-
-
-class TestRegistry:
-    def test_same_name_and_labels_share_a_handle(self):
-        reg = MetricsRegistry()
-        a = reg.counter("requests", shard="0")
-        b = reg.counter("requests", shard="0")
-        other = reg.counter("requests", shard="1")
-        assert a is b
-        assert a is not other
-        a.inc()
-        assert b.value == 1 and other.value == 0
-
-    def test_kind_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-
-    def test_snapshot_is_json_serializable(self):
-        reg = MetricsRegistry()
-        reg.counter("requests", shard="0").inc(2)
-        reg.gauge("queue_depth").set(3)
-        reg.histogram("latency").record(0.01)
-        snap = reg.snapshot()
-        json.dumps(snap)  # must not raise
-        flat = json.dumps(snap)
-        assert "requests" in flat and "queue_depth" in flat and "latency" in flat
-
-    def test_collect_yields_every_family(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        reg.gauge("b")
-        reg.histogram("c")
-        kinds = {type(m) for m in reg.collect()}
-        assert kinds == {Counter, Gauge, Histogram}
