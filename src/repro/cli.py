@@ -625,15 +625,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(zero-copy shared-memory payloads) instead of one in-process server",
     )
     parser.add_argument(
-        "--slo-p99-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-class p99 latency SLO in milliseconds; on a windowed "
-        "breach the cached plan hot-swaps to a lower-accuracy variant "
-        "until the window recovers (swaps land in the trial log)",
-    )
-    parser.add_argument(
         "--loadgen-seed",
         type=int,
         default=123,
@@ -709,7 +700,6 @@ def _serve_main(argv: list[str]) -> int:
         seed=args.seed,
         instances=args.instances,
         backend=args.backend,
-        slo_p99_s=args.slo_p99_ms / 1e3 if args.slo_p99_ms is not None else None,
         tracer=tracer,
     )
     server = open_server(args.machine, db_path, shards=args.shards, **options)

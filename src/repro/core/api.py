@@ -402,8 +402,8 @@ def open_server(
     Keyword options are ``SolveServer``'s — ``workers``, ``queue_size``,
     ``batch_size``, the tuning configuration (``kind``, ``accuracies``,
     ``seed``, ``instances``, ``backend``, ``allow_nearest``,
-    ``model_fallback``), the SLO controls (``slo_p99_s``, ...), and the
-    observability hooks (``tracer``, ``profiler`` — see :mod:`repro.obs`).
+    ``model_fallback``) and the observability hooks (``tracer``,
+    ``profiler`` — see :mod:`repro.obs`).
 
     With ``shards=N`` it is a :class:`~repro.serve.frontdoor.FrontDoor`
     over N shard-worker processes with the same ``submit``/``solve``/
@@ -412,7 +412,7 @@ def open_server(
     path (or None) in that case — worker processes open their own
     connections — and the front door forwards every plain-data option
     to each worker's server; it adds ``trace=True`` and its own
-    ``pool_slots``, ``autoscaler`` and ``clock``.
+    ``pool_slots`` and ``clock``.
 
     Either way ``stats()`` is the metrics snapshot — every tier keeps
     one :class:`~repro.serve.telemetry.Telemetry` — and

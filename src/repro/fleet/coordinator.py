@@ -3,9 +3,8 @@
 The coordinator is the control-plane view of one campaign: it seeds the
 work queue (cells + the stored :class:`CampaignSpec` workers rebuild
 tuning keys from), tracks worker heartbeats, sums them into fleet-wide
-totals (cells/sec, renewals, requeues) in :meth:`FleetCoordinator.status`,
-counts the expired leases it releases in its
-:class:`~repro.serve.telemetry.Telemetry`, and exports the campaign as a
+totals (cells/sec, renewals, requeues) and the expired leases it has
+released in :meth:`FleetCoordinator.status`, and exports the campaign as a
 ``run_table.csv`` whose rows carry per-cell provenance: which worker
 completed the cell, after how many attempts, in how much wall-clock.
 """
@@ -18,7 +17,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.fleet.queue import WorkQueue
-from repro.serve.telemetry import Telemetry
 from repro.store.campaign import Campaign, CampaignSpec
 from repro.store.trialdb import TrialDB
 from repro.util import format_table
@@ -67,7 +65,9 @@ class FleetCoordinator:
             db, campaign, clock=clock, lease_ttl=lease_ttl,
             max_attempts=max_attempts,
         )
-        self.telemetry = Telemetry()
+        #: expired leases :meth:`status` has released, over this
+        #: coordinator's lifetime
+        self.leases_released = 0
 
     # -- enqueue ----------------------------------------------------------
 
@@ -129,11 +129,10 @@ class FleetCoordinator:
         """One JSON-ready snapshot: queue counts, workers, fleet totals.
 
         Expired leases are released first, so the counts reflect what a
-        new worker would actually find claimable.
+        new worker would actually find claimable; ``leases_released`` is
+        the running total of those releases.
         """
-        released = self.queue.release_expired()
-        if released:
-            self.telemetry.incr("leases_released", released)
+        self.leases_released += self.queue.release_expired()
         workers = self.workers(stale_after)
         totals = {
             "cells_done": sum(w["cells_done"] for w in workers),
@@ -145,6 +144,7 @@ class FleetCoordinator:
         return {
             "campaign": self.campaign,
             "cells": self.queue.counts(),
+            "leases_released": self.leases_released,
             "workers": workers,
             "fleet": totals,
         }
@@ -156,6 +156,7 @@ class FleetCoordinator:
         lines = [
             f"campaign {self.campaign!r}: "
             + ", ".join(f"{n} {s}" for s, n in cells.items())
+            + f"; {snap['leases_released']} expired leases released"
         ]
         if snap["workers"]:
             headers = [

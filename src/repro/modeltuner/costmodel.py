@@ -182,7 +182,9 @@ class CostModel:
 
         ``rows`` are :meth:`SolveProfiler.to_training_rows` dicts
         (``{op, n, seconds, weight}``); malformed or non-positive rows
-        are skipped, never fatal.  ``trials`` are
+        are skipped, never fatal, and counted as ``rows_skipped`` on the
+        ``modeltuner.fit`` span (a trial whose plan will not parse or
+        price, as ``trials_skipped``).  ``trials`` are
         :class:`~repro.store.trialdb.TrialRecord`-shaped objects whose
         ``plan_json`` + ``simulated_cost`` pairs contribute low-weight
         per-op pseudo-rows: the stored plan's unit meter is priced on
@@ -194,7 +196,7 @@ class CostModel:
 
         samples: dict[str, list[tuple[float, float, float]]] = {}
         ratios: list[tuple[float, float]] = []
-        n_rows = 0
+        n_rows = rows_skipped = 0
         for row in rows:
             try:
                 op = str(row["op"])
@@ -202,8 +204,10 @@ class CostModel:
                 seconds = float(row["seconds"])
                 weight = float(row.get("weight", 1.0))
             except (KeyError, TypeError, ValueError):
+                rows_skipped += 1
                 continue
             if n < 3 or seconds <= 0.0 or weight <= 0.0 or not math.isfinite(seconds):
+                rows_skipped += 1
                 continue
             samples.setdefault(op, []).append((points_of(op, n), seconds, weight))
             n_rows += 1
@@ -213,13 +217,19 @@ class CostModel:
                 analytic = 0.0
             if analytic > 0.0:
                 ratios.append((seconds / analytic, weight))
-        n_trials = cls._fold_trials(trials, base_profile, samples, ratios)
+        n_trials, trials_skipped = cls._fold_trials(
+            trials, base_profile, samples, ratios
+        )
+        # The skip counts ride on the span only: provenance is part of
+        # the model's JSON and fingerprint.
         with get_tracer().span(
             "modeltuner.fit",
             base=base_profile.name,
             rows=n_rows,
             trials=n_trials,
             ops=len(samples),
+            rows_skipped=rows_skipped,
+            trials_skipped=trials_skipped,
         ):
             laws = {
                 op: _fit_law(pts, _reference_exponent(base_profile, op))
@@ -243,10 +253,13 @@ class CostModel:
         base_profile: MachineProfile,
         samples: dict[str, list[tuple[float, float, float]]],
         ratios: list[tuple[float, float]],
-    ) -> int:
+    ) -> tuple[int, int]:
+        """Fold stored trials into ``samples``/``ratios``; returns
+        (trials folded, trials skipped because their plan would not
+        parse or price)."""
         from repro.tuner.config import plan_from_dict
 
-        folded = 0
+        folded = skipped = 0
         for trial in trials:
             plan_json = getattr(trial, "plan_json", None)
             cost = getattr(trial, "simulated_cost", None)
@@ -257,8 +270,10 @@ class CostModel:
                 meter = plan.unit_meter(plan.max_level, plan.num_accuracies - 1)
                 analytic_total = base_profile.price(meter)
             except Exception:
+                skipped += 1
                 continue
             if analytic_total <= 0.0:
+                skipped += 1
                 continue
             scale = cost / analytic_total
             ratios.append((scale, 0.25))
@@ -273,7 +288,7 @@ class CostModel:
                     (points_of(op, n), analytic * scale, 0.25 * count)
                 )
             folded += 1
-        return folded
+        return folded, skipped
 
     # -- identity / serialization ----------------------------------------
 

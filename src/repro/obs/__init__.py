@@ -14,7 +14,7 @@ Three layers, all optional and zero-overhead when off:
   hot-path cost is one attribute load.
 - :mod:`~repro.obs.metrics` — the geometric-bucket latency
   :class:`~repro.obs.metrics.Histogram` that every serving tier records
-  into.  Counters, gauges and windows live in the one metrics front
+  into.  Counters and gauges live in the one metrics front
   end, :class:`repro.serve.telemetry.Telemetry`.
 - :mod:`~repro.obs.profile` — per-(level, op, backend) wall-clock
   aggregation from executor spans: exactly the training rows a learned

@@ -149,7 +149,7 @@ def prometheus_text(source: dict[str, Any], prefix: str = "repro_") -> str:
     # every shard); Prometheus requires a family's samples contiguous
     # under a single # TYPE line, so group first, render second.
     families: dict[str, tuple[str, list[str]]] = {}
-    if any(k in source for k in ("counters", "gauges", "latency", "windows")):
+    if any(k in source for k in ("counters", "gauges", "latency")):
         _snapshot_families(source, prefix, "", families)
     else:
         # FrontDoor.stats() shape: {"frontdoor": snapshot,
@@ -199,12 +199,5 @@ def _snapshot_families(
         add(
             name,
             "summary",
-            [f"{name}_{key}{labels} {value}" for key, value in summary.items()],
-        )
-    for win_name, summary in source.get("windows", {}).items():
-        name = _prom_name(f"window_{win_name}", prefix)
-        add(
-            name,
-            "gauge",
             [f"{name}_{key}{labels} {value}" for key, value in summary.items()],
         )

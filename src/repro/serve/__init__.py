@@ -6,24 +6,22 @@ configuration — becomes a serving layer here.  In one process, a
 :class:`SolveServer` admits requests into a bounded queue, micro-batches
 them per workload class, serves cold classes instantly from the
 heuristic fallback while a background DP tune hot-swaps the real plan in
-(**stale-while-tune**), degrades to a lower-accuracy plan when a class's
-windowed p99 breaches its SLO (**SLO-driven plan selection**, reverting
-on recovery), and exports latency/cache/swap telemetry as JSON.
+(**stale-while-tune**), and exports latency/cache/swap telemetry as
+JSON.  Every request is solved at the accuracy it asked for.
 
 Scaled out, a :class:`~repro.serve.frontdoor.FrontDoor` routes requests
 by (operator, level, ndim) across N shard-worker processes
 (:mod:`repro.serve.sharding`), moving grid payloads through
 shared-memory slot pools (:mod:`repro.serve.shm`) so no array is ever
-pickled on the hot path, surviving worker crashes by resubmitting
-exactly the unanswered requests, and optionally resizing the tier with
-an :class:`~repro.serve.sharding.Autoscaler`.
+pickled on the hot path, and surviving worker crashes by resubmitting
+exactly the unanswered requests.
 
 Modules: :mod:`~repro.serve.server` (the in-process serving loop),
-:mod:`~repro.serve.cache` (plan cache + SLO degrade/restore),
+:mod:`~repro.serve.cache` (plan cache, stale-while-tune swaps),
 :mod:`~repro.serve.batching` (bounded queue, micro-batches),
-:mod:`~repro.serve.telemetry` (histograms, sliding windows, swap log),
+:mod:`~repro.serve.telemetry` (counters, histograms, swap log),
 :mod:`~repro.serve.shm` (zero-copy payload transport),
-:mod:`~repro.serve.sharding` (shard workers, codec, autoscaler),
+:mod:`~repro.serve.sharding` (shard workers, codec),
 :mod:`~repro.serve.frontdoor` (multi-process routing tier),
 :mod:`~repro.serve.loadgen` (seeded closed-loop traffic).
 
@@ -46,13 +44,12 @@ from repro.serve.cache import CacheEntry, PlanCache, ServeKey
 from repro.serve.frontdoor import FrontDoor, FrontDoorResult
 from repro.serve.loadgen import run_load
 from repro.serve.server import ServeResult, SolveRequest, SolveServer
-from repro.serve.sharding import Autoscaler, ShardWorkerConfig, shard_key
+from repro.serve.sharding import ShardWorkerConfig, shard_key
 from repro.serve.shm import SlotPool
 from repro.obs.metrics import Histogram
-from repro.serve.telemetry import SlidingWindow, SwapEvent, Telemetry
+from repro.serve.telemetry import SwapEvent, Telemetry
 
 __all__ = [
-    "Autoscaler",
     "Backpressure",
     "CacheEntry",
     "FrontDoor",
@@ -63,7 +60,6 @@ __all__ = [
     "ServeKey",
     "ServeResult",
     "ShardWorkerConfig",
-    "SlidingWindow",
     "SlotPool",
     "SolveRequest",
     "SolveServer",

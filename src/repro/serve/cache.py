@@ -16,13 +16,8 @@ builds on:
   not the minutes-scale DP pass), and the entry is marked ``stale`` so
   the server schedules a background DP tune whose result hot-swaps in.
 
-Hot swaps are no longer cold-key-only: the SLO loop calls
-:meth:`PlanCache.degrade` when a workload class's windowed p99 breaches
-its target — the entry is atomically replaced by a faster-but-coarser
-variant (the tuned plan with its accuracy ladder capped below the top
-rung) — and :meth:`PlanCache.restore` swaps the full-accuracy plan back
-once the window recovers.  Both swaps are stamped into the trial log
-with ``serve_swap`` provenance, exactly like stale-while-tune swaps.
+That tune is the only hot swap: every request runs the accuracy rung
+it asked for.
 
 The warm-hit path is lock-free: entries live in a dict that is only
 ever inserted into or atomically replaced (never deleted from), so a
@@ -105,11 +100,6 @@ class CacheEntry:
     generation: int = 0
     stale: bool = False
     plan_json: str | None = None
-    #: True while this entry is the SLO-degraded stand-in for a tuned plan
-    degraded: bool = False
-    #: highest accuracy-ladder index this entry may serve (None = no cap);
-    #: set on SLO-degraded entries so every request pays for one fewer rung
-    accuracy_cap: int | None = None
     #: requests served from this entry (mutable cell; the entry itself
     #: stays frozen so concurrent readers always see a coherent plan)
     served: list[int] = field(default_factory=lambda: [0], compare=False)
@@ -170,9 +160,6 @@ class PlanCache:
         self.telemetry = telemetry or Telemetry()
         self._lock = threading.Lock()
         self._entries: dict[ServeKey, CacheEntry] = {}
-        # Full-accuracy entries parked while their key is SLO-degraded,
-        # so recovery restores exactly the plan that was serving before.
-        self._preswap: dict[ServeKey, CacheEntry] = {}
         # Per-key build locks so a thundering herd on one cold key tunes
         # the heuristic once, without serializing unrelated keys.
         # (Registry access needs no extra locking here: PlanRegistry
@@ -288,7 +275,6 @@ class PlanCache:
                 source=entry.source,
                 stale=entry.stale,
                 generation=entry.generation,
-                degraded=entry.degraded,
             )
 
     def _load(self, profile: MachineProfile, key: ServeKey) -> CacheEntry:
@@ -422,9 +408,6 @@ class PlanCache:
                 plan=plan, source=source, generation=generation, plan_json=plan_json
             )
             self._entries[key] = entry
-            # A tuned plan landing ends any SLO degradation in flight:
-            # the parked entry is obsolete, restore() must not resurrect it.
-            self._preswap.pop(key, None)
             self.telemetry.swap_event(
                 key.label(),
                 old_source=old.source if old is not None else "(empty)",
@@ -441,184 +424,6 @@ class PlanCache:
                     generation=generation,
                 )
             return entry
-
-    # -- SLO-driven plan selection ----------------------------------------
-
-    def degrade(
-        self,
-        key: ServeKey,
-        *,
-        rungs: int = 1,
-        observed_p99_s: float | None = None,
-        target_p99_s: float | None = None,
-        reason: str = "slo-breach",
-        trace_id: str | None = None,
-    ) -> CacheEntry | None:
-        """Hot-swap ``key`` to a faster-but-coarser plan (SLO breach).
-
-        The degraded entry keeps the tuned plan but caps its accuracy
-        ladder ``rungs`` below the top index, so every request runs the
-        plan's cheaper low-rung cycle — strictly faster than the tune's
-        full-accuracy path, and instant to produce (no re-tune).  The
-        replaced entry is parked for :meth:`restore`.  Idempotent: a key
-        that is already degraded (or unknown) returns unchanged/None.
-
-        The swap is stamped into the trial log with ``serve_swap``
-        provenance (reason, observed vs target p99, the cap, and the
-        trace id of the request that tripped the decision), the same
-        durability contract stale-while-tune swaps have.
-        """
-        if rungs < 1:
-            raise ValueError(f"rungs must be >= 1, not {rungs}")
-        with self._lock:
-            current = self._entries.get(key)
-            if current is None or current.degraded:
-                return current
-            cap = max(0, current.plan.num_accuracies - 1 - rungs)
-            entry = CacheEntry(
-                plan=current.plan,
-                source="slo_degraded",
-                generation=current.generation + 1,
-                plan_json=current.plan_json,
-                degraded=True,
-                accuracy_cap=cap,
-            )
-            self._preswap[key] = current
-            self._entries[key] = entry
-            self.telemetry.swap_event(
-                key.label(),
-                old_source=current.source,
-                new_source=entry.source,
-                generation=entry.generation,
-                stale_served=current.serve_count(),
-            )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "plan_cache.degrade",
-                key=key.label(),
-                generation=entry.generation,
-                accuracy_cap=entry.accuracy_cap,
-                observed_p99_s=observed_p99_s,
-                target_p99_s=target_p99_s,
-                trace_id=trace_id,
-            )
-        self._record_slo_swap(
-            key, entry, reason=reason, observed_p99_s=observed_p99_s,
-            target_p99_s=target_p99_s, trace_id=trace_id,
-        )
-        return entry
-
-    def restore(
-        self,
-        key: ServeKey,
-        *,
-        observed_p99_s: float | None = None,
-        target_p99_s: float | None = None,
-        reason: str = "slo-recovered",
-        trace_id: str | None = None,
-    ) -> CacheEntry | None:
-        """Swap the full-accuracy plan back after the SLO window recovers.
-
-        Inverse of :meth:`degrade`; a key that is not currently degraded
-        returns its entry unchanged.  Also stamped into the trial log.
-        """
-        with self._lock:
-            current = self._entries.get(key)
-            if current is None or not current.degraded:
-                return current
-            parked = self._preswap.pop(key)
-            entry = CacheEntry(
-                plan=parked.plan,
-                source="slo_restored",
-                generation=current.generation + 1,
-                stale=parked.stale,
-                plan_json=parked.plan_json,
-            )
-            self._entries[key] = entry
-            self.telemetry.swap_event(
-                key.label(),
-                old_source=current.source,
-                new_source=entry.source,
-                generation=entry.generation,
-                stale_served=current.serve_count(),
-            )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "plan_cache.restore",
-                key=key.label(),
-                generation=entry.generation,
-                observed_p99_s=observed_p99_s,
-                target_p99_s=target_p99_s,
-                trace_id=trace_id,
-            )
-        self._record_slo_swap(
-            key, entry, reason=reason, observed_p99_s=observed_p99_s,
-            target_p99_s=target_p99_s, trace_id=trace_id,
-        )
-        return entry
-
-    def _record_slo_swap(
-        self,
-        key: ServeKey,
-        entry: CacheEntry,
-        *,
-        reason: str,
-        observed_p99_s: float | None,
-        target_p99_s: float | None,
-        trace_id: str | None = None,
-    ) -> None:
-        """Durably log an SLO swap as a trial row with ``serve_swap``
-        provenance (best-effort: telemetry already has the event, and a
-        full trial log must never take the serving path down; a failed
-        write is kept in ``telemetry.failures("swap_log_errors")``)."""
-        import json
-
-        from repro.store.registry import build_provenance
-        from repro.store.sink import plan_cycle_shape
-        from repro.store.trialdb import TrialRecord
-        from repro.tuner.config import plan_to_dict
-
-        try:
-            provenance = build_provenance(
-                serve_swap={
-                    "reason": reason,
-                    "key": key.label(),
-                    "generation": entry.generation,
-                    "accuracy_cap": entry.accuracy_cap,
-                    "observed_p99_s": observed_p99_s,
-                    "target_p99_s": target_p99_s,
-                    # the traced request whose completion triggered the
-                    # swap decision (None when tracing is off)
-                    "trace_id": trace_id,
-                },
-            )
-            plan_json = entry.plan_json or json.dumps(
-                plan_to_dict(entry.plan), sort_keys=True, separators=(",", ":")
-            )
-            self.registry.sink.record(
-                TrialRecord(
-                    kind=self.kind,
-                    distribution=key.distribution,
-                    operator=key.operator,
-                    ndim=key.ndim if key.ndim is not None else 2,
-                    backend=key.backend,
-                    max_level=key.level,
-                    accuracies=self.accuracies,
-                    machine_fingerprint=key.fingerprint,
-                    seed=self.seed,
-                    instances=self.instances,
-                    cycle_shape=plan_cycle_shape(entry.plan),
-                    wall_seconds=0.0,
-                    provenance=json.dumps(
-                        provenance, sort_keys=True, separators=(",", ":")
-                    ),
-                    plan_json=plan_json,
-                )
-            )
-        except Exception as exc:
-            self.telemetry.failure(
-                "swap_log_errors", exc, key=key.label(), trace_id=trace_id
-            )
 
     def _install(self, key: ServeKey, entry: CacheEntry) -> CacheEntry:
         """Install a fresh (non-swap) entry, keeping any newer one."""

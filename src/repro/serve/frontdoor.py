@@ -33,9 +33,7 @@ are deduplicated through the pending map: the first reply for a request
 id resolves and removes it, any later reply for the same id is counted
 and dropped.  No request is lost; none is answered twice.
 
-An optional :class:`~repro.serve.sharding.Autoscaler` drives
-:meth:`resize` between bounds from queue depth and windowed tail
-latency (:meth:`autoscale_tick`).
+:meth:`FrontDoor.resize` grows or shrinks the worker count on demand.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ from repro.obs.export import span_from_dict
 from repro.obs.trace import NOOP_TRACER, NoopTracer, Span, Tracer
 from repro.serve.batching import Backpressure
 from repro.serve.sharding import (
-    Autoscaler,
-    ShardStats,
     ShardWorkerConfig,
     check_server_options,
     decode_message,
@@ -159,15 +155,10 @@ class FrontDoor:
         bound of the sharded tier; ``submit`` raises
         :class:`~repro.serve.batching.Backpressure` when the shape's
         pool is exhausted.
-    autoscaler:
-        Optional :class:`~repro.serve.sharding.Autoscaler`;
-        :meth:`autoscale_tick` then applies its decisions via
-        :meth:`resize`.
     clock, trace, tracer:
-        The front door's latency clock (its own telemetry reads it and
-        is windowed by the ``slo_window_s`` server option) and tracing;
-        ``trace=True`` also traces every worker, and a ``tracer``
-        overrides the front door's.
+        The clock the front door measures request latency on, and
+        tracing; ``trace=True`` also traces every worker, and a
+        ``tracer`` overrides the front door's.
     server_options:
         Every other keyword is a ``SolveServer`` option, forwarded
         unchanged to each worker; an unknown name, or a value that is not
@@ -181,7 +172,6 @@ class FrontDoor:
         store_path: str | None = None,
         *,
         pool_slots: int = 32,
-        autoscaler: Autoscaler | None = None,
         clock: Clock | None = None,
         trace: bool = False,
         tracer: Tracer | NoopTracer | None = None,
@@ -189,11 +179,11 @@ class FrontDoor:
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, not {shards}")
-        window_s = check_server_options(server_options)["slo_window_s"]
+        check_server_options(server_options)
         import multiprocessing
 
         self.clock = clock or MONOTONIC_CLOCK
-        self.telemetry = Telemetry(clock=self.clock, window_s=window_s)
+        self.telemetry = Telemetry()
         # ``trace=True`` is the one-knob form: a tracer here plus traced
         # workers whose spans ship home in solve replies.  An explicit
         # ``tracer`` overrides the instance (e.g. a ManualClock one).
@@ -202,7 +192,6 @@ class FrontDoor:
             trace = trace or tracer.enabled
         else:
             self.tracer = Tracer() if trace else NOOP_TRACER
-        self.autoscaler = autoscaler
         self.pool_slots = pool_slots
         self._worker_options = dict(
             machine=machine,
@@ -437,29 +426,6 @@ class FrontDoor:
         self.telemetry.set_gauge("shards", count)
         return count
 
-    def autoscale_tick(self) -> int:
-        """Apply one autoscaler decision (no-op without an autoscaler)."""
-        with self._lock:
-            if self.autoscaler is None or self._closed:
-                return len(self._workers)
-            stats = [
-                ShardStats(
-                    inflight=sum(
-                        1
-                        for p in self._pending.values()
-                        if p.worker_index == index and p.kind == "solve"
-                    ),
-                    p99_s=self.telemetry.window_percentile(
-                        f"shard{index}:latency", 0.99
-                    ),
-                )
-                for index in sorted(self._workers)
-            ]
-        target = self.autoscaler.decide(stats)
-        if target != len(stats):
-            return self.resize(target)
-        return len(stats)
-
     # -- lifecycle --------------------------------------------------------
 
     def shutdown(self, timeout: float = 60.0) -> None:
@@ -626,10 +592,7 @@ class FrontDoor:
                 pending.span.set(resubmits=pending.resubmits)
                 self.tracer.finish(pending.span)
             if kind == "result" and solution is not None:
-                self.telemetry.observe_windowed(
-                    f"shard{handle.index}:latency", latency
-                )
-                self.telemetry.observe_windowed("request_latency", latency)
+                self.telemetry.observe("request_latency", latency)
                 self.telemetry.incr("requests_completed")
                 pending.future.set_result(
                     FrontDoorResult(

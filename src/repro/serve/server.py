@@ -112,22 +112,6 @@ class SolveServer:
         :class:`~repro.util.clock.ManualClock` so telemetry assertions
         are deterministic; lifecycle deadlines (shutdown/drain timeouts)
         intentionally stay on the real clock.
-    slo_p99_s:
-        Per-workload-class p99 latency target in seconds (None disables
-        the SLO loop).  When a class's sliding-window p99 exceeds the
-        target, its cached plan is hot-swapped to a faster-but-coarser
-        degraded variant (:meth:`PlanCache.degrade`); once the window
-        recovers below ``slo_recovery_fraction * slo_p99_s`` the
-        full-accuracy plan swaps back.  Both swaps are trial-logged
-        with ``serve_swap`` provenance.  The check runs synchronously
-        after each completed request, so a breach triggers within one
-        telemetry window — deterministically testable with a
-        :class:`ManualClock`.
-    slo_window_s, slo_min_samples:
-        Sliding-window length and the minimum live samples before the
-        controller acts (protects against deciding on one outlier).
-    slo_degrade_rungs:
-        How many accuracy-ladder rungs a degraded plan drops.
     model_fallback:
         Cold keys serve a model-predicted plan (the budgeted BO search
         warm-started from the store, :mod:`repro.modeltuner`) instead of
@@ -149,11 +133,6 @@ class SolveServer:
         allow_nearest: bool = True,
         clock: Clock | None = None,
         backend: str = "numpy",
-        slo_p99_s: float | None = None,
-        slo_window_s: float = 5.0,
-        slo_min_samples: int = 8,
-        slo_recovery_fraction: float = 0.8,
-        slo_degrade_rungs: int = 1,
         tracer: Tracer | NoopTracer | None = None,
         profiler: SolveProfiler | None = None,
         op_span_min_points: int | None = None,
@@ -161,8 +140,6 @@ class SolveServer:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, not {workers}")
-        if slo_p99_s is not None and slo_p99_s <= 0:
-            raise ValueError(f"slo_p99_s must be > 0, not {slo_p99_s}")
         from repro.core.api import _resolve_registry
 
         self.clock = clock or MONOTONIC_CLOCK
@@ -171,12 +148,7 @@ class SolveServer:
         self.op_span_min_points = op_span_min_points
         self.profile = get_preset(machine) if isinstance(machine, str) else machine
         self.registry: "PlanRegistry" = _resolve_registry(store)
-        self.telemetry = Telemetry(clock=self.clock, window_s=slo_window_s)
-        self.slo_p99_s = slo_p99_s
-        self.slo_window_s = slo_window_s
-        self.slo_min_samples = slo_min_samples
-        self.slo_recovery_fraction = slo_recovery_fraction
-        self.slo_degrade_rungs = slo_degrade_rungs
+        self.telemetry = Telemetry()
         self.cache = PlanCache(
             self.registry,
             kind=kind,
@@ -512,9 +484,6 @@ class SolveServer:
 
             plan = entry.plan
             acc_index = plan.accuracy_index(request.target_accuracy)
-            if entry.accuracy_cap is not None and acc_index > entry.accuracy_cap:
-                acc_index = entry.accuracy_cap
-                self.telemetry.incr("degraded_served")
             if request.out is not None:
                 x = request.out
                 x.fill(0.0)
@@ -568,44 +537,6 @@ class SolveServer:
                 trace_id=trace_id,
             )
         )
-        if self.slo_p99_s is not None:
-            self.telemetry.observe_windowed(
-                f"slo:{request.key.label()}", latency, self.slo_window_s
-            )
-            self._slo_check(request.key, trace_id)
-
-    def _slo_check(self, key: ServeKey, trace_id: str | None = None) -> None:
-        """Degrade or restore ``key``'s plan from its windowed p99.
-
-        Runs on the serving thread right after a completion, so the
-        decision uses the freshest sample and lands within one window.
-        Both directions require ``slo_min_samples`` live samples —
-        a single outlier (or a near-empty recovering window) never
-        flips the plan.
-        """
-        window = f"slo:{key.label()}"
-        if self.telemetry.window_count(window) < self.slo_min_samples:
-            return
-        entry = self.cache.lookup(key)
-        if entry is None:
-            return
-        p99 = self.telemetry.window_percentile(window, 0.99)
-        target = self.slo_p99_s
-        assert target is not None  # guarded by the caller
-        if not entry.degraded and p99 > target:
-            self.telemetry.incr("slo_breaches")
-            self.cache.degrade(
-                key,
-                rungs=self.slo_degrade_rungs,
-                observed_p99_s=p99,
-                target_p99_s=target,
-                trace_id=trace_id,
-            )
-        elif entry.degraded and p99 <= target * self.slo_recovery_fraction:
-            self.telemetry.incr("slo_recoveries")
-            self.cache.restore(
-                key, observed_p99_s=p99, target_p99_s=target, trace_id=trace_id
-            )
 
     def _executor_for(self, key: ServeKey) -> PlanExecutor:
         """Worker-local plan executor per operator (shared factorization

@@ -4,7 +4,7 @@ The horizontally scaled serving tier splits traffic by **shard key** —
 ``(operator, level, ndim)``, the identity of a payload class — across N
 worker processes.  Each worker runs today's in-process
 :class:`~repro.serve.server.SolveServer` loop unchanged: bounded queue,
-micro-batching, stale-while-tune, SLO-driven plan selection, telemetry.
+micro-batching, stale-while-tune, telemetry.
 What this module adds is the process boundary:
 
 * :func:`shard_worker_main` — the child-process entry point: attach to
@@ -15,11 +15,7 @@ What this module adds is the process boundary:
   ``Connection.send_bytes``.  JSON cannot encode an ``ndarray``, so the
   hot path is *pickle-free by construction*: an array reaching
   :func:`encode_message` raises ``TypeError`` instead of silently
-  serializing (tested);
-* :class:`Autoscaler` — the pure policy deciding how many workers the
-  front door should run, from queue depth and windowed tail latency,
-  with bounds and a cooldown.  Deterministic under a
-  :class:`~repro.util.clock.ManualClock`.
+  serializing (tested).
 
 Workers are spawned (not forked): the front door holds threads, SQLite
 handles and shared memory at spawn time, none of which survive a fork
@@ -36,13 +32,10 @@ import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.util.clock import MONOTONIC_CLOCK, Clock
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
 __all__ = [
-    "Autoscaler",
     "ShardWorkerConfig",
     "check_server_options",
     "decode_message",
@@ -107,7 +100,7 @@ class ShardWorkerConfig:
     server_options: Mapping[str, Any] = field(default_factory=dict)
 
 
-def check_server_options(options: Mapping[str, Any]) -> dict[str, Any]:
+def check_server_options(options: Mapping[str, Any]) -> None:
     """Validate shard-worker server options before any worker spawns.
 
     Every name must be a :class:`~repro.serve.server.SolveServer`
@@ -115,16 +108,13 @@ def check_server_options(options: Mapping[str, Any]) -> dict[str, Any]:
     ``store``, ``tracer``), and every value must be plain data the
     control-bus codec can encode — a clock, profiler or array cannot
     cross into a spawned process.  Both faults raise ``TypeError``.
-    Returns the options with ``SolveServer``'s defaults filled in.
     """
     from repro.serve.server import SolveServer
 
-    bound = inspect.signature(SolveServer).bind(
+    inspect.signature(SolveServer).bind(
         machine="intel", store=None, tracer=None, **options
     )
     encode_message(options)
-    bound.apply_defaults()
-    return dict(bound.arguments)
 
 
 def shard_worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
@@ -299,85 +289,3 @@ def shard_worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
         server.shutdown(drain=True, timeout=30.0)
         attachments.close()
         conn.close()
-
-
-@dataclass
-class ShardStats:
-    """What the autoscaler sees about one live shard."""
-
-    inflight: int
-    p99_s: float = 0.0
-
-
-class Autoscaler:
-    """Bounded scale-up/scale-down policy for the front door.
-
-    Pure decision logic: :meth:`decide` maps (per-shard stats, now) to a
-    target worker count.  Scale **up** one worker when any shard's
-    in-flight backlog exceeds ``up_backlog`` *or* its windowed p99
-    breaches ``slo_p99_s`` (capacity, not plans, may be the fix); scale
-    **down** one worker after the whole tier has been idle — zero
-    backlog everywhere — for ``down_idle_s``.  Every change re-arms a
-    ``cooldown_s`` timer so the tier never thrashes.  The front door
-    applies decisions via ``resize``; tests drive this with a
-    :class:`ManualClock` and assert exact decisions.
-    """
-
-    def __init__(
-        self,
-        min_shards: int = 1,
-        max_shards: int = 8,
-        *,
-        up_backlog: int = 4,
-        slo_p99_s: float | None = None,
-        down_idle_s: float = 30.0,
-        cooldown_s: float = 10.0,
-        clock: Clock | None = None,
-    ) -> None:
-        if not 1 <= min_shards <= max_shards:
-            raise ValueError(
-                f"need 1 <= min_shards <= max_shards, got [{min_shards}, {max_shards}]"
-            )
-        self.min_shards = min_shards
-        self.max_shards = max_shards
-        self.up_backlog = up_backlog
-        self.slo_p99_s = slo_p99_s
-        self.down_idle_s = down_idle_s
-        self.cooldown_s = cooldown_s
-        self.clock = clock or MONOTONIC_CLOCK
-        self._last_change: float | None = None
-        self._idle_since: float | None = None
-
-    def decide(self, shards: list[ShardStats]) -> int:
-        """Target worker count given current per-shard stats."""
-        current = len(shards)
-        now = self.clock.now()
-        if self._last_change is not None and now - self._last_change < self.cooldown_s:
-            return current
-        busy = any(s.inflight > 0 for s in shards)
-        if busy:
-            self._idle_since = None
-        elif self._idle_since is None:
-            self._idle_since = now
-
-        pressed = any(
-            s.inflight >= self.up_backlog
-            or (self.slo_p99_s is not None and s.p99_s > self.slo_p99_s)
-            for s in shards
-        )
-        if pressed and current < self.max_shards:
-            self._last_change = now
-            return current + 1
-        if (
-            not busy
-            and current > self.min_shards
-            and self._idle_since is not None
-            and now - self._idle_since >= self.down_idle_s
-        ):
-            self._last_change = now
-            return current - 1
-        return current
-
-
-# ShardStats is part of the autoscaler contract; re-exported for callers.
-__all__.append("ShardStats")

@@ -9,89 +9,30 @@ increment, each under one lock — and the whole state exports as JSON
 for dashboards or CI artifacts, or as Prometheus text through
 :func:`repro.obs.export.prometheus_text`.
 
-Two latency views coexist.  A :class:`~repro.obs.metrics.Histogram` is
-cumulative — the whole lifetime of the server — which is the right
-record for a benchmark report.  :class:`SlidingWindow` is *recent* — only the
-samples inside the last ``window_s`` seconds count — which is the only
-view an SLO controller may act on: a breach must clear again once the
-slow samples age out, and a cumulative histogram never forgets.
-Windows read time from the telemetry's injected clock, so SLO tests
-drive them deterministically with a ``ManualClock``.
+Latency histograms (:class:`~repro.obs.metrics.Histogram`) are
+cumulative over the whole lifetime of the server, the right record for
+a benchmark report.
 
-Failures the serving path swallows on purpose (a background tune, a
-model-predicted fallback, a swap's trial-log row) go through
-:meth:`Telemetry.failure`: each is counted and its record kept in a
-bounded per-counter log, so what failed can be inspected afterwards.
+Failures the serving path swallows on purpose (a background tune or a
+model-predicted fallback) go through :meth:`Telemetry.failure`: each is
+counted and its record kept in a bounded per-counter log, so what
+failed can be inspected afterwards.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 from collections import deque
 from typing import Any, Deque
 
 from repro.obs.metrics import Histogram
-from repro.util.clock import MONOTONIC_CLOCK, Clock
 from repro.util.errors import error_record
 
-__all__ = ["TUNE_FAILURE_LIMIT", "SlidingWindow", "SwapEvent", "Telemetry"]
+__all__ = ["TUNE_FAILURE_LIMIT", "SwapEvent", "Telemetry"]
 
 #: How many failure records a telemetry keeps per counter (the newest).
 TUNE_FAILURE_LIMIT = 32
-
-
-class SlidingWindow:
-    """Exact percentiles over the samples of the last ``window_s`` seconds.
-
-    Samples are (timestamp, value) pairs; every read first drops pairs
-    older than the window, so a quiet period genuinely empties the
-    window.  Percentiles sort the live samples — windows are bounded by
-    ``max_samples`` (oldest evicted first), so the sort stays cheap even
-    under sustained load.  Not thread-safe on its own;
-    :class:`Telemetry` serializes access.
-    """
-
-    def __init__(self, window_s: float = 5.0, max_samples: int = 2048) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window must be > 0 seconds, not {window_s}")
-        self.window_s = float(window_s)
-        self._samples: Deque[tuple[float, float]] = deque(maxlen=max_samples)
-
-    def record(self, now: float, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"sample must be >= 0, not {value}")
-        self._samples.append((now, value))
-
-    def _trim(self, now: float) -> None:
-        horizon = now - self.window_s
-        while self._samples and self._samples[0][0] < horizon:
-            self._samples.popleft()
-
-    def count(self, now: float) -> int:
-        self._trim(now)
-        return len(self._samples)
-
-    def percentile(self, now: float, q: float) -> float:
-        """Exact quantile ``q`` of the live samples (0.0 when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], not {q}")
-        self._trim(now)
-        if not self._samples:
-            return 0.0
-        values = sorted(v for _, v in self._samples)
-        rank = max(0, min(len(values) - 1, math.ceil(q * len(values)) - 1))
-        return values[rank]
-
-    def to_dict(self, now: float) -> dict[str, Any]:
-        return {
-            "window_s": self.window_s,
-            "count": self.count(now),
-            "p50_s": self.percentile(now, 0.50),
-            "p95_s": self.percentile(now, 0.95),
-            "p99_s": self.percentile(now, 0.99),
-        }
 
 
 class SwapEvent:
@@ -130,34 +71,20 @@ class Telemetry:
     """Thread-safe metric facade for one serving runtime.
 
     Counters (monotonic ints), gauges (last-write-wins floats), named
-    latency histograms, named sliding windows (recent-percentile view
-    for SLO control), a bounded log of plan swap events, and bounded
+    latency histograms, a bounded log of plan swap events, and bounded
     per-counter logs of swallowed failures.  A :meth:`snapshot` is a
     plain dict — JSON-serializable as-is — taken under the lock, so it
     is internally consistent.
 
     A name is either a counter or a gauge, never both: Prometheus allows
     one type per metric family, so the clash raises ``ValueError``.
-
-    ``clock`` timestamps window samples and window reads; the default
-    real clock is right for production, tests inject a
-    :class:`~repro.util.clock.ManualClock` so "five seconds later"
-    is an ``advance(5)`` call, not a sleep.
     """
 
-    def __init__(
-        self,
-        max_events: int = 256,
-        clock: Clock | None = None,
-        window_s: float = 5.0,
-    ) -> None:
-        self.clock = clock or MONOTONIC_CLOCK
-        self.window_s = window_s
+    def __init__(self, max_events: int = 256) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._windows: dict[str, SlidingWindow] = {}
         self._failures: dict[str, Deque[dict[str, Any]]] = {}
         self._events: Deque[SwapEvent] = deque(maxlen=max_events)
         self._seq = 0
@@ -213,38 +140,6 @@ class Telemetry:
             log.append(record)
         return record
 
-    def observe_windowed(
-        self, name: str, seconds: float, window_s: float | None = None
-    ) -> None:
-        """Record into the cumulative histogram *and* the sliding window.
-
-        One call keeps the two latency views in step: benchmarks read
-        the histogram, the SLO controller reads the window.
-        """
-        now = self.clock.now()
-        with self._lock:
-            self._record_locked(name, seconds)
-            window = self._windows.get(name)
-            if window is None:
-                window = self._windows[name] = SlidingWindow(
-                    window_s if window_s is not None else self.window_s
-                )
-            window.record(now, seconds)
-
-    def window_percentile(self, name: str, q: float) -> float:
-        """Recent quantile ``q`` for window ``name`` (0.0 when unknown)."""
-        now = self.clock.now()
-        with self._lock:
-            window = self._windows.get(name)
-            return window.percentile(now, q) if window is not None else 0.0
-
-    def window_count(self, name: str) -> int:
-        """Live sample count for window ``name`` (0 when unknown)."""
-        now = self.clock.now()
-        with self._lock:
-            window = self._windows.get(name)
-            return window.count(now) if window is not None else 0
-
     def swap_event(
         self,
         key: str,
@@ -290,7 +185,6 @@ class Telemetry:
 
     def snapshot(self) -> dict[str, Any]:
         """A consistent, JSON-serializable view of every metric."""
-        now = self.clock.now()
         with self._lock:
             return {
                 "counters": dict(sorted(self._counters.items())),
@@ -298,10 +192,6 @@ class Telemetry:
                 "latency": {
                     name: hist.to_dict()
                     for name, hist in sorted(self._histograms.items())
-                },
-                "windows": {
-                    name: window.to_dict(now)
-                    for name, window in sorted(self._windows.items())
                 },
                 "swap_events": [e.to_dict() for e in self._events],
             }

@@ -89,7 +89,8 @@ class TestStatus:
         snap = coord.status()
         assert snap["cells"]["pending"] == 4
         assert snap["cells"]["leased"] == 0
-        assert coord.telemetry.counter("leases_released") == 2
+        assert snap["leases_released"] == 2
+        assert coord.status()["leases_released"] == 2  # a running total
 
     def test_stale_worker_flagged(self, db):
         clock = ManualClock()
@@ -106,6 +107,7 @@ class TestStatus:
         coord.enqueue(SPEC)
         text = coord.format_status()
         assert "campaign 'coord'" in text
+        assert "0 expired leases released" in text
         assert "no workers" in text
         FleetWorker(db, "coord", worker_id="w1").run()
         text = coord.format_status()

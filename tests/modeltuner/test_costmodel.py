@@ -16,10 +16,12 @@ from repro.modeltuner.costmodel import (
     _geometric_mean,
     points_of,
 )
+from repro.obs.runtime import configure, reset
 from repro.tuner.config import plan_to_dict
 from repro.tuner.dp import VCycleTuner
 from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
+from repro.util.clock import ManualClock
 
 
 def rows_for(op: str, law: OpLaw, sizes=(17, 33, 65), weight=10.0):
@@ -166,6 +168,25 @@ class TestTrialFolding:
         model = CostModel.fit([], INTEL_HARPERTOWN, trials=junk)
         assert model.provenance["trials"] == 0
         assert model.laws == {}
+
+    def test_skipped_rows_and_trials_counted_on_fit_span(self):
+        tracer = configure(clock=ManualClock())
+        try:
+            model = CostModel.fit(
+                [{"op": "relax"}] + rows_for("relax", OpLaw(3e-9, 1.2))[:1],
+                INTEL_HARPERTOWN,
+                trials=[SimpleNamespace(plan_json="{not json", simulated_cost=1.0)],
+            )
+        finally:
+            reset()
+        (span,) = [s for s in tracer.spans() if s.name == "modeltuner.fit"]
+        assert span.attrs["rows"] == 1
+        assert span.attrs["rows_skipped"] == 1
+        assert span.attrs["trials"] == 0
+        assert span.attrs["trials_skipped"] == 1
+        # Provenance is part of the model JSON: the counts stay out of it.
+        assert "rows_skipped" not in model.provenance
+        assert "trials_skipped" not in model.provenance
 
 
 class TestSerialization:

@@ -84,12 +84,10 @@ class TestPrometheus:
             "counters": {"requests": 10, "rejected": 1},
             "gauges": {"queue_depth": 0.0},
             "latency": {"solve": {"count": 10, "p99_s": 0.02}},
-            "windows": {"e2e": {"count": 4, "p99_s": 0.03}},
         }
         text = prometheus_text(snapshot)
         assert "repro_requests 10" in text
         assert "repro_latency_solve_p99_s 0.02" in text
-        assert "repro_window_e2e_count 4" in text
 
     def test_sharded_frontdoor_stats_exposition(self):
         """FrontDoor.stats() nests a snapshot per tier; the export labels

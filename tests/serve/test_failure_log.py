@@ -33,7 +33,7 @@ class TestFailureLog:
         }
         assert t.failures("tune_errors") == [record]
         assert t.counter("tune_errors") == 1
-        assert t.failures("swap_log_errors") == []
+        assert t.failures("model_fallback_errors") == []
 
     def test_log_is_bounded_per_counter_and_keeps_the_newest(self):
         t = Telemetry()
@@ -51,7 +51,7 @@ class TestFailureLog:
         t = Telemetry()
         t.failure("tune_errors", RuntimeError("x"))
         snap = t.snapshot()
-        assert set(snap) == {"counters", "gauges", "latency", "windows", "swap_events"}
+        assert set(snap) == {"counters", "gauges", "latency", "swap_events"}
         assert snap["counters"] == {"tune_errors": 1}
 
     def test_negative_increment_rejected(self):
@@ -83,25 +83,3 @@ class TestCacheFaults:
             }
         ]
         assert cache.telemetry.counter("model_fallback_errors") == 1
-
-    def test_swap_log_failure_is_kept(self, registry, monkeypatch):
-        cache = PlanCache(registry, instances=1, seed=3)
-        cache.warm(INTEL_HARPERTOWN, "unbiased", 3)
-        key = cache.key_for(INTEL_HARPERTOWN, None, 3, "unbiased")
-
-        def full_log(record):
-            raise OSError("trial log is full")
-
-        monkeypatch.setattr(registry.sink, "record", full_log)
-        entry = cache.degrade(key, trace_id="trace-7")
-        # the swap itself still happened
-        assert entry is not None and entry.degraded
-        assert cache.telemetry.failures("swap_log_errors") == [
-            {
-                "type": "OSError",
-                "message": "trial log is full",
-                "key": key.label(),
-                "trace_id": "trace-7",
-            }
-        ]
-        assert cache.telemetry.counter("swap_log_errors") == 1

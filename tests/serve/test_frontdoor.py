@@ -19,9 +19,7 @@ import pytest
 
 from repro.core import open_server, poisson_problem
 from repro.serve import Backpressure, FrontDoor, SolveServer
-from repro.serve.sharding import Autoscaler
 from repro.store.trialdb import TrialDB
-from repro.util.clock import ManualClock
 from repro.util.validation import size_of_level
 from repro.workloads.distributions import make_problem
 
@@ -219,18 +217,6 @@ class TestAdmissionAndLifecycle:
             # The class re-routes to a surviving worker and still serves.
             after = door.solve(problem, 1e5)
             assert np.array_equal(after.solution, before.solution)
-
-    def test_autoscale_tick_applies_decisions(self, tmp_path):
-        clock = ManualClock()
-        scaler = Autoscaler(1, 2, up_backlog=0, cooldown_s=0.0, clock=clock)
-        with FrontDoor(
-            shards=1, store_path=str(tmp_path / "s.sqlite"), workers=1,
-            instances=1, seed=3, autoscaler=scaler,
-        ) as door:
-            # up_backlog=0 makes every shard count as pressed.
-            assert door.autoscale_tick() == 2
-            assert door.n_shards == 2
-            assert door.autoscale_tick() == 2  # at max_shards, holds
 
     def test_stats_aggregates_all_shards(self, tmp_path):
         with FrontDoor(

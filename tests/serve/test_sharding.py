@@ -1,4 +1,4 @@
-"""Shard routing, the pickle-free codec, server options, the autoscaler.
+"""Shard routing, the pickle-free codec, server options.
 
 Mostly the *pure* half of the sharded tier — no processes.  The codec
 tests are the zero-copy enforcement: JSON is the only wire format, and
@@ -20,8 +20,6 @@ from repro.machines.presets import get_preset
 from repro.obs.profile import SolveProfiler
 from repro.serve import FrontDoor
 from repro.serve.sharding import (
-    Autoscaler,
-    ShardStats,
     ShardWorkerConfig,
     decode_message,
     encode_message,
@@ -31,7 +29,6 @@ from repro.serve.sharding import (
 )
 from repro.store.registry import PlanRegistry, TuneKey
 from repro.store.trialdb import TrialDB
-from repro.util.clock import ManualClock
 from repro.util.validation import size_of_level
 from repro.workloads.distributions import make_problem
 
@@ -159,64 +156,3 @@ class TestServerOptions:
         with pytest.raises(TypeError):
             FrontDoor(shards=1, **options)
         assert multiprocessing.active_children() == children
-
-    def test_front_door_window_follows_the_server_option(self, monkeypatch):
-        monkeypatch.setattr(FrontDoor, "_spawn_worker", lambda self: None)
-        door = FrontDoor(shards=1, clock=ManualClock(), slo_window_s=2.5)
-        assert door.telemetry.window_s == 2.5
-
-
-class TestAutoscaler:
-    def test_scales_up_on_backlog(self):
-        clock = ManualClock()
-        scaler = Autoscaler(1, 4, up_backlog=4, clock=clock)
-        assert scaler.decide([ShardStats(inflight=1)]) == 1
-        assert scaler.decide([ShardStats(inflight=4)]) == 2
-
-    def test_scales_up_on_p99_breach(self):
-        clock = ManualClock()
-        scaler = Autoscaler(1, 4, slo_p99_s=0.5, clock=clock)
-        assert scaler.decide([ShardStats(inflight=1, p99_s=0.4)]) == 1
-        assert scaler.decide([ShardStats(inflight=1, p99_s=0.6)]) == 2
-
-    def test_respects_max_and_min_bounds(self):
-        clock = ManualClock()
-        scaler = Autoscaler(2, 2, up_backlog=1, down_idle_s=0.0, clock=clock)
-        assert scaler.decide([ShardStats(inflight=9), ShardStats(inflight=9)]) == 2
-        clock.advance(100.0)
-        assert scaler.decide([ShardStats(inflight=0), ShardStats(inflight=0)]) == 2
-
-    def test_cooldown_blocks_consecutive_changes(self):
-        clock = ManualClock()
-        scaler = Autoscaler(1, 8, up_backlog=1, cooldown_s=10.0, clock=clock)
-        assert scaler.decide([ShardStats(inflight=5)]) == 2
-        # Still pressed, but inside the cooldown window: hold.
-        assert scaler.decide([ShardStats(inflight=5), ShardStats(inflight=5)]) == 2
-        clock.advance(10.0)
-        assert scaler.decide([ShardStats(inflight=5), ShardStats(inflight=5)]) == 3
-
-    def test_scales_down_only_after_sustained_idle(self):
-        clock = ManualClock()
-        scaler = Autoscaler(1, 4, down_idle_s=30.0, cooldown_s=0.0, clock=clock)
-        shards = [ShardStats(inflight=0), ShardStats(inflight=0)]
-        assert scaler.decide(shards) == 2  # idle starts counting now
-        clock.advance(29.0)
-        assert scaler.decide(shards) == 2  # not idle long enough
-        clock.advance(1.0)
-        assert scaler.decide(shards) == 1
-
-    def test_traffic_resets_the_idle_timer(self):
-        clock = ManualClock()
-        scaler = Autoscaler(1, 4, down_idle_s=30.0, cooldown_s=0.0, clock=clock)
-        idle = [ShardStats(inflight=0), ShardStats(inflight=0)]
-        assert scaler.decide(idle) == 2
-        clock.advance(29.0)
-        assert scaler.decide([ShardStats(inflight=1), ShardStats(inflight=0)]) == 2
-        clock.advance(29.0)  # idle again, but the timer restarted
-        assert scaler.decide(idle) == 2
-
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            Autoscaler(0, 4)
-        with pytest.raises(ValueError):
-            Autoscaler(5, 4)

@@ -103,73 +103,3 @@ class TestTelemetry:
         assert snap["swap_events"][0]["stale_served"] == 2
         # p50/p95/p99 keys exist for dashboards
         assert {"p50_s", "p95_s", "p99_s"} <= set(snap["latency"]["lat"])
-
-
-class TestSlidingWindow:
-    """The windowed percentiles behind SLO swaps and shard p99 gauges."""
-
-    def test_empty_window(self):
-        from repro.serve.telemetry import SlidingWindow
-
-        window = SlidingWindow(window_s=5.0)
-        assert window.count(now=0.0) == 0
-        assert window.percentile(now=0.0, q=0.99) == 0.0
-
-    def test_percentile_is_exact_over_live_samples(self):
-        from repro.serve.telemetry import SlidingWindow
-
-        window = SlidingWindow(window_s=10.0)
-        for i, v in enumerate([0.1, 0.2, 0.3, 0.4]):
-            window.record(now=float(i), value=v)
-        assert window.count(now=3.0) == 4
-        assert window.percentile(now=3.0, q=0.5) == 0.2
-        assert window.percentile(now=3.0, q=0.99) == 0.4
-
-    def test_old_samples_age_out(self):
-        from repro.serve.telemetry import SlidingWindow
-
-        window = SlidingWindow(window_s=5.0)
-        window.record(now=0.0, value=9.0)
-        window.record(now=4.0, value=0.1)
-        assert window.percentile(now=4.0, q=0.99) == 9.0
-        # The slow sample falls off the horizon; the window forgets it.
-        assert window.count(now=6.0) == 1
-        assert window.percentile(now=6.0, q=0.99) == 0.1
-        assert window.count(now=20.0) == 0
-
-    def test_bounded_samples_evict_oldest(self):
-        from repro.serve.telemetry import SlidingWindow
-
-        window = SlidingWindow(window_s=100.0, max_samples=4)
-        for i in range(8):
-            window.record(now=float(i), value=float(i))
-        assert window.count(now=7.0) == 4
-        assert window.percentile(now=7.0, q=0.0) == 4.0  # 0..3 evicted
-
-    def test_to_dict_and_validation(self):
-        from repro.serve.telemetry import SlidingWindow
-
-        window = SlidingWindow(window_s=5.0)
-        window.record(now=1.0, value=0.25)
-        snap = window.to_dict(now=1.0)
-        assert snap["count"] == 1
-        assert snap["p99_s"] == 0.25
-        with pytest.raises(ValueError):
-            SlidingWindow(window_s=0.0)
-        with pytest.raises(ValueError):
-            window.record(now=2.0, value=-1.0)
-        with pytest.raises(ValueError):
-            window.percentile(now=2.0, q=1.5)
-
-    def test_telemetry_windowed_surface(self):
-        from repro.util.clock import ManualClock
-
-        clock = ManualClock()
-        t = Telemetry(clock=clock, window_s=5.0)
-        for v in (0.1, 0.2, 0.3, 0.4):
-            t.observe_windowed("lat", v)
-        assert t.window_count("lat") == 4
-        assert t.window_percentile("lat", 0.99) == 0.4
-        clock.advance(6.0)
-        assert t.window_count("lat") == 0
-        assert t.window_percentile("lat", 0.99) == 0.0

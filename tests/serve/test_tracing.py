@@ -5,9 +5,9 @@ request through a 2-shard :class:`FrontDoor` yields a **single
 correlated span tree** — frontdoor.request -> serve.request ->
 serve.batch (with the plan-cache decision annotation) -> serve.solve ->
 mg.level -> op.* with backend labels — exportable as valid Chrome
-``trace_event`` JSON; the loadgen report carries trace ids; an
-SLO-driven plan swap stamps the triggering request's trace id into its
-``serve_swap`` trial-row provenance; and turning tracing on never
+``trace_event`` JSON; the loadgen report carries trace ids; a
+stale-while-tune plan swap stamps the triggering request's trace id
+into its ``serve_swap`` trial-row plan; and turning tracing on never
 changes the telemetry snapshot's exported shape.
 
 Grids stay tiny (level 3) for the same reason as the front-door tests:
@@ -17,7 +17,6 @@ spans.
 """
 
 import json
-import unittest.mock as mock
 
 from repro.core import poisson_problem
 from repro.obs.export import chrome_trace
@@ -25,8 +24,6 @@ from repro.obs.trace import Tracer
 from repro.serve import FrontDoor, SolveServer
 from repro.serve.loadgen import run_load
 from repro.store.trialdb import TrialDB
-from repro.tuner.executor import PlanExecutor
-from repro.util.clock import ManualClock
 from repro.util.validation import size_of_level
 from repro.workloads.distributions import make_problem
 
@@ -170,41 +167,30 @@ class TestLoadgenReport:
 
 
 class TestSwapProvenanceTraceId:
-    def test_slo_degrade_stamps_triggering_trace_id(self):
-        """The serve_swap trial row must name the traced request whose
-        completion tripped the breach decision."""
+    def test_stale_while_tune_swap_stamps_triggering_trace_id(self):
+        """The trial row a cold key's background tune records must name
+        the traced request that triggered the tune."""
         db = TrialDB(":memory:")
-        clock = ManualClock()
-        tracer = Tracer()
         server = SolveServer(
             machine="intel", store=db, workers=1, instances=1, seed=3,
-            clock=clock, tracer=tracer, slo_p99_s=0.5, slo_window_s=5.0,
-            slo_min_samples=2,
+            tracer=Tracer(),
         )
-        original = PlanExecutor.run_v
-
-        def slow_run_v(self, *args, **kwargs):
-            clock.advance(1.0)
-            return original(self, *args, **kwargs)
-
         try:
-            server.warm("unbiased", LEVEL)
             problem = poisson_problem("unbiased", n=N, seed=1)
-            with mock.patch.object(PlanExecutor, "run_v", slow_run_v):
-                results = [server.solve(problem, 1e5, timeout=60) for _ in range(2)]
+            result = server.solve(problem, 1e5, timeout=60)
+            assert server.wait_for_swaps(timeout=60)
         finally:
             server.shutdown(drain=True)
 
-        swaps = []
-        for record in db.trials():
-            provenance = json.loads(record.provenance or "{}")
-            if "serve_swap" in provenance:
-                swaps.append(provenance["serve_swap"])
+        assert result.stale and result.trace_id is not None
+        swaps = [
+            plan["metadata"]["serve_swap"]
+            for plan in (json.loads(r.plan_json) for r in db.trials())
+            if "serve_swap" in plan.get("metadata", {})
+        ]
         assert len(swaps) == 1
-        assert swaps[0]["reason"] == "slo-breach"
-        # the second solve filled the 2-sample window and tripped the swap
-        assert swaps[0]["trace_id"] == results[1].trace_id
-        assert results[1].trace_id is not None
+        assert swaps[0]["reason"] == "stale-while-tune"
+        assert swaps[0]["trace_id"] == result.trace_id
 
 
 class TestTelemetryShapeUnchanged:
@@ -226,7 +212,7 @@ class TestTelemetryShapeUnchanged:
 
         plain, traced = serve_once(None), serve_once(Tracer())
         assert set(plain) == set(traced)
-        for section in ("counters", "gauges", "latency", "windows"):
+        for section in ("counters", "gauges", "latency"):
             assert set(plain[section]) == set(traced[section])
         assert plain["counters"] == traced["counters"]
         json.dumps(traced)  # still a valid JSON document
