@@ -5,7 +5,7 @@ a few requests, one rejected submit and one stale-while-tune swap — and
 its ``stats()`` JSON and Prometheus text must come out exactly as
 pinned here.  The same holds for the Prometheus text of a two-tier
 ``FrontDoor.stats()``-shaped dict.  Any change to how counters, gauges,
-histograms, windows or swap events are kept or exported shows up as a
+histograms or swap events are kept or exported shows up as a
 diff against these strings.
 """
 
@@ -39,7 +39,6 @@ def scenario_stats() -> dict:
         instances=1,
         seed=3,
         clock=clock,
-        slo_p99_s=100.0,  # windows on, never breached
     )
     gate = threading.Event()
     gate.set()
@@ -77,8 +76,6 @@ def scenario_stats() -> dict:
     finally:
         gate.set()
         server.shutdown(drain=True)
-    # After the drain every worker-side record (the SLO window sample
-    # lands after the future resolves) is in.
     return server.stats()
 
 
@@ -127,22 +124,6 @@ SERVER_STATS_JSON = """\
       "p95_s": 0.0036517412725483767,
       "p99_s": 0.0036517412725483767
     },
-    "slo:KEY/biased": {
-      "count": 2,
-      "mean_s": 0.002,
-      "max_s": 0.002,
-      "p50_s": 0.002,
-      "p95_s": 0.002,
-      "p99_s": 0.002
-    },
-    "slo:KEY/unbiased": {
-      "count": 4,
-      "mean_s": 0.0025,
-      "max_s": 0.004,
-      "p50_s": 0.002053525026457146,
-      "p95_s": 0.0036517412725483767,
-      "p99_s": 0.0036517412725483767
-    },
     "solve": {
       "count": 6,
       "mean_s": 0.0,
@@ -150,22 +131,6 @@ SERVER_STATS_JSON = """\
       "p50_s": 0.0,
       "p95_s": 0.0,
       "p99_s": 0.0
-    }
-  },
-  "windows": {
-    "slo:KEY/biased": {
-      "window_s": 5.0,
-      "count": 2,
-      "p50_s": 0.002,
-      "p95_s": 0.002,
-      "p99_s": 0.002
-    },
-    "slo:KEY/unbiased": {
-      "window_s": 5.0,
-      "count": 4,
-      "p50_s": 0.002,
-      "p95_s": 0.004,
-      "p99_s": 0.004
     }
   },
   "swap_events": [
@@ -226,20 +191,6 @@ repro_latency_request_latency_max_s 0.004
 repro_latency_request_latency_p50_s 0.002053525026457146
 repro_latency_request_latency_p95_s 0.0036517412725483767
 repro_latency_request_latency_p99_s 0.0036517412725483767
-# TYPE repro_latency_slo:PKEY_biased summary
-repro_latency_slo:PKEY_biased_count 2
-repro_latency_slo:PKEY_biased_mean_s 0.002
-repro_latency_slo:PKEY_biased_max_s 0.002
-repro_latency_slo:PKEY_biased_p50_s 0.002
-repro_latency_slo:PKEY_biased_p95_s 0.002
-repro_latency_slo:PKEY_biased_p99_s 0.002
-# TYPE repro_latency_slo:PKEY_unbiased summary
-repro_latency_slo:PKEY_unbiased_count 4
-repro_latency_slo:PKEY_unbiased_mean_s 0.0025
-repro_latency_slo:PKEY_unbiased_max_s 0.004
-repro_latency_slo:PKEY_unbiased_p50_s 0.002053525026457146
-repro_latency_slo:PKEY_unbiased_p95_s 0.0036517412725483767
-repro_latency_slo:PKEY_unbiased_p99_s 0.0036517412725483767
 # TYPE repro_latency_solve summary
 repro_latency_solve_count 6
 repro_latency_solve_mean_s 0.0
@@ -247,18 +198,6 @@ repro_latency_solve_max_s 0.0
 repro_latency_solve_p50_s 0.0
 repro_latency_solve_p95_s 0.0
 repro_latency_solve_p99_s 0.0
-# TYPE repro_window_slo:PKEY_biased gauge
-repro_window_slo:PKEY_biased_window_s 5.0
-repro_window_slo:PKEY_biased_count 2
-repro_window_slo:PKEY_biased_p50_s 0.002
-repro_window_slo:PKEY_biased_p95_s 0.002
-repro_window_slo:PKEY_biased_p99_s 0.002
-# TYPE repro_window_slo:PKEY_unbiased gauge
-repro_window_slo:PKEY_unbiased_window_s 5.0
-repro_window_slo:PKEY_unbiased_count 4
-repro_window_slo:PKEY_unbiased_p50_s 0.002
-repro_window_slo:PKEY_unbiased_p95_s 0.004
-repro_window_slo:PKEY_unbiased_p99_s 0.004
 """.replace("PKEY", KEY.replace("-", "_").replace("/", "_"))
 
 
@@ -270,23 +209,21 @@ def test_server_stats_json_is_pinned():
 
 def two_tier_stats() -> dict:
     """A ``FrontDoor.stats()``-shaped dict built from live telemetries."""
-    clock = ManualClock()
-    front = Telemetry(clock=clock, window_s=2.0)
+    front = Telemetry()
     front.incr("requests_submitted", 3)
     front.incr("requests_completed", 3)
     front.set_gauge("shards", 2)
     front.set_gauge("shard0:inflight", 1)
     for seconds in (0.001, 0.003, 0.010):
-        front.observe_windowed("request_latency", seconds)
+        front.observe("request_latency", seconds)
     shards = {}
     for index, completed in ((0, 2), (1, 1)):
-        shard = Telemetry(clock=clock)
+        shard = Telemetry()
         shard.incr("requests_completed", completed)
         shard.set_gauge("queue_depth", index)
         shard.observe("solve", 0.002 * (index + 1))
         shard.swap_event(f"k{index}", "fallback", "swapped", generation=1)
         shards[str(index)] = shard.snapshot()
-    clock.advance(1.0)
     return {"frontdoor": front.snapshot(), "shards": shards}
 
 
@@ -308,12 +245,6 @@ repro_latency_request_latency_max_s{tier="frontdoor"} 0.01
 repro_latency_request_latency_p50_s{tier="frontdoor"} 0.0027384196342643613
 repro_latency_request_latency_p95_s{tier="frontdoor"} 0.008659643233600654
 repro_latency_request_latency_p99_s{tier="frontdoor"} 0.008659643233600654
-# TYPE repro_window_request_latency gauge
-repro_window_request_latency_window_s{tier="frontdoor"} 2.0
-repro_window_request_latency_count{tier="frontdoor"} 3
-repro_window_request_latency_p50_s{tier="frontdoor"} 0.003
-repro_window_request_latency_p95_s{tier="frontdoor"} 0.01
-repro_window_request_latency_p99_s{tier="frontdoor"} 0.01
 # TYPE repro_plan_swaps counter
 repro_plan_swaps{tier="shard",shard="0"} 1
 repro_plan_swaps{tier="shard",shard="1"} 1
