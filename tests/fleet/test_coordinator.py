@@ -92,6 +92,29 @@ class TestStatus:
         assert snap["leases_released"] == 2
         assert coord.status()["leases_released"] == 2  # a running total
 
+    def test_live_leases_are_not_counted_as_released(self, db):
+        clock = ManualClock()
+        coord = FleetCoordinator(db, "coord", clock=clock, lease_ttl=10.0)
+        coord.enqueue(SPEC)
+        WorkQueue(db, "coord", clock=clock, lease_ttl=10.0).claim(
+            "alive", limit=2
+        )
+        clock.advance(5.0)
+        snap = coord.status()
+        assert snap["cells"]["leased"] == 2
+        assert snap["leases_released"] == 0
+
+    def test_format_status_reports_released_leases(self, db):
+        clock = ManualClock()
+        coord = FleetCoordinator(db, "coord", clock=clock, lease_ttl=10.0)
+        coord.enqueue(SPEC)
+        WorkQueue(db, "coord", clock=clock, lease_ttl=10.0).claim(
+            "dead", limit=3
+        )
+        clock.advance(10.0)
+        first_line = coord.format_status().splitlines()[0]
+        assert "3 expired leases released" in first_line
+
     def test_stale_worker_flagged(self, db):
         clock = ManualClock()
         coord = FleetCoordinator(db, "coord", clock=clock)

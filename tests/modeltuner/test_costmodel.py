@@ -188,6 +188,78 @@ class TestTrialFolding:
         assert "rows_skipped" not in model.provenance
         assert "trials_skipped" not in model.provenance
 
+    @staticmethod
+    def _fit_span(rows, trials=()):
+        tracer = configure(clock=ManualClock())
+        try:
+            model = CostModel.fit(rows, INTEL_HARPERTOWN, trials=trials)
+        finally:
+            reset()
+        (span,) = [s for s in tracer.spans() if s.name == "modeltuner.fit"]
+        return model, span
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n": 17, "seconds": 1e-3},
+            {"op": "relax", "n": "big", "seconds": 1e-3},
+            {"op": "relax", "n": 17, "seconds": None},
+            {"op": "relax", "n": 2, "seconds": 1e-3},
+            {"op": "relax", "n": 17, "seconds": 0.0},
+            {"op": "relax", "n": 17, "seconds": 1e-3, "weight": -1.0},
+            {"op": "relax", "n": 17, "seconds": math.nan},
+            {"op": "relax", "n": 17, "seconds": math.inf},
+        ],
+        ids=[
+            "no-op",
+            "n-not-a-number",
+            "seconds-none",
+            "n-below-3",
+            "zero-seconds",
+            "negative-weight",
+            "nan-seconds",
+            "inf-seconds",
+        ],
+    )
+    def test_each_kind_of_bad_row_is_counted_once(self, bad):
+        good = rows_for("relax", OpLaw(3e-9, 1.2))
+        model, span = self._fit_span(good[:1] + [bad] + good[1:])
+        assert span.attrs["rows"] == len(good)
+        assert span.attrs["rows_skipped"] == 1
+        assert model.laws["relax"].observations == len(good)
+
+    def test_clean_fit_reports_zero_skips(self):
+        _, span = self._fit_span(
+            rows_for("relax", OpLaw(3e-9, 1.2)), trials=[self._trial(2.0)]
+        )
+        assert span.attrs["rows_skipped"] == 0
+        assert span.attrs["trials"] == 1
+        assert span.attrs["trials_skipped"] == 0
+
+    def test_trials_without_evidence_are_not_skips(self):
+        """A trial with no plan or no cost carries no evidence to lose."""
+        _, span = self._fit_span(
+            [],
+            trials=[
+                SimpleNamespace(plan_json=None, simulated_cost=1.0),
+                SimpleNamespace(plan_json="{}", simulated_cost=0.0),
+                SimpleNamespace(plan_json="{}", simulated_cost=None),
+            ],
+        )
+        assert span.attrs["trials"] == 0
+        assert span.attrs["trials_skipped"] == 0
+
+    def test_skipped_inputs_leave_the_model_identity_unchanged(self):
+        good = rows_for("relax", OpLaw(3e-9, 1.2))
+        clean = CostModel.fit(good, INTEL_HARPERTOWN)
+        noisy = CostModel.fit(
+            good + [{"op": "relax"}],
+            INTEL_HARPERTOWN,
+            trials=[SimpleNamespace(plan_json="{not json", simulated_cost=1.0)],
+        )
+        assert noisy.to_json() == clean.to_json()
+        assert noisy.fingerprint() == clean.fingerprint()
+
 
 class TestSerialization:
     def test_round_trip_preserves_predictions_and_identity(self):

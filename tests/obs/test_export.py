@@ -89,6 +89,17 @@ class TestPrometheus:
         assert "repro_requests 10" in text
         assert "repro_latency_solve_p99_s 0.02" in text
 
+    def test_older_snapshot_sections_are_ignored(self):
+        """A telemetry file written before the sliding windows went still
+        exports; its ``windows`` section mints no family."""
+        snapshot = {
+            "counters": {"requests": 2},
+            "windows": {"e2e": {"count": 2, "p99_s": 0.5}},
+        }
+        text = prometheus_text(snapshot)
+        assert "repro_requests 2" in text
+        assert "window" not in text
+
     def test_sharded_frontdoor_stats_exposition(self):
         """FrontDoor.stats() nests a snapshot per tier; the export labels
         them instead of silently emitting nothing."""

@@ -141,11 +141,19 @@ class TestServerOptions:
         [
             {"bogus_option": 1},
             {"tune_jobs": 2},
+            {"autoscaler": None},
             {"store": "elsewhere.sqlite"},
             {"profiler": SolveProfiler()},
             {"accuracies": np.array([10.0, 1e3])},
         ],
-        ids=["unknown", "removed", "worker-owned", "rich-object", "ndarray"],
+        ids=[
+            "unknown",
+            "removed",
+            "removed-autoscaler",
+            "worker-owned",
+            "rich-object",
+            "ndarray",
+        ],
     )
     def test_bad_option_fails_before_any_worker_spawns(self, monkeypatch, options):
         def no_spawn(self):

@@ -103,3 +103,12 @@ class TestTelemetry:
         assert snap["swap_events"][0]["stale_served"] == 2
         # p50/p95/p99 keys exist for dashboards
         assert {"p50_s", "p95_s", "p99_s"} <= set(snap["latency"]["lat"])
+
+    def test_snapshot_sections(self):
+        snap = Telemetry().snapshot()
+        assert list(snap) == ["counters", "gauges", "latency", "swap_events"]
+
+    @pytest.mark.parametrize("option", ["window_s", "clock"])
+    def test_removed_window_options_are_rejected(self, option):
+        with pytest.raises(TypeError):
+            Telemetry(**{option: 1.0})

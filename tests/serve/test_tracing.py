@@ -192,6 +192,24 @@ class TestSwapProvenanceTraceId:
         assert swaps[0]["reason"] == "stale-while-tune"
         assert swaps[0]["trace_id"] == result.trace_id
 
+    def test_untraced_swap_row_names_no_request(self):
+        db = TrialDB(":memory:")
+        server = SolveServer(
+            machine="intel", store=db, workers=1, instances=1, seed=3
+        )
+        try:
+            problem = poisson_problem("unbiased", n=N, seed=1)
+            result = server.solve(problem, 1e5, timeout=60)
+            assert server.wait_for_swaps(timeout=60)
+        finally:
+            server.shutdown(drain=True)
+
+        assert result.stale and result.trace_id is None
+        (trial,) = db.trials()
+        swap = json.loads(trial.plan_json)["metadata"]["serve_swap"]
+        assert swap["reason"] == "stale-while-tune"
+        assert "trace_id" not in swap
+
 
 class TestTelemetryShapeUnchanged:
     def test_snapshot_structure_identical_with_tracing_on(self):

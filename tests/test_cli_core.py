@@ -102,6 +102,14 @@ class TestServeCLI:
             assert err.value.code == 2  # argparse usage error, no traceback
             capsys.readouterr()
 
+    def test_serve_has_no_latency_target_flag(self, capsys):
+        """Every request is served at the accuracy it asks for; no flag
+        trades accuracy for latency."""
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "bench", "--slo-p99-ms", "250"])
+        assert err.value.code == 2
+        assert "--slo-p99-ms" in capsys.readouterr().err
+
     def test_serve_warm_mode(self, tmp_path, capsys):
         db = str(tmp_path / "serve.sqlite")
         rc = main(
