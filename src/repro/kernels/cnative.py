@@ -17,9 +17,18 @@ Byte-identity contract: each C kernel evaluates the *same*
 floating-point expression in the *same* order as the vectorized NumPy
 code it replaces (see ``repro.relax.sor``, ``repro.grids.poisson``,
 ``repro.grids.transfer``), and the compile uses ``-ffp-contract=off``
-so no fused multiply-adds change the rounding.  Within one red-black
+so no fused multiply-adds change the rounding.  The build is ``-O3``:
+gcc vectorizes and unrolls but, without ``-ffast-math``, never
+reorders a floating-point expression, so each point still rounds as
+the NumPy code does (the sweeps its loop vectorizer slows opt out,
+see ``SCALAR_LOOPS`` in the source).  Within one red-black
 colour every neighbour of an updated point has the other colour, so
-the scalar loop order is exactly the vectorized update.  The 3-D
+the scalar loop order is exactly the vectorized update.  A 5-point
+operator whose weights each hold one bit pattern over the interior
+(``FivePointOperator.uniform_weights``, e.g. anisotropic Poisson) binds
+``rbsor2d_weights``/``residual2d_weights``: the array kernels with each
+weight load replaced by that scalar, operands in the same order, so
+every product sees the same bits.  The 3-D
 transfers run the reference's three separable axis passes one plane at
 a time, with per-call O(n**2) scratch and no shared state, so threads
 may run one level's kernels concurrently.
@@ -65,6 +74,19 @@ C_SOURCE = r"""
 #define U2(a, i, j) (a)[(i) * n + (j)]
 #define U3(a, i, j, k) (a)[((i) * n + (j)) * n + (k)]
 
+/* gcc 12's -O3 loop vectorizer makes the stride-2 red-black sweeps
+ * marked SCALAR_LOOPS (2-D constant, 2-D array weights, 3-D) 1.1-1.5x
+ * slower at n <= 33 and no faster at n = 65-129, so they keep -O2's
+ * scalar loops; rbsor2d_weights, whose divide it vectorizes, runs
+ * 1.2-1.4x faster with it at n >= 33.  Codegen only: no floating-point
+ * expression is reordered either way. */
+#if defined(__GNUC__) && !defined(__clang__)
+#define SCALAR_LOOPS __attribute__((optimize("no-tree-loop-vectorize")))
+#else
+#define SCALAR_LOOPS
+#endif
+
+SCALAR_LOOPS
 void rbsor2d_const(double *u, const double *b, long n, double h2,
                    double omega, long sweeps) {
     const double quarter_omega = 0.25 * omega;
@@ -100,6 +122,7 @@ void residual2d_const(const double *u, const double *b, double *out,
     }
 }
 
+SCALAR_LOOPS
 void rbsor2d_stencil(double *u, const double *b, const double *cn,
                      const double *cs, const double *cw, const double *ce,
                      const double *cd, long n, double omega, long sweeps) {
@@ -131,6 +154,47 @@ void residual2d_stencil(const double *u, const double *b, const double *cn,
             acc += U2(cs, i, j) * U2(u, i + 1, j);
             acc += U2(cw, i, j) * U2(u, i, j - 1);
             acc += U2(ce, i, j) * U2(u, i, j + 1);
+            acc += U2(b, i, j);
+            U2(out, i, j) = acc;
+        }
+    }
+}
+
+/* rbsor2d_stencil / residual2d_stencil for weights that are one value
+ * over the interior: the same expressions in the same order, each weight
+ * load replaced by its (bitwise equal) scalar. */
+void rbsor2d_weights(double *u, const double *b, double cn, double cs,
+                     double cw, double ce, double cd, long n, double omega,
+                     long sweeps) {
+    const double keep = 1.0 - omega;
+    for (long s = 0; s < sweeps; s++) {
+        for (long par = 0; par < 2; par++) {
+            for (long i = 1; i < n - 1; i++) {
+                for (long j = 1 + ((i + 1 + par) % 2); j < n - 1; j += 2) {
+                    double gs = cn * U2(u, i - 1, j);
+                    gs += cs * U2(u, i + 1, j);
+                    gs += cw * U2(u, i, j - 1);
+                    gs += ce * U2(u, i, j + 1);
+                    gs += U2(b, i, j);
+                    gs /= cd;
+                    U2(u, i, j) = U2(u, i, j) * keep + omega * gs;
+                }
+            }
+        }
+    }
+}
+
+void residual2d_weights(const double *u, const double *b, double cn,
+                        double cs, double cw, double ce, double cd,
+                        double *out, long n) {
+    const double neg_cd = -cd;
+    for (long i = 1; i < n - 1; i++) {
+        for (long j = 1; j < n - 1; j++) {
+            double acc = U2(u, i, j) * neg_cd;
+            acc += cn * U2(u, i - 1, j);
+            acc += cs * U2(u, i + 1, j);
+            acc += cw * U2(u, i, j - 1);
+            acc += ce * U2(u, i, j + 1);
             acc += U2(b, i, j);
             U2(out, i, j) = acc;
         }
@@ -176,6 +240,7 @@ void interp2d_corr(double *u, const double *coarse, long nf, long nc) {
                         + coarse[(ci + 1) * nc + cj + 1]);
 }
 
+SCALAR_LOOPS
 void rbsor3d_axes(double *u, const double *b, long n, double c0, double c1,
                   double c2, double h2, double omega, long sweeps) {
     const double inv_diag = 1.0 / (2.0 * ((c0 + c1) + c2));
@@ -320,6 +385,11 @@ _SIGNATURES: dict[str, list[Any]] = {
     "residual2d_stencil": [
         _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, ctypes.c_long,
     ],
+    "rbsor2d_weights": [
+        _PTR, _PTR, *[ctypes.c_double] * 5, ctypes.c_long, ctypes.c_double,
+        ctypes.c_long,
+    ],
+    "residual2d_weights": [_PTR, _PTR, *[ctypes.c_double] * 5, _PTR, ctypes.c_long],
     "restrict2d_fw": [_PTR, _PTR, ctypes.c_long, ctypes.c_long],
     "interp2d_corr": [_PTR, _PTR, ctypes.c_long, ctypes.c_long],
     "rbsor3d_axes": [
@@ -338,7 +408,10 @@ _SIGNATURES: dict[str, list[Any]] = {
 _STATUS_RESULT = frozenset({"restrict3d_fw", "interp3d_corr"})
 
 #: The exact compile arguments; they are part of the kernel cache key.
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: -O3 adds vectorization and unrolling but, without -ffast-math, never
+#: reassociates floating point, so each point keeps the NumPy order;
+#: -ffp-contract=off keeps gcc from fusing a multiply and an add.
+CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 _F64 = np.dtype(np.float64)
 
@@ -500,21 +573,29 @@ def _bind_const2d(lib: ctypes.CDLL, op: "StencilOperator") -> LevelKernels:
 
 def _bind_stencil2d(lib: ctypes.CDLL, op: Any) -> LevelKernels:
     n = op.n
-    north, south = op.north, op.south
-    west, east, diag = op.west, op.east, op.diag
-    weights = (north, south, west, east, diag)
-    weights_ok = all(_square(w, n) for w in weights)
-    # The weight arrays are fixed per operator instance; hoist their
-    # pointers out of the per-sweep path (the closure keeps them alive).
-    if weights_ok:
-        pn, ps, pw, pe, pd = (w.ctypes.data for w in weights)
-    f_sor = lib.rbsor2d_stencil
-    f_res = lib.residual2d_stencil
+    diag = op.diag
+    if op.uniform_weights is not None:
+        # One bit pattern per weight over the interior: the scalar
+        # kernels compute the same expressions without the weight loads.
+        weights = op.uniform_weights
+        weights_ok = True
+        f_sor = lib.rbsor2d_weights
+        f_res = lib.residual2d_weights
+    else:
+        weights = (op.north, op.south, op.west, op.east, diag)
+        weights_ok = all(_square(w, n) for w in weights)
+        # The weight arrays are fixed per operator instance; hoist their
+        # pointers out of the per-sweep path (the closures keep ``op``,
+        # and so the arrays, alive).
+        if weights_ok:
+            weights = tuple(w.ctypes.data for w in weights)
+        f_sor = lib.rbsor2d_stencil
+        f_res = lib.residual2d_stencil
 
     def sor_sweeps(u, b, omega, sweeps=1):
         if sweeps < 0 or not weights_ok or not (_square(u, n) and _square(b, n)):
             return op.sor_sweeps(u, b, omega, sweeps)
-        f_sor(u.ctypes.data, b.ctypes.data, pn, ps, pw, pe, pd, n, omega, sweeps)
+        f_sor(u.ctypes.data, b.ctypes.data, *weights, n, omega, sweeps)
         return u
 
     def jacobi_sweeps(u, b, omega, sweeps):
@@ -522,8 +603,7 @@ def _bind_stencil2d(lib: ctypes.CDLL, op: Any) -> LevelKernels:
             return op.jacobi_sweeps(u, b, omega, sweeps)
         scratch = np.zeros_like(u)
         for _ in range(sweeps):
-            f_res(u.ctypes.data, b.ctypes.data, pn, ps, pw, pe, pd,
-                  scratch.ctypes.data, n)
+            f_res(u.ctypes.data, b.ctypes.data, *weights, scratch.ctypes.data, n)
             u[1:-1, 1:-1] += omega * scratch[1:-1, 1:-1] / diag[1:-1, 1:-1]
         return u
 
@@ -533,8 +613,7 @@ def _bind_stencil2d(lib: ctypes.CDLL, op: Any) -> LevelKernels:
         res = prepare_out(out, u.shape)
         if not _square(res, n):
             return op.residual(u, b, out=out)
-        f_res(u.ctypes.data, b.ctypes.data, pn, ps, pw, pe, pd,
-              res.ctypes.data, n)
+        f_res(u.ctypes.data, b.ctypes.data, *weights, res.ctypes.data, n)
         return res
 
     return LevelKernels(
@@ -729,6 +808,8 @@ class CNativeBackend:
         lib.residual2d_const(pu, pb, po, n, 1.0)
         lib.rbsor2d_stencil(pu, pb, pw, pw, pw, pw, pw, n, 1.0, 1)
         lib.residual2d_stencil(pu, pb, pw, pw, pw, pw, pw, po, n)
+        lib.rbsor2d_weights(pu, pb, 1.0, 1.0, 1.0, 1.0, 1.0, n, 1.0, 1)
+        lib.residual2d_weights(pu, pb, 1.0, 1.0, 1.0, 1.0, 1.0, po, n)
         lib.restrict2d_fw(pu, pc, n, 3)
         lib.interp2d_corr(pu, pc, n, 3)
         u3 = np.zeros((n, n, n))

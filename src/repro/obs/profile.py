@@ -1,6 +1,6 @@
 """Per-(level, op, backend) wall-clock aggregation from executor spans.
 
-The tuner's :class:`~repro.tuner.meter.OpMeter` counts *how many* kernel
+The tuner's :class:`~repro.machines.meter.OpMeter` counts *how many* kernel
 operations a plan charges; this profiler records *how long* they
 actually took, keyed the same way the machine profile predicts them —
 (level, op, backend).  Two consumers:
@@ -8,9 +8,10 @@ actually took, keyed the same way the machine profile predicts them —
 - the ROADMAP's learned-cost-model tuner, which needs measured
   (features -> seconds) rows, exactly what :meth:`SolveProfiler.rows`
   emits;
-- profile-drift detection: comparing measured per-op seconds against a
-  stored :class:`~repro.tuner.machine.MachineProfile` answers "has this
-  machine drifted since we tuned" (the sustainable-autotuning concern).
+- a comparison no code makes yet: the measured per-op seconds set
+  against a stored :class:`~repro.machines.profile.MachineProfile`'s
+  prices could tell whether the machine has drifted since it was tuned
+  (the sustainable-autotuning concern).
 
 Thread-safe: executors in different worker threads record into one
 profiler.  Recording is one lock acquire + two float adds, far off the

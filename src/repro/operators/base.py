@@ -33,6 +33,23 @@ from repro.util.validation import check_square_grid, level_of_size
 __all__ = ["FivePointOperator", "StencilOperator"]
 
 
+def _uniform_interior(
+    weights: tuple[np.ndarray, ...],
+) -> tuple[float, ...] | None:
+    """Each weight's single interior value, or None if any weight's
+    interior holds two bit patterns.  The comparison is bitwise, so
+    -0.0 against +0.0, or two NaN payloads, count as different."""
+    values = []
+    for w in weights:
+        if w.dtype != np.float64:
+            return None
+        bits = w[1:-1, 1:-1].view(np.uint64)
+        if not (bits == bits[0, 0]).all():
+            return None
+        values.append(float(w[1, 1]))
+    return tuple(values)
+
+
 class StencilOperator(ABC):
     """One discrete operator bound to grid size ``n`` (see module docs).
 
@@ -171,6 +188,12 @@ class FivePointOperator(StencilOperator):
         # Residual needs -diag per call; the stencil is immutable after
         # construction, so materialize the negation once.
         self._neg_diag = -diag[1:-1, 1:-1]
+        #: (north, south, west, east, diag) as floats when each weight has
+        #: one bit pattern over the interior (the only entries the kernels
+        #: read), else None; compiled backends then take scalar kernels.
+        self.uniform_weights = _uniform_interior(
+            (north, south, west, east, diag)
+        )
         self._factor: np.ndarray | None = None
 
     # -- kernels ----------------------------------------------------------

@@ -158,7 +158,7 @@ class TestLibraryBuild:
         others = {
             cnative._library_path(version, flags)
             for flags in (
-                ("-O3", "-fPIC", "-shared", "-ffp-contract=off"),
+                ("-O2", "-fPIC", "-shared", "-ffp-contract=off"),
                 (*cnative.CFLAGS, "-march=native"),
                 cnative.CFLAGS[:-1],
             )
