@@ -126,6 +126,7 @@ def chrome_trace(spans: Iterable[Span]) -> dict[str, Any]:
 # -- Prometheus text format ------------------------------------------------
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+_SHARD_GAUGE_RE = re.compile(r"^shard(\d+):(.+)$")
 
 
 def _prom_name(name: str, prefix: str) -> str:
@@ -192,8 +193,18 @@ def _snapshot_families(
         name = _prom_name(key, prefix)
         add(name, "counter", [f"{name}{labels} {value}"])
     for key, value in source.get("gauges", {}).items():
+        # Per-shard gauges ("shard<i>:<name>") share one family with a
+        # shard label, so the family count stays fixed as shards grow.
+        per_shard = _SHARD_GAUGE_RE.match(key)
+        if per_shard:
+            index, key = per_shard.groups()
+            shard = f'shard="{index}"'
+            sample_labels = f"{labels[:-1]},{shard}}}" if labels else f"{{{shard}}}"
+            key = f"shard_{key}"
+        else:
+            sample_labels = labels
         name = _prom_name(key, prefix)
-        add(name, "gauge", [f"{name}{labels} {value}"])
+        add(name, "gauge", [f"{name}{sample_labels} {value}"])
     for hist_name, summary in source.get("latency", {}).items():
         name = _prom_name(f"latency_{hist_name}", prefix)
         add(

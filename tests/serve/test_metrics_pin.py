@@ -234,8 +234,8 @@ repro_requests_completed{tier="shard",shard="0"} 2
 repro_requests_completed{tier="shard",shard="1"} 1
 # TYPE repro_requests_submitted counter
 repro_requests_submitted{tier="frontdoor"} 3
-# TYPE repro_shard0:inflight gauge
-repro_shard0:inflight{tier="frontdoor"} 1.0
+# TYPE repro_shard_inflight gauge
+repro_shard_inflight{tier="frontdoor",shard="0"} 1.0
 # TYPE repro_shards gauge
 repro_shards{tier="frontdoor"} 2.0
 # TYPE repro_latency_request_latency summary
@@ -269,6 +269,23 @@ repro_latency_solve_p99_s{tier="shard",shard="1"} 0.0036517412725483767
 
 def test_two_tier_prometheus_is_pinned():
     assert prometheus_text(two_tier_stats()) == TWO_TIER_PROMETHEUS
+
+
+def test_per_shard_gauges_share_one_family():
+    """Three shards' in-flight gauges export as one labelled family, with
+    no colon (reserved for recording rules) in any metric name."""
+    front = Telemetry()
+    for index in range(3):
+        front.set_gauge(f"shard{index}:inflight", index)
+    text = prometheus_text({"frontdoor": front.snapshot(), "shards": {}})
+    assert text.count("# TYPE ") == 1
+    assert "# TYPE repro_shard_inflight gauge" in text
+    for index in range(3):
+        assert (
+            f'repro_shard_inflight{{tier="frontdoor",shard="{index}"}} {float(index)}'
+            in text
+        )
+    assert all(":" not in line.split("{")[0] for line in text.splitlines())
 
 
 def test_kind_collision_rejected():
