@@ -2,34 +2,35 @@
 
 Run:  python examples/cycle_shapes.py
 
-Renders the V-type and full-multigrid cycles the autotuner produces for
-the AMD Barcelona cost model at four accuracy targets, then compares the
-full-MG cycle across the three testbed architectures — the paper's
-evidence that optimal cycle shape is machine-dependent.
+Renders, through the paper-figures driver, the V-type and
+full-multigrid cycles the autotuner produces for the AMD Barcelona cost
+model at two accuracy targets, then compares the full-MG cycle across
+the three testbed architectures — the paper's evidence that optimal
+cycle shape is machine-dependent.
 """
 
-from repro.bench import fig14_architectures, fig5_cycle_shapes
-from repro.cycles.stats import CycleStats
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import paper_figures  # noqa: E402
 
 MAX_LEVEL = 6
 
 
 def main() -> None:
     print("=== Figure 5: tuned cycles on AMD Barcelona (unbiased & biased) ===\n")
-    res = fig5_cycle_shapes(max_level=MAX_LEVEL, machine="amd", targets=(1e1, 1e5))
-    print(res.format())
+    print(paper_figures.sections(paper_figures.fig5(MAX_LEVEL, targets=(1e1, 1e5))))
 
     print("\n\n=== Figure 14: tuned full-MG cycles across architectures ===\n")
-    arch = fig14_architectures(max_level=MAX_LEVEL, target=1e5)
-    print(arch.format())
+    arch = paper_figures.fig14(MAX_LEVEL, target=1e5)
+    print(paper_figures.sections(arch))
 
-    print("\nshape statistics (per machine):")
-    for name, stats in arch.stats.items():
-        assert isinstance(stats, CycleStats)
+    print("\nshape counts (per machine):")
+    for name, cycle in arch.items():
         print(
-            f"  {name}: bottoms out at level {stats.bottom_level}, "
-            f"direct call at level {stats.direct_level}, "
-            f"relaxations per level {stats.relaxations}"
+            f"  {name}: direct call at level {cycle['direct_level']}, "
+            f"{cycle['relaxations']} relaxations, {cycle['sor_segments']} SOR segments"
         )
 
 

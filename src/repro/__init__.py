@@ -12,14 +12,16 @@ The package builds every system the paper relies on, in Python:
 * pluggable problem operators — constant/variable-coefficient and
   anisotropic stencils behind one protocol (:mod:`repro.operators`);
 * the paper's contribution — the accuracy-aware DP autotuner
-  (:mod:`repro.tuner`), with cycle-shape rendering (:mod:`repro.cycles`);
-* machine cost models and a work-stealing runtime (:mod:`repro.machines`,
-  :mod:`repro.runtime`);
+  (:mod:`repro.tuner`), whose plans carry their own op multisets and
+  event traces;
+* machine cost models for the paper's three testbeds
+  (:mod:`repro.machines`);
 * a batched, cache-warmed solve server with stale-while-tune background
   tuning and telemetry (:mod:`repro.serve`);
-* a mini-PetaBricks choice framework (:mod:`repro.petabricks`);
-* the experiment harness regenerating every table/figure
-  (:mod:`repro.bench`).
+* a mini-PetaBricks choice framework (:mod:`repro.petabricks`).
+
+The paper's tables and figures, in priced and measured seconds, come from
+one driver outside the package, ``benchmarks/paper_figures.py``.
 
 Quickstart::
 

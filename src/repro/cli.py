@@ -1,9 +1,8 @@
 """Command-line interface.
 
-Three entry styles share the ``repro-mg`` executable:
+Four subcommand groups share the ``repro-mg`` executable (the paper's
+tables and figures come from ``benchmarks/paper_figures.py``):
 
-* ``repro-mg <experiment> [options]`` — regenerate any paper
-  table/figure or ablation (README, "Experiments");
 * ``repro-mg store <tune|ls|export|gc> [options]`` — operate the
   persistent tuning store (run resumable campaigns, list stored plans,
   export the trial run table, compact the database);
@@ -26,86 +25,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable
 
-from repro.bench import (
-    ablation_accuracy_ladder,
-    ablation_factor_caching,
-    ablation_pareto_vs_discrete,
-    ablation_smoother,
-    ablation_training_distribution,
-    cross_architecture,
-    fig10_13_reference_comparison,
-    fig14_architectures,
-    fig4_call_stacks,
-    fig5_cycle_shapes,
-    fig6_algorithm_comparison,
-    fig7_heuristics,
-    fig9_parallel_scaling,
-    table1_complexity,
-)
 from repro.util import format_table
 
 __all__ = ["main"]
-
-
-def _fig7(args: argparse.Namespace) -> str:
-    res = fig7_heuristics(max_level=args.max_level, machine=args.machine, seed=args.seed)
-    return res.format() + "\n\nratios vs autotuned (Figure 8):\n" + res.format_ratios()
-
-
-def _fig10_13(args: argparse.Namespace) -> str:
-    parts = []
-    for machine in ("intel", "amd", "sun"):
-        for dist in ("unbiased", "biased"):
-            for target in (1e5, 1e9):
-                res = fig10_13_reference_comparison(
-                    max_level=args.max_level,
-                    machine=machine,
-                    distribution=dist,
-                    target=target,
-                    seed=args.seed,
-                )
-                parts.append(res.format())
-    return "\n\n".join(parts)
-
-
-_EXPERIMENTS: dict[str, Callable[[argparse.Namespace], str]] = {
-    "table1": lambda a: table1_complexity(
-        max_level=a.max_level, machine=a.machine, seed=a.seed
-    ).format(),
-    "fig4": lambda a: fig4_call_stacks(
-        max_level=a.max_level, machine=a.machine, seed=a.seed
-    ).format(),
-    "fig5": lambda a: fig5_cycle_shapes(
-        max_level=min(a.max_level, 6), machine="amd", seed=a.seed
-    ).format(),
-    "fig6": lambda a: fig6_algorithm_comparison(
-        max_level=a.max_level, machine=a.machine, seed=a.seed
-    ).format(),
-    "fig7": _fig7,
-    "fig9": lambda a: fig9_parallel_scaling(
-        max_level=a.max_level, machine=a.machine, seed=a.seed
-    ).format(),
-    "fig10-13": _fig10_13,
-    "fig14": lambda a: fig14_architectures(
-        max_level=min(a.max_level, 6), seed=a.seed
-    ).format(),
-    "cross-arch": lambda a: cross_architecture(
-        max_level=min(a.max_level, 6), seed=a.seed
-    ).format(),
-    "ablation-ladder": lambda a: ablation_accuracy_ladder(
-        max_level=min(a.max_level, 6), seed=a.seed
-    ).format(),
-    "ablation-distribution": lambda a: ablation_training_distribution(
-        max_level=min(a.max_level, 6), seed=a.seed
-    ).format(),
-    "ablation-smoother": lambda a: ablation_smoother(seed=a.seed).format(),
-    "ablation-caching": lambda a: ablation_factor_caching(
-        max_level=min(a.max_level, 6), seed=a.seed
-    ).format(),
-    "ablation-pareto": lambda a: ablation_pareto_vs_discrete(seed=a.seed).format(),
-}
 
 
 def _version() -> str:
@@ -123,33 +46,15 @@ def _version() -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mg",
-        description="Reproduction experiments for 'Autotuning Multigrid with "
-        "PetaBricks' (SC'09)",
-        epilog="The persistent tuning store, the solve server, and the "
-        "observability tooling have their own subcommands: `repro-mg "
-        "store {tune,ls,export,gc}`, `repro-mg serve {warm,bench}`, and "
-        "`repro-mg obs {report,trace,export}` (see their --help).",
+        description="Tuning store, fleet, solve server and observability tooling "
+        "for 'Autotuning Multigrid with PetaBricks' (SC'09)",
+        epilog="Each group has its own --help.  The paper's tables and figures "
+        "come from `python benchmarks/paper_figures.py`.",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {_version()}"
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(_EXPERIMENTS) + ["all"],
-        help="which table/figure to regenerate",
-    )
-    parser.add_argument(
-        "--max-level",
-        type=int,
-        default=7,
-        help="finest grid level (N = 2^level + 1); paper scale is 11-12",
-    )
-    parser.add_argument(
-        "--machine",
-        default="intel",
-        help="machine preset: intel | amd | sun | host",
-    )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("group", choices=["store", "fleet", "serve", "obs"])
     return parser
 
 
@@ -934,24 +839,11 @@ def _obs_main(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["store"]:
-        return _store_main(argv[1:])
-    if argv[:1] == ["fleet"]:
-        return _fleet_main(argv[1:])
-    if argv[:1] == ["serve"]:
-        return _serve_main(argv[1:])
-    if argv[:1] == ["obs"]:
-        return _obs_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        start = time.perf_counter()
-        output = _EXPERIMENTS[name](args)
-        elapsed = time.perf_counter() - start
-        print(f"==== {name} (generated in {elapsed:.1f}s) ====")
-        print(output)
-        print()
-    return 0
+    # Only the first token is the top-level parser's: --version, --help,
+    # a usage error, or the group whose own parser takes the rest.
+    group = build_parser().parse_args(argv[:1]).group
+    groups = {"store": _store_main, "fleet": _fleet_main, "serve": _serve_main, "obs": _obs_main}
+    return groups[group](argv[1:])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,10 +13,11 @@ produced it.  The envelope is deliberately tiny::
       "metrics": { ...bench-specific report... }
     }
 
-Files land in ``benchmarks/out/`` as ``BENCH_<name>.json``.  The
-wall-clock timestamp is *passed in* rather than read here — benches
-already own a clock, and keeping this module clock-free keeps envelope
-writing deterministic under test.
+Files are ``BENCH_<name>.json`` in the directory the caller names:
+``benchmarks/out/`` (gitignored) for ad-hoc runs, ``benchmarks/`` for the
+committed paper-figures run.  The wall-clock timestamp is *passed in*
+rather than read here — benches already own a clock, and keeping this
+module clock-free keeps envelope writing deterministic under test.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ worker, and ships inside every model-tuner pool task.
   DP tuner (the V-cycle tuner, or the full-MG tuner over a tuned V plan);
 * :func:`tune` is the one entry every cold path calls — ``core.autotune*``,
   the registry, the model tuner's warm start and the solve server's
-  background tunes.  It owns the model search's trial executor.
+  background tunes.  It owns the model search's trial executor;
+  :func:`tune_pair` is the (V, full-MG) pair of one full-MG tune.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machines.profile import MachineProfile
     from repro.modeltuner.costmodel import CostModel
 
-__all__ = ["PLAN_KINDS", "TuneKey", "TuneSpec", "tune"]
+__all__ = ["PLAN_KINDS", "TuneKey", "TuneSpec", "tune", "tune_pair"]
 
 PLAN_KINDS = ("multigrid-v", "full-multigrid")
 
@@ -262,3 +263,25 @@ def tune(
     finally:
         if executor is not jobs:
             executor.close()
+
+
+def tune_pair(
+    max_level: int,
+    machine: "MachineProfile",
+    distribution: str,
+    seed: int,
+    instances: int = 3,
+    accuracies: tuple[float, ...] = DEFAULT_ACCURACIES,
+) -> tuple[TunedVPlan, TunedFullMGPlan]:
+    """Tune (V, full-MG) plans priced on ``machine``: one full-MG tune,
+    whose solve-phase V plan is tuned on the same training set."""
+    key = TuneKey(
+        kind="full-multigrid",
+        distribution=distribution,
+        max_level=max_level,
+        accuracies=accuracies,
+        seed=seed,
+        instances=instances,
+    )
+    fplan = tune(TuneSpec(key, pricing=machine))
+    return fplan.vplan, fplan

@@ -8,7 +8,7 @@ open-loop, so the sequence follows from the plan alone:
 read it off the table, in the order
 :class:`~repro.tuner.executor.PlanExecutor` runs the ops.  Figures 4 (call
 stacks), 5 and 14 (cycle shapes) of the paper are renderings of exactly
-this information; :mod:`repro.cycles` consumes traces to draw them.
+this information; ``benchmarks/paper_figures.py`` draws them from traces.
 """
 
 from __future__ import annotations

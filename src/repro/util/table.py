@@ -1,4 +1,5 @@
-"""Aligned plain-text tables, shared by the figure drivers and the CLI."""
+"""Aligned plain-text tables, shared by the CLI, the store and fleet reports,
+and the paper-figures driver."""
 
 from __future__ import annotations
 

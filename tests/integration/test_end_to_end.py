@@ -2,8 +2,7 @@
 
 Tune V and full-MG plans for two architectures, verify the tuned
 algorithms hit their accuracy contracts on unseen data, round-trip the
-configuration files, render the cycles, and check the cross-architecture
-pricing story — the complete life of a PetaBricks-tuned multigrid solver.
+configuration files, and check the cross-architecture pricing story — the complete life of a PetaBricks-tuned multigrid solver.
 """
 
 import numpy as np
@@ -11,9 +10,6 @@ import pytest
 
 from repro.accuracy.judge import AccuracyJudge
 from repro.accuracy.reference import ReferenceSolutionCache
-from repro.bench.parallel import simulate_trace
-from repro.cycles.render import render_cycle
-from repro.cycles.shape import extract_shape
 from repro.machines.presets import INTEL_HARPERTOWN, SUN_NIAGARA
 from repro.tuner.config import load_plan, save_plan
 from repro.tuner.dp import VCycleTuner
@@ -92,16 +88,3 @@ class TestCrossPricing:
                     tf = foreign_v.time_on(home, MAX_LEVEL, i)
                     assert tn <= tf * 1.0001
 
-
-class TestTraceToParallelSim:
-    def test_trace_simulates_with_speedup(self, plans):
-        vplan, _ = plans[INTEL_HARPERTOWN.name]
-        trace = vplan.trace(MAX_LEVEL, vplan.num_accuracies - 1)
-        t1 = simulate_trace(trace, INTEL_HARPERTOWN, workers=1).makespan
-        t4 = simulate_trace(trace, INTEL_HARPERTOWN, workers=4).makespan
-        assert 0 < t4 <= t1
-
-    def test_cycle_renderable(self, plans):
-        vplan, fplan = plans[SUN_NIAGARA.name]
-        text = render_cycle(extract_shape(fplan.trace(MAX_LEVEL, 2)))
-        assert "level" in text

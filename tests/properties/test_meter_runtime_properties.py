@@ -1,5 +1,4 @@
-"""Property-based tests for op meters, pricing, schedulers, and the
-Pareto front."""
+"""Property-based tests for op meters, pricing and the Pareto front."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +6,6 @@ from hypothesis import strategies as st
 
 from repro.machines.meter import OPS, OpMeter
 from repro.machines.presets import INTEL_HARPERTOWN
-from repro.runtime.simsched import SimulatedScheduler
-from repro.runtime.task import TaskGraph
 from repro.tuner.choices import DirectChoice
 from repro.tuner.pareto import ChoiceChain, ParetoPoint, pareto_front
 
@@ -65,53 +62,6 @@ class TestMeterProperties:
         m = build_meter(a)
         p = INTEL_HARPERTOWN.price
         assert p(m.scaled(k)) == pytest.approx(k * p(m), rel=1e-12)
-
-
-def random_dag(draw_edges, costs) -> TaskGraph:
-    g = TaskGraph()
-    names = []
-    for i, cost in enumerate(costs):
-        possible = names[:]
-        deps = tuple(n for n, pick in zip(possible, draw_edges[i]) if pick)
-        g.add(f"t{i}", deps=deps, cost=cost)
-        names.append(f"t{i}")
-    return g
-
-
-class TestSimulatedSchedulerProperties:
-    @given(data=st.data(), workers=st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_makespan_bounds(self, data, workers):
-        n = data.draw(st.integers(1, 15))
-        costs = data.draw(
-            st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)
-        )
-        edges = [
-            data.draw(st.lists(st.booleans(), min_size=i, max_size=i))
-            for i in range(n)
-        ]
-        g = random_dag(edges, costs)
-        rep = SimulatedScheduler(workers=workers).run(g)
-        serial = g.total_cost()
-        critical = g.critical_path_cost()
-        assert rep.makespan >= critical - 1e-9
-        assert rep.makespan >= serial / workers - 1e-9
-        assert rep.makespan <= serial / workers + critical + 1e-9  # Graham
-
-    @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_completion_order_topological(self, data):
-        n = data.draw(st.integers(1, 12))
-        edges = [
-            data.draw(st.lists(st.booleans(), min_size=i, max_size=i))
-            for i in range(n)
-        ]
-        g = random_dag(edges, [1.0] * n)
-        rep = SimulatedScheduler(workers=3).run(g)
-        pos = {name: i for i, name in enumerate(rep.completion_order)}
-        for t in g.tasks():
-            for d in t.deps:
-                assert pos[d] < pos[t.name]
 
 
 points = st.lists(

@@ -142,10 +142,3 @@ class TestStoreParser:
     def test_unknown_subcommand_exits(self, db_path):
         with pytest.raises(SystemExit):
             main(["store", "--db", db_path, "frobnicate"])
-
-    def test_experiment_path_still_works(self, capsys):
-        # The classic experiment interface is untouched by the store
-        # dispatch (tier-1 behaviour).
-        rc = main(["ablation-smoother"])
-        assert rc == 0
-        assert "smoother" in capsys.readouterr().out

@@ -40,27 +40,13 @@ class TestCoreAPI:
 
 
 class TestCLI:
-    def test_parser_choices(self):
+    def test_parser_takes_only_the_groups(self):
         parser = build_parser()
-        args = parser.parse_args(["table1", "--max-level", "4"])
-        assert args.experiment == "table1"
-        assert args.max_level == 4
-
-    def test_parser_rejects_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig99"])
-
-    def test_main_runs_table1(self, capsys):
-        rc = main(["table1", "--max-level", "4"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Multigrid" in out
-        assert "fitted exponent" in out
-
-    def test_main_runs_ablation_smoother(self, capsys):
-        rc = main(["ablation-smoother"])
-        assert rc == 0
-        assert "smoother" in capsys.readouterr().out
+        assert parser.parse_args(["store"]).group == "store"
+        for argv in ([], ["table1"], ["fig5", "--max-level", "4"], ["all"]):
+            with pytest.raises(SystemExit) as err:
+                parser.parse_args(argv)
+            assert err.value.code == 2
 
     def test_version_flag(self, capsys):
         from repro import __version__

@@ -10,26 +10,15 @@ only the functions below that produce the values do.
 """
 
 import json
+import sys
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from repro.bench import (
-    ablation_accuracy_ladder,
-    ablation_factor_caching,
-    ablation_pareto_vs_discrete,
-    ablation_smoother,
-    ablation_training_distribution,
-    cross_architecture,
-    fig10_13_reference_comparison,
-    fig14_architectures,
-    fig4_call_stacks,
-    fig5_cycle_shapes,
-    fig6_algorithm_comparison,
-    fig7_heuristics,
-    table1_complexity,
-)
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import paper_figures as pf  # noqa: E402
 
 PIN = json.loads((Path(__file__).parent / "paper_pin.json").read_text())
 
@@ -38,50 +27,46 @@ def _reprs(values):
     return [repr(float(v)) for v in values]
 
 
-def _series(result):
-    return {s.name: _reprs(s.values) for s in result.series}
+def _series(rows):
+    return {name: _reprs(values) for name, values in pf.priced_series(rows).items()}
 
 
 def _fig10(max_level, distribution, target, instances):
-    res = fig10_13_reference_comparison(
-        max_level=max_level,
-        machine="intel",
-        distribution=distribution,
-        target=target,
-        seed=0,
-        instances=instances,
-    )
+    rows = pf.fig10_13(max_level, "intel", distribution, target, draws=instances, reps=1)
     return {
-        "series": _series(res),
-        "speedup_at_top": {k: repr(v) for k, v in res.speedup_at_top.items()},
+        "series": _series(rows),
+        "speedup_at_top": {k: repr(v) for k, v in pf.speedup_at_top(rows).items()},
     }
 
 
 @lru_cache(maxsize=None)
 def priced_values() -> dict:
     """Every pinned priced number, as ``repr`` strings."""
-    t1 = table1_complexity(max_level=4, seed=0)
-    fig6 = fig6_algorithm_comparison(max_level=4, seed=0, instances=1)
+    t1 = pf.table1(max_level=4, reps=1)
+    fig6 = pf.fig6(max_level=4, draws=1, reps=1)
+    achieved = {}
+    for cell in pf.cells(fig6):
+        achieved.setdefault(cell["algorithm"], []).append(cell["accuracy"])
     out = {
         "table1": {
-            "times": {k: _reprs(v) for k, v in t1.times.items()},
+            "times": _series(t1),
             "fits": {
                 k: _reprs([f.exponent, f.coefficient, f.r_squared])
-                for k, f in t1.fits.items()
+                for k, f in pf.table1_fits(t1).items()
             },
         },
         "fig6": {
             "series": _series(fig6),
-            "achieved": {
-                k: _reprs(fig6.achieved[k]) for k in ("SOR", "Multigrid", "Autotuned")
-            },
+            "achieved": {k: _reprs(achieved[k]) for k in ("SOR", "Multigrid", "Autotuned")},
         },
-        "fig7_L4": _series(fig7_heuristics(max_level=4, seed=0)),
-        "fig7_L7": _series(fig7_heuristics(max_level=7, seed=0)),
+        "fig7_L4": _series(pf.fig7(max_level=4, reps=1, families=("poisson",))),
+        "fig7_L7": _series(pf.fig7(max_level=7, reps=1, families=("poisson",))),
         "fig10_L6_unbiased_1e5": _fig10(6, "unbiased", 1e5, 2),
         "cross_architecture": [
             [trained, run, repr(pct)]
-            for trained, run, pct in cross_architecture(max_level=4, seed=0).entries
+            for trained, run, pct in pf.cross_penalties(
+                pf.cross_arch(max_level=4, reps=1, draws=1)
+            )
         ],
     }
     for dist in ("unbiased", "biased"):
@@ -94,19 +79,17 @@ def priced_values() -> dict:
 def rendered_texts() -> dict:
     """The pinned text outputs."""
     return {
-        "fig4_L4": fig4_call_stacks(max_level=4, seed=0).format(),
-        "fig4_L7": fig4_call_stacks(max_level=7, seed=0).format(),
-        "fig5_L4": fig5_cycle_shapes(max_level=4, seed=0).format(),
-        "fig5_L6": fig5_cycle_shapes(max_level=6, seed=0).format(),
-        "fig14_L4": fig14_architectures(max_level=4, seed=0).format(),
-        "fig14_L6": fig14_architectures(max_level=6, seed=0).format(),
-        "ablation_ladder": ablation_accuracy_ladder(max_level=4, seed=0).format(),
-        "ablation_distribution": ablation_training_distribution(
-            max_level=4, seed=0, instances=1
-        ).format(),
-        "ablation_smoother": ablation_smoother(level=4, seed=0).format(),
-        "ablation_caching": ablation_factor_caching(max_level=4, seed=0).format(),
-        "ablation_pareto": ablation_pareto_vs_discrete(max_level=4, seed=0).format(),
+        "fig4_L4": pf.sections(pf.fig4(max_level=4)),
+        "fig4_L7": pf.sections(pf.fig4(max_level=7)),
+        "fig5_L4": pf.sections(pf.fig5(max_level=4)),
+        "fig5_L6": pf.sections(pf.fig5(max_level=6)),
+        "fig14_L4": pf.sections(pf.fig14(max_level=4)),
+        "fig14_L6": pf.sections(pf.fig14(max_level=6)),
+        "ablation_ladder": pf.ablation_ladder(max_level=4),
+        "ablation_distribution": pf.ablation_distribution(max_level=4, draws=1),
+        "ablation_smoother": pf.ablation_smoother(level=4),
+        "ablation_caching": pf.ablation_caching(max_level=4),
+        "ablation_pareto": pf.ablation_pareto(max_level=4),
     }
 
 

@@ -15,12 +15,9 @@ PACKAGES = [
     "repro.accuracy",
     "repro.workloads",
     "repro.tuner",
-    "repro.cycles",
     "repro.machines",
-    "repro.runtime",
     "repro.serve",
     "repro.petabricks",
-    "repro.bench",
     "repro.util",
 ]
 

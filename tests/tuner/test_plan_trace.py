@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.experiments import tune_pair
+from repro.tuner.spec import tune_pair
 from repro.machines.presets import get_preset
 
 DIGESTS = json.loads((Path(__file__).parent / "plan_trace_digests.json").read_text())
