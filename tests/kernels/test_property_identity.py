@@ -71,14 +71,15 @@ class TestSmootherIdentity:
         assert np.array_equal(u_ref, u_fast)
 
     @pytest.mark.parametrize("backend_name", ACCELERATED)
+    @pytest.mark.parametrize("operator", OPERATORS)
     @given(seed=st.integers(0, 10_000), level=st.integers(2, 5))
     @settings(max_examples=20, deadline=None)
-    def test_residual_and_transfers_match_numpy(self, backend_name, seed, level):
-        op = shared_operator("poisson", size_of_level(level))
+    def test_residual_and_transfers_match_numpy(self, backend_name, operator, seed, level):
+        op = shared_operator(operator, size_of_level(level))
         backend = get_backend(backend_name)
         fast = backend.bind(op)
         if fast is None:
-            pytest.skip(f"{backend_name} does not bind poisson")
+            pytest.skip(f"{backend_name} does not bind {operator}")
         ref = get_backend("numpy").bind(op)
         u, b = _random_grids(op.n, op.ndim, seed)
         r_ref, r_fast = ref.residual(u, b), fast.residual(u, b)
