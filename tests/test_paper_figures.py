@@ -143,7 +143,7 @@ def test_measure_times_round_robin_after_an_untimed_run():
         return pf.Algorithm(name, solve, lambda meters: float(len(meters)))
 
     problems = pf._draws("unbiased", 3, 2, seed=0)
-    cache = type("Cache", (), {"get": staticmethod(lambda p: p.initial_guess() * 0.0)})()
+    cache = pf.ReferenceSolutionCache()
     rows = pf.measure({"figure": "t"}, [solver("a"), solver("b")], problems, 2, cache)
     # one metered run per draw of each algorithm, then a, b, a, b unmetered
     assert calls == [("a", True)] * 2 + [("b", True)] * 2 + [
