@@ -1,8 +1,8 @@
 """Benchmark-suite fixtures: artifact output directory and helpers.
 
-Every figure/table bench writes the regenerated artifact (the text table
-or cycle diagram) to ``benchmarks/out/<name>.txt`` so a benchmark run
-leaves a diffable record (README, "Experiments").
+The pytest-benchmark files (the store-reuse and dynamic-tuning benches)
+write their text artifact to ``benchmarks/out/<name>.txt`` so a benchmark
+run leaves a diffable record.
 """
 
 from __future__ import annotations
