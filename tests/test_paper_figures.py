@@ -13,6 +13,7 @@ import pytest
 from repro.machines.meter import OpMeter
 from repro.obs.bench import read_bench_report
 from repro.tuner.trace import TraceEvent
+from repro.util.validation import size_of_level
 from tests.tuner.test_choices_plan import tiny_vplan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -154,3 +155,162 @@ def test_measure_times_round_robin_after_an_untimed_run():
     ]
     assert all(r["result"]["priced_s"] == 2.0 for r in rows)
     assert all(math.isfinite(r["result"]["measured_s"]) for r in rows)
+
+
+class TestRenderEdges:
+    def test_trace_without_steps_renders_its_top_level(self):
+        lines = pf.render_cycle([TraceEvent("enter", 3, 0)]).splitlines()
+        assert lines[0] == "level  3 (N=    9) |"
+        assert lines[2].startswith("legend:")
+
+    def test_rows_reach_the_lowest_level_visited(self):
+        trace = [TraceEvent("enter", 3, 0)]
+        trace += [TraceEvent("descend", 3), TraceEvent("descend", 2), TraceEvent("direct", 1)]
+        lines = pf.render_cycle(trace).splitlines()
+        assert [line.split("|")[0].split()[1] for line in lines[:3]] == ["3", "2", "1"]
+        assert lines[3] == ""
+
+    def test_zero_sweep_sor_draws_one(self):
+        text = pf.render_cycle([TraceEvent("enter", 2, 0), TraceEvent("sor", 2, 0)])
+        assert text.splitlines()[0].endswith("-1->")
+
+    def test_direct_leaf_call_stack(self):
+        assert pf.render_call_stack(tiny_vplan(), 2, 1) == (
+            "MULTIGRID-V2 @ level 2 (N=5): direct solve"
+        )
+
+    @pytest.mark.parametrize("acc_index", range(5))
+    def test_cycle_counts_match_the_render(self, tuned_plan, acc_index):
+        cycle = pf._cycle(tuned_plan, tuned_plan.max_level, acc_index)
+        rows = cycle["text"].split("\n\n")[0]
+        assert rows.count("*") == cycle["relaxations"]
+        assert rows.count("->") == cycle["sor_segments"]
+        assert (cycle["direct_level"] is None) == ("==>" not in rows)
+
+    def test_sections_take_texts_and_cycles(self):
+        text = pf.sections({"a": "one", "b": {"text": "two", "relaxations": 0}})
+        assert text == "--- a ---\none\n\n--- b ---\ntwo"
+
+
+class TestPowerLawFitEdges:
+    def test_noise_lowers_r_squared_but_keeps_the_exponent(self):
+        ns = [16.0, 64.0, 256.0, 1024.0, 4096.0]
+        noise = [1.1, 0.9, 1.05, 0.95, 1.0]
+        fit = pf.fit_power_law(ns, [2.0 * n * e for n, e in zip(ns, noise)])
+        assert fit.exponent == pytest.approx(1.0, abs=0.05)
+        assert 0.99 < fit.r_squared < 1.0
+
+    def test_constant_times_fit_exponent_zero(self):
+        fit = pf.fit_power_law([4.0, 16.0, 64.0], [5.0, 5.0, 5.0])
+        assert fit.exponent == pytest.approx(0.0, abs=1e-12)
+        assert fit.coefficient == pytest.approx(5.0)
+        assert fit.r_squared == 1.0
+
+
+def _row(algorithm, level, rep, priced, measured, **key):
+    cell = dict(zip(pf.CELL_FIELDS, ("t", "m", "poisson", "unbiased", level, 1e5)), **key)
+    result = {"priced_s": priced, "measured_s": measured, "accuracy": 1e6}
+    return {"key": dict(cell, algorithm=algorithm, rep=rep), "result": result}
+
+
+class TestReadingRows:
+    def test_cells_take_the_min_over_repetitions(self):
+        rows = [_row("a", 2, 0, 1.0, 3.0), _row("a", 2, 1, 1.0, 2.0), _row("a", 2, 2, 1.0, 4.0)]
+        (cell,) = pf.cells(rows)
+        assert cell["measured_s"] == 2.0
+        assert (cell["priced_s"], cell["accuracy"], cell["level"]) == (1.0, 1e6, 2)
+        assert "rep" not in cell
+
+    def test_cells_keep_first_seen_order(self):
+        rows = [_row(name, level, 0, 1.0, 1.0) for level in (2, 3) for name in "ba"]
+        assert [(c["algorithm"], c["level"]) for c in pf.cells(rows)] == [
+            ("b", 2), ("a", 2), ("b", 3), ("a", 3)
+        ]
+
+    def test_select_matches_every_given_field(self):
+        rows = [_row("a", 2, 0, 1.0, 1.0), _row("a", 3, 0, 1.0, 1.0), _row("b", 3, 0, 1.0, 1.0)]
+        assert pf.select(rows, algorithm="a", level=3) == [rows[1]]
+        assert pf.select(rows) == rows
+
+    def test_priced_series_runs_by_level(self):
+        rows = [_row(name, level, 0, float(level), 1.0) for level in (2, 3, 4) for name in "ab"]
+        assert pf.priced_series(rows) == {"a": [2.0, 3.0, 4.0], "b": [2.0, 3.0, 4.0]}
+
+    def test_speedup_at_top_divides_the_reference_full_mg(self):
+        rows = [
+            _row(name, level, 0, priced, 1.0)
+            for level in (2, 3)
+            for name, priced in (
+                ("Reference Full MG", 8.0 * level),
+                ("Autotuned V", 2.0 * level),
+                ("Autotuned Full MG", 4.0 * level),
+            )
+        ]
+        assert pf.speedup_at_top(rows) == {"Autotuned V": 4.0, "Autotuned Full MG": 2.0}
+
+    def test_cross_penalties_leave_out_native_plans(self):
+        rows = [
+            _row(pf.NATIVE + trainer, 6, 0, priced, 1.0, machine=runner)
+            for runner, trainer, priced in (
+                ("x", "x", 1.0), ("x", "y", 1.5), ("y", "x", 2.2), ("y", "y", 2.0)
+            )
+        ]
+        assert [(t, r, round(p, 9)) for t, r, p in pf.cross_penalties(rows)] == [
+            ("y", "x", 50.0), ("x", "y", 10.0)
+        ]
+
+    def test_table1_fits_use_every_level_when_few_are_large(self):
+        rows = [
+            _row(name, level, 0, float(size_of_level(level) ** 2) ** power, 1.0)
+            for level in (2, 3)
+            for name, power in (("Direct", 2.0), ("SOR", 1.5), ("Multigrid", 1.0))
+        ]
+        fits = pf.table1_fits(rows)
+        assert {k: round(f.exponent, 9) for k, f in fits.items()} == {
+            "Direct": 2.0, "SOR": 1.5, "Multigrid": 1.0
+        }
+
+    def test_format_rows_divides_by_the_figure_baseline(self):
+        rows = [
+            _row("Autotuned", 4, 0, 2.0, 4.0, figure="fig7"),
+            _row("Strategy 10^9", 4, 0, 6.0, 2.0, figure="fig7"),
+        ]
+        lines = pf.format_rows(rows).splitlines()
+        assert lines[0] == "fig7 m poisson unbiased N=17 target 100000"
+        assert lines[-1].split()[-3:] == ["3.00", "0.50", "1.00e+06"]
+
+    def test_format_rows_divides_cross_arch_by_the_native_plan(self):
+        rows = [
+            _row(pf.NATIVE + "x", 6, 0, 1.0, 1.0, figure="cross-arch", machine="y"),
+            _row(pf.NATIVE + "y", 6, 0, 4.0, 2.0, figure="cross-arch", machine="y"),
+        ]
+        lines = pf.format_rows(rows).splitlines()
+        assert lines[-2].split()[-3:-1] == ["0.25", "0.50"]
+        assert lines[-1].split()[-3:-1] == ["1.00", "1.00"]
+
+
+class TestDriverFlags:
+    @pytest.mark.parametrize(
+        "argv", [["table1"], ["--max-level", "4"], ["--machine", "intel"], ["--seed", "0"]]
+    )
+    def test_old_experiment_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            pf.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_lists_only_smoke_and_out(self, capsys):
+        with pytest.raises(SystemExit):
+            pf.main(["--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert {w.strip("[]") for w in usage.split() if w.startswith("[-")} == {
+            "-h", "--smoke", "--out"
+        }
+
+
+def test_host_fingerprint_and_revision():
+    fingerprint = pf.host()
+    assert fingerprint["cpu_count"] == os.cpu_count()
+    assert fingerprint["kernels"]
+    rev = pf.revision()
+    assert rev == "unknown" or (len(rev) == 40 and int(rev, 16) >= 0)
