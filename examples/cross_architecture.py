@@ -24,7 +24,7 @@ TARGET = 1e5
 
 
 def main() -> None:
-    rows = paper_figures.cross_arch(MAX_LEVEL, reps=3, target=TARGET)
+    rows = paper_figures.cross_arch(MAX_LEVEL, reps=3)
     print(paper_figures.format_rows(rows))
     for trained, run, pct in paper_figures.cross_penalties(rows):
         print(f"{trained}-tuned plan priced on {run}: {pct:+.1f}% against native tuning")

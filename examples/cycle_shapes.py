@@ -23,7 +23,7 @@ def main() -> None:
     print(paper_figures.sections(paper_figures.fig5(MAX_LEVEL, targets=(1e1, 1e5))))
 
     print("\n\n=== Figure 14: tuned full-MG cycles across architectures ===\n")
-    arch = paper_figures.fig14(MAX_LEVEL, target=1e5)
+    arch = paper_figures.fig14(MAX_LEVEL)
     print(paper_figures.sections(arch))
 
     print("\nshape counts (per machine):")

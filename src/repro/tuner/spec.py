@@ -270,18 +270,12 @@ def tune_pair(
     machine: "MachineProfile",
     distribution: str,
     seed: int,
-    instances: int = 3,
-    accuracies: tuple[float, ...] = DEFAULT_ACCURACIES,
 ) -> tuple[TunedVPlan, TunedFullMGPlan]:
-    """Tune (V, full-MG) plans priced on ``machine``: one full-MG tune,
-    whose solve-phase V plan is tuned on the same training set."""
+    """Tune (V, full-MG) plans priced on ``machine``: one full-MG tune at
+    the default ladder and instance count, whose solve-phase V plan is
+    tuned on the same training set."""
     key = TuneKey(
-        kind="full-multigrid",
-        distribution=distribution,
-        max_level=max_level,
-        accuracies=accuracies,
-        seed=seed,
-        instances=instances,
+        kind="full-multigrid", distribution=distribution, max_level=max_level, seed=seed
     )
     fplan = tune(TuneSpec(key, pricing=machine))
     return fplan.vplan, fplan

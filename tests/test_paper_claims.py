@@ -223,10 +223,6 @@ def test_check_catches_the_broken_claim(committed, claim):
     assert claim in pf.check(report)
 
 
-def test_check_is_silent_on_the_committed_run(committed):
-    assert pf.check(copy.deepcopy(committed)) == []
-
-
 # -- the figures' claims at small sizes ---------------------------------------
 
 

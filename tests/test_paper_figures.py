@@ -2,6 +2,7 @@
 pieces the pin does not reach (hand-made traces, full-MG call stacks,
 power-law fits, the timing loop)."""
 
+import json
 import math
 import os
 import subprocess
@@ -31,13 +32,21 @@ def _assert_rows(metrics):
         assert set(row["result"]) == {"priced_s", "measured_s", "accuracy"}
         assert row["result"]["priced_s"] > 0
         assert row["result"]["measured_s"] > 0
-        assert row["result"]["accuracy"] > 0
+        # null marks an exact solve
+        assert row["result"]["accuracy"] is None or row["result"]["accuracy"] > 0
+
+
+def _strict(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 class TestCommittedRun:
     @pytest.fixture(scope="class")
     def doc(self):
         return read_bench_report(COMMITTED)
+
+    def test_file_is_strict_json(self):
+        json.loads(COMMITTED.read_text(), parse_constant=_strict)
 
     def test_every_timing_row_has_its_fields(self, doc):
         assert doc["bench"] == "paper"
@@ -72,6 +81,7 @@ def test_smoke_run_writes_a_report(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    json.loads((tmp_path / "BENCH_paper.json").read_text(), parse_constant=_strict)
     metrics = read_bench_report(tmp_path / "BENCH_paper.json")["metrics"]
     assert metrics["smoke"] is True
     _assert_rows(metrics)
@@ -135,15 +145,19 @@ def test_measure_times_round_robin_after_an_untimed_run():
     calls = []
 
     def solver(name):
+        def replay(x, b):
+            calls.append((name, False))
+            x[...] = 0.0
+
         def solve(x, b, accuracy_of, meter):
             calls.append((name, isinstance(meter, OpMeter)))
-            if meter is not None:
-                meter.charge("relax", x.shape[0])
+            meter.charge("relax", x.shape[0])
             x[...] = 0.0
+            return replay
 
         return pf.Algorithm(name, solve, lambda meters: float(len(meters)))
 
-    problems = pf._draws("unbiased", 3, 2, seed=0)
+    problems = pf._draws("unbiased", 3, 2)
     cache = pf.ReferenceSolutionCache()
     rows = pf.measure({"figure": "t"}, [solver("a"), solver("b")], problems, 2, cache)
     # one metered run per draw of each algorithm, then a, b, a, b unmetered
@@ -155,6 +169,32 @@ def test_measure_times_round_robin_after_an_untimed_run():
     ]
     assert all(r["result"]["priced_s"] == 2.0 for r in rows)
     assert all(math.isfinite(r["result"]["measured_s"]) for r in rows)
+
+
+@pytest.mark.parametrize("name", sorted(pf.REFERENCES))
+def test_reference_replay_repeats_the_closed_loop(name):
+    """The timed replay of a reference algorithm runs as many iterations
+    as its closed loop needed, on the shared executor, with no accuracy
+    check, and lands on the same bytes."""
+    (problem,) = pf._draws("unbiased", 4, 1)
+    judge = pf.AccuracyJudge(problem.initial_guess(), pf.ReferenceSolutionCache().get(problem))
+    checks = []
+
+    def accuracy_of(x):
+        checks.append(1)
+        return judge.accuracy_of(x)
+
+    profile, executor = pf.get_preset("intel"), pf.PlanExecutor()
+    closed = problem.initial_guess()
+    replay = pf._reference(name, 1e5, profile, executor).solve(
+        closed, problem.b, accuracy_of, OpMeter()
+    )
+    assert judge.accuracy_of(closed) >= 1e5
+    looped = len(checks)
+    replayed = problem.initial_guess()
+    replay(replayed, problem.b)
+    assert len(checks) == looped
+    assert replayed.tobytes() == closed.tobytes()
 
 
 class TestRenderEdges:
@@ -289,23 +329,13 @@ class TestReadingRows:
         assert lines[-1].split()[-3:-1] == ["1.00", "1.00"]
 
 
-class TestDriverFlags:
-    @pytest.mark.parametrize(
-        "argv", [["table1"], ["--max-level", "4"], ["--machine", "intel"], ["--seed", "0"]]
-    )
-    def test_old_experiment_options_are_rejected(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            pf.main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_help_lists_only_smoke_and_out(self, capsys):
-        with pytest.raises(SystemExit):
-            pf.main(["--help"])
-        usage = capsys.readouterr().out.split("\n\n")[0]
-        assert {w.strip("[]") for w in usage.split() if w.startswith("[-")} == {
-            "-h", "--smoke", "--out"
-        }
+def test_help_lists_only_smoke_and_out(capsys):
+    with pytest.raises(SystemExit):
+        pf.main(["--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert {w.strip("[]") for w in usage.split() if w.startswith("[-")} == {
+        "-h", "--smoke", "--out"
+    }
 
 
 def test_host_fingerprint_and_revision():
