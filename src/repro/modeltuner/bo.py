@@ -30,8 +30,8 @@ carrying this search's :class:`~repro.tuner.spec.TuneSpec`, run through
 the DP slot loop's own single-candidate code without a pruning budget
 (the surrogate needs every trained iteration count), so a given seed
 selects a byte-identical plan at any ``jobs`` count.  Each distinct step
-of a level is trained once per process: every pick whose step has the
-same choice tree — the same candidate in several slots, or RECURSE_j
+of a level is trained once per process: every pick whose step runs the
+same op steps — the same candidate in several slots, or RECURSE_j
 picks over equal coarse sub-plans — reads its iteration counts off the
 same runs.  The spec prices evaluation with the search's pricing; a
 learned model given beside it only steers acquisition.  The returned

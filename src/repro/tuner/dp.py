@@ -31,8 +31,9 @@ state it starts from and the computation its step performs.  So each
 distinct (start, step) pair of a level is trained once per training
 instance, with the accuracy recorded after every step
 (:class:`~repro.accuracy.estimator.Trajectories`): candidates whose
-steps are the same choice tree (:meth:`~repro.tuner.plan.TunedVPlan.choice_key`)
-from the same starts share one set of runs, and every slot reads its
+steps compile to the same op steps
+(:meth:`~repro.tuner.plan.TunedVPlan.choice_key`, read off the plan's
+programs) from the same starts share one set of runs, and every slot reads its
 iteration count off them under its own pruning cap — the plan and audit
 are those of training every slot from fresh starts.  Because a level's
 slots share the runs, the DP tunes serially; only
@@ -51,7 +52,7 @@ import numpy as np
 from repro.accuracy.estimator import Aggregate, InfeasibleCandidate, Trajectories
 from repro.tuner.choices import Choice, DirectChoice, EstimateChoice, RecurseChoice, SORChoice
 from repro.tuner.executor import PlanExecutor, TrainingExecutor
-from repro.tuner.plan import DEFAULT_ACCURACIES, TunedFullMGPlan, TunedVPlan, level_backend
+from repro.tuner.plan import DEFAULT_ACCURACIES, TunedVPlan, level_backend
 from repro.tuner.timing import CostModelTiming, TimingStrategy
 from repro.tuner.training import TrainingData
 
@@ -124,23 +125,26 @@ def check_caps(max_sor_iters: int, max_recurse_iters: int) -> None:
 
 def sor_step(executor: PlanExecutor, plan: TunedVPlan, level: int):
     """One standalone SOR(omega_opt) sweep at ``level`` — the step SOR
-    iteration counts are trained with — on the kernels ``executor``
-    binds for the plan's backend there (a :class:`TrainingExecutor`
-    binds the fastest available one; the bytes are the same)."""
-    kernels = executor._kernels(level, plan.backend_at(level))
-    omega = executor._op(level).omega_opt()
-
-    def step(x: np.ndarray, b: np.ndarray) -> None:
-        kernels.sor_sweeps(x, b, omega, 1)
-
-    return step
+    iteration counts are trained with — run by ``executor`` on the
+    kernels it binds for the plan's backend there (a
+    :class:`TrainingExecutor` binds the fastest available one; the bytes
+    are the same)."""
+    return _program_step(executor, plan, level, SORChoice(1))
 
 
 def recurse_step(executor: PlanExecutor, plan: TunedVPlan, level: int, sub_accuracy: int):
     """One RECURSE_j application at ``level`` over the plan's levels below."""
+    return _program_step(executor, plan, level, RecurseChoice(sub_accuracy, 1))
+
+
+def _program_step(executor: PlanExecutor, plan, level: int, choice: Choice):
+    """A training step: one application of ``choice`` at ``level``, run
+    as the op steps of its program (its training key; an untraced run
+    needs no enter/exit marks)."""
+    ops = plan.choice_key(level, choice)
 
     def step(x: np.ndarray, b: np.ndarray) -> None:
-        executor._recurse_once(plan, x, b, level, sub_accuracy)
+        executor.run(plan, x, b, ops)
 
     return step
 
@@ -315,6 +319,7 @@ class SlotTuner:
         Returns ``None`` when its estimation phase alone costs at least
         ``best_time``.
         """
+        plan = self._train_on(plan)
         if isinstance(probe, DirectChoice):
             # Direct: exact, always feasible.
             return self._outcome(plan, level, probe)
@@ -325,7 +330,7 @@ class SlotTuner:
             est_cost = self.timing.price(plan.choice_meter(level, estimate))
         recurse = isinstance(solver, RecurseChoice)
         hard_cap = self.max_recurse_iters if recurse else self.max_sor_iters
-        unit_cost = self.timing.price(_solver_plan(plan).choice_meter(level, solver))
+        unit_cost = self.timing.price(plan.vplan.choice_meter(level, solver))
         cap = self._budget_cap(unit_cost, best_time, hard_cap, est_cost)
         if cap < 1:
             return None
@@ -370,17 +375,25 @@ class SlotTuner:
         train the same steps from the same states."""
         j, solver = _phases(probe)
         start = None if j is None else plan.call_key(level - 1, j)
-        return start, _solver_plan(plan).choice_key(level, solver)
+        return start, plan.vplan.choice_key(level, solver)
 
-    def _trajectories(self, plan, level: int, probe: Choice) -> Trajectories:
-        """The training runs of ``probe`` on ``plan``, shared by every
-        slot of ``level`` and by every candidate with the same
-        :meth:`_run_key` (and by every ``BOSearch`` task of the level a
-        worker gets); a different plan means the level moved on, and the
-        runs go."""
-        if plan != self._trained_on:
+    def _train_on(self, plan):
+        """The plan the level's runs train on: ``plan``, or the equal one
+        they were trained on, whose programs, keys and meters are
+        compiled already (each ``BOSearch`` task builds its own).  A
+        different plan means the level moved on, and the runs go."""
+        if plan is not self._trained_on:
+            if plan == self._trained_on:
+                return self._trained_on
             self._drop_runs()
             self._trained_on = plan
+        return plan
+
+    def _trajectories(self, plan, level: int, probe: Choice) -> Trajectories:
+        """The training runs of ``probe`` on ``plan`` (:meth:`_train_on`),
+        shared by every slot of ``level`` and by every candidate with the
+        same :meth:`_run_key` (and by every ``BOSearch`` task of the
+        level a worker gets)."""
         key = self._run_key(plan, level, probe)
         runs = self._trained.get(key)
         if runs is None:
@@ -389,14 +402,16 @@ class SlotTuner:
             states = self._starts.get(key[0])
             if states is None:
                 states = self._starts[key[0]] = bundle.fresh_starts()
-                if j is not None:
+                if j is not None:  # run the estimation phase alone
+                    estimate = _program_step(
+                        self._executor, plan, level, EstimateChoice(j, SORChoice(0))
+                    )
                     for x, b in states:
-                        self._executor._estimate(plan, x, b, level, j)
-            vplan = _solver_plan(plan)
+                        estimate(x, b)
             if isinstance(solver, RecurseChoice):
-                step = recurse_step(self._executor, vplan, level, solver.sub_accuracy)
+                step = recurse_step(self._executor, plan.vplan, level, solver.sub_accuracy)
             else:
-                step = sor_step(self._executor, vplan, level)
+                step = sor_step(self._executor, plan.vplan, level)
             starts = [(x.copy(), b) for x, b in states]
             runs = self._trained[key] = Trajectories(step, starts, bundle.accuracy_fns())
         return runs
@@ -415,11 +430,6 @@ def _phases(probe: Choice) -> tuple[int | None, Choice]:
     if isinstance(probe, EstimateChoice):
         return probe.estimate_accuracy, probe.solver
     return None, probe
-
-
-def _solver_plan(plan: TunedVPlan | TunedFullMGPlan) -> TunedVPlan:
-    """The V plan a candidate's solver step runs on."""
-    return plan.vplan if isinstance(plan, TunedFullMGPlan) else plan
 
 
 @dataclass

@@ -2,21 +2,30 @@
 
 Executes the open-loop algorithm a plan describes: trained iteration
 counts, no runtime accuracy checks — exactly the compiled artifact the
-PetaBricks autotuner produces.  The executor only computes: what a call
-runs, and in which order, follows from the plan alone, so op meters
-(:meth:`~repro.tuner.plan.TunedVPlan.unit_meter`) and cycle traces
-(:meth:`~repro.tuner.plan.TunedVPlan.trace`) are read off the plan.
+PetaBricks autotuner produces.  A plan compiles each slot into a
+program, the flat tuple of steps one call runs
+(:meth:`~repro.tuner.plan.TunedVPlan.program`), and
+:meth:`PlanExecutor.run` is one loop over those steps: ``enter`` and
+``exit`` open and close ``mg.level`` spans, ``descend`` is residual plus
+restriction into a zeroed coarse ``x``, ``ascend`` is interpolation and
+correction, and ``relax``/``sor``/``direct`` call the kernels bound at
+their level.  When a tracer or profiler is attached, the loop itself
+times each op step; an untraced call runs the op steps alone (the
+slot's :meth:`~repro.tuner.plan.TunedVPlan.call_key`, which is also what
+the tuners train).  Op meters (:meth:`~repro.tuner.plan.TunedVPlan.unit_meter`)
+and cycle traces count and return the same programs, so the ops a solve
+runs are the ops its plan prices.
 
 An executor is bound to one operator spec (default: constant-coefficient
 Poisson, whose delegating kernels keep the legacy path byte-identical);
 per-level operator instances come from the shared operator cache and
-coarse levels rediscretize.
+coarse levels rediscretize.  A run binds a level's kernels at the first
+op step there, so levels that only solve directly bind none.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from threading import get_ident
 
 import numpy as np
@@ -24,17 +33,12 @@ import numpy as np
 from repro.kernels import LevelKernels, get_backend, resolve_backend
 from repro.machines.meter import OpMeter
 from repro.obs.profile import SolveProfiler
-from repro.obs.trace import NOOP_TRACER, NoopTracer, Span, Tracer
+from repro.obs.trace import NOOP_TRACER, NoopTracer, Tracer
 from repro.operators.base import StencilOperator
 from repro.operators.spec import OperatorSpec, parse_operator, shared_operator
 from repro.relax.weights import OMEGA_RECURSE
-from repro.tuner.choices import (
-    DirectChoice,
-    EstimateChoice,
-    RecurseChoice,
-    SORChoice,
-)
 from repro.tuner.plan import TunedFullMGPlan, TunedVPlan
+from repro.tuner.trace import TraceEvent
 from repro.util.validation import level_of_size, size_of_level
 
 __all__ = ["OP_SPAN_MIN_POINTS", "PlanExecutor", "TrainingExecutor"]
@@ -50,152 +54,8 @@ __all__ = ["OP_SPAN_MIN_POINTS", "PlanExecutor", "TrainingExecutor"]
 #: ``op_span_min_points=0`` to record every op regardless.
 OP_SPAN_MIN_POINTS = 1024
 
-
-#: C-level appender that retains nothing (``maxlen=0`` drops every
-#: element) — the emit target for profiler-only shims, where only the
-#: timestamps matter and span records would just be thrown away.
-_DISCARD_APPEND = deque(maxlen=0).append
-
-
-class _TimedKernels:
-    """Per-call observation shim over :class:`LevelKernels`.
-
-    Only constructed when a real tracer or profiler is attached, so the
-    default (unobserved) executor calls bound kernels directly with
-    zero indirection.  Each kernel call becomes one leaf span (level /
-    backend labels) and one profiler row; numerics pass through
-    untouched, so golden-hash identity holds with tracing enabled.
-
-    Op spans are the hottest observation path in the repo — the obs
-    overhead bench gates them at <= 5% of level-7 V-cycle wall-clock,
-    and two bare clock reads per op already cost ~3% there — so each
-    call pays the bare minimum: two clock reads and one deferred leaf
-    record stored straight into the sink (the tuple shape is
-    :meth:`~repro.obs.trace.Tracer.leaf`'s contract; the sink
-    materializes Spans at read time).  The record is emitted inline —
-    an extra call frame per op is measurable at this granularity.
-    Attrs dicts are shared per op, and the parent is the executor's
-    tracked ``mg.level`` span — no contextvar traffic, no Span or id
-    allocation per call.
-    """
-
-    __slots__ = (
-        "_kernels",
-        "_level",
-        "_backend",
-        "_profiler",
-        "_executor",
-        "_now",
-        "_emit",
-        "_pid",
-        "_tid",
-        "_attrs",
-        "_relax_attrs",
-    )
-
-    def __init__(
-        self,
-        kernels: LevelKernels,
-        level: int,
-        backend: str,
-        tracer: Tracer | NoopTracer,
-        profiler: SolveProfiler | None,
-        executor: "PlanExecutor",
-    ) -> None:
-        self._kernels = kernels
-        self._level = level
-        self._backend = backend
-        self._profiler = profiler
-        self._executor = executor
-        self._now = tracer.clock.now_fn
-        # The emit is the sink's bound list.append — a C call, no
-        # Python frame; the buffer is trimmed by the enclosing
-        # mg.level span's finish.  Profiler-only shims discard the
-        # records outright (only the timestamps matter).
-        if executor.tracer.enabled:
-            self._emit = tracer.sink.append_raw  # type: ignore[union-attr]
-        else:
-            self._emit = _DISCARD_APPEND
-        # Captured at bind time: shims are constructed lazily inside
-        # the process that solves (shard workers bind after fork).
-        # The tid is refreshed at each traced solve root (shims are
-        # cached across solves; the executor is single-threaded per
-        # solve, so per-record get_ident() would buy nothing).
-        self._pid = os.getpid()
-        self._tid = get_ident()
-        # One shared, never-mutated attrs dict per op (plus one per
-        # distinct relax iteration count) — leaf records store it
-        # as-is, so the hot path allocates no dict per call.
-        self._attrs = {"level": level, "backend": backend}
-        self._relax_attrs: dict[int, dict] = {}
-
-    def sor_sweeps(self, x, b, omega, iterations):
-        attrs = self._relax_attrs.get(iterations)
-        if attrs is None:
-            attrs = self._relax_attrs[iterations] = dict(
-                self._attrs, iterations=iterations
-            )
-        start_s = self._now()
-        try:
-            return self._kernels.sor_sweeps(x, b, omega, iterations)
-        finally:
-            end_s = self._now()
-            self._emit((
-                "op.relax", attrs, start_s, end_s,
-                self._executor._span_parent, self._pid, self._tid,
-            ))
-            if self._profiler is not None:
-                self._profiler.record(
-                    self._level, "relax", self._backend, end_s - start_s
-                )
-
-    def residual(self, x, b):
-        start_s = self._now()
-        try:
-            return self._kernels.residual(x, b)
-        finally:
-            end_s = self._now()
-            self._emit((
-                "op.residual", self._attrs, start_s, end_s,
-                self._executor._span_parent, self._pid, self._tid,
-            ))
-            if self._profiler is not None:
-                self._profiler.record(
-                    self._level, "residual", self._backend, end_s - start_s
-                )
-
-    def restrict(self, r):
-        start_s = self._now()
-        try:
-            return self._kernels.restrict(r)
-        finally:
-            end_s = self._now()
-            self._emit((
-                "op.restrict", self._attrs, start_s, end_s,
-                self._executor._span_parent, self._pid, self._tid,
-            ))
-            if self._profiler is not None:
-                self._profiler.record(
-                    self._level, "restrict", self._backend, end_s - start_s
-                )
-
-    def interpolate_correction(self, x, ec):
-        start_s = self._now()
-        try:
-            return self._kernels.interpolate_correction(x, ec)
-        finally:
-            end_s = self._now()
-            self._emit((
-                "op.interpolate", self._attrs, start_s, end_s,
-                self._executor._span_parent, self._pid, self._tid,
-            ))
-            if self._profiler is not None:
-                self._profiler.record(
-                    self._level, "interpolate", self._backend, end_s - start_s
-                )
-
-    def __getattr__(self, name):
-        return getattr(self._kernels, name)
+#: Program steps that call the kernels bound at their level.
+_KERNEL_STEPS = frozenset({"relax", "descend", "ascend", "sor"})
 
 
 class PlanExecutor:
@@ -219,28 +79,19 @@ class PlanExecutor:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.profiler = profiler
         # Observation is decided once at construction: the unobserved
-        # executor (the default) keeps the exact pre-observability hot
-        # path — raw bound kernels, no span calls, no clock reads.
+        # executor (the default) reads no clock and records nothing.
         self._observed = bool(self.tracer.enabled) or profiler is not None
         # Profiler-only observation still needs real timestamps, which
-        # the no-op tracer's inert spans cannot supply — time through a
-        # private tracer whose 1-slot ring discards the spans.
+        # the no-op tracer cannot supply: it reads the clock of a
+        # private tracer that records nothing.
         if profiler is not None and not self.tracer.enabled:
             self._obs_tracer: Tracer | NoopTracer = Tracer(capacity=1)
         else:
             self._obs_tracer = self.tracer
-        # The enclosing mg.level span during a traced solve.  The
-        # executor owns its recursion, so implicit parenting runs
-        # through this plain attribute — a contextvar set/reset per
-        # level would allocate HAMT nodes and tokens on the hot path.
-        # The external parent (server batch span) is read from the
-        # context once per solve, at the root.  Consequence: one
-        # executor must not run traced solves concurrently from
-        # multiple threads (its caches already assume the same).
-        self._span_parent: Span | None = None
-        self._mg_attrs: dict[tuple[int, int, str], dict] = {}
-        self._direct_attrs: dict[int, dict] = {}
-        self._obs_now = self._obs_tracer.clock.now_fn
+        # Shared, never-mutated attrs dicts of the spans a run records,
+        # one per (name, labels): records store them as-is, so the hot
+        # path allocates no dict per span.
+        self._attrs: dict[tuple, dict] = {}
         # Resolve the points floor to a level floor once (ndim is fixed).
         floor = OP_SPAN_MIN_POINTS if op_span_min_points is None else op_span_min_points
         self.op_span_min_points = floor
@@ -248,11 +99,8 @@ class PlanExecutor:
         while size_of_level(min_level) ** self.ndim < floor:
             min_level += 1
         self._op_span_min_level = min_level
-        # Per-level operators resolved once: _op sits on the plan
-        # execution hot path (every recursion step), so repeated spec
-        # normalization / shared-cache lookups would add up.
         self._ops: dict[int, StencilOperator] = {}
-        self._kernels_cache: dict[tuple[int, str], LevelKernels | _TimedKernels] = {}
+        self._kernels_cache: dict[tuple[int, str], LevelKernels] = {}
 
     def _op(self, level: int) -> StencilOperator:
         op = self._ops.get(level)
@@ -277,246 +125,160 @@ class PlanExecutor:
                 try:
                     accel = get_backend(backend)
                 except ValueError:
-                    kernels = None
+                    pass
                 else:
                     if accel.available() and accel.supports(op):
                         accel.warmup()
                         kernels = accel.bind(op)
-                    else:
-                        kernels = None
-            else:
-                kernels = None
             if kernels is None:
                 kernels = get_backend("numpy").bind(op)
-            if self._observed and level >= self._op_span_min_level:
-                kernels = _TimedKernels(
-                    kernels, level, backend, self._obs_tracer, self.profiler, self
-                )
             self._kernels_cache[key] = kernels
         return kernels
 
-    def _direct(self, op: StencilOperator, x: np.ndarray, b: np.ndarray, level: int) -> None:
-        """Direct solve at ``level``, observed when tracing/profiling."""
-        if not self._observed or level < self._op_span_min_level:
-            op.direct_solve(x, b)
-            return
-        attrs = self._direct_attrs.get(level)
+    def _span_attrs(self, *labels) -> dict:
+        """The shared attrs dict of ``mg.level`` (``("mg", level, acc,
+        kind)``) or op (``(level, backend[, iterations])``) spans."""
+        attrs = self._attrs.get(labels)
         if attrs is None:
-            attrs = self._direct_attrs[level] = {"level": level, "backend": "direct"}
-        start_s = self._obs_now()
-        try:
-            op.direct_solve(x, b)
-        finally:
-            duration = self._obs_tracer.leaf(
-                "op.direct", attrs, start_s, self._span_parent
-            )
-            if self.profiler is not None:
-                self.profiler.record(level, "direct", "direct", duration)
+            if labels[0] == "mg":
+                _, level, acc, kind = labels
+                attrs = {"level": level, "acc": acc, "ndim": self.ndim, "kind": kind}
+            else:
+                attrs = dict(zip(("level", "backend", "iterations"), labels))
+            self._attrs[labels] = attrs
+        return attrs
 
-    # -- MULTIGRID-V ------------------------------------------------------
+    # -- plan slots -------------------------------------------------------
 
     def run_v(
         self,
-        plan: TunedVPlan,
+        plan: TunedVPlan | TunedFullMGPlan,
         x: np.ndarray,
         b: np.ndarray,
         acc_index: int,
         meter: OpMeter | None = None,
     ) -> np.ndarray:
-        """Apply MULTIGRID-V_{acc_index} to (x, b) in place; a given
-        ``meter`` is charged the plan's op multiset of the call."""
+        """Apply slot ``acc_index`` of ``plan`` (MULTIGRID-V_i of a V
+        plan, FULL-MULTIGRID_i of a full-MG plan) to (x, b) in place; a
+        given ``meter`` is charged the plan's op multiset of the call."""
         level = level_of_size(x.shape[0])
         if level > plan.max_level:
             raise ValueError(
                 f"plan tuned up to level {plan.max_level}, input is level {level}"
             )
-        if self._observed:
-            self._refresh_tids()
-        self._run_v(plan, x, b, level, acc_index)
+        # Untraced, the enter/exit marks do nothing: run the op steps alone.
+        if self.tracer.enabled:
+            self.run(plan, x, b, plan.program(level, acc_index))
+        else:
+            self.run(plan, x, b, plan.call_key(level, acc_index))
         if meter is not None:
             meter.merge(plan.unit_meter(level, acc_index))
         return x
 
-    def _refresh_tids(self) -> None:
-        """Restamp cached shims with the solving thread's id.
+    run_full_mg = run_v
 
-        Shims are cached across solves, so their captured tid would go
-        stale if the executor is handed to another thread between
-        solves (concurrent traced solves are already forbidden, see
-        ``_span_parent``).  One attribute store per shim at the solve
-        root keeps records honest without a per-record ``get_ident``.
-        """
-        tid = get_ident()
-        for kernels in self._kernels_cache.values():
-            if type(kernels) is _TimedKernels:
-                kernels._tid = tid
+    # -- the program loop -------------------------------------------------
 
-    def _level_span(self, level: int, acc_index: int, kind: str) -> Span:
-        """Open an ``mg.level`` span under the tracked parent (hot path).
-
-        The parent is the enclosing mg.level span if any, else whatever
-        span is current in the context (the server's batch span) — read
-        once here, at each level entry, not per op.  Attrs dicts are
-        shared per (level, acc, kind); on error the span gets a private
-        copy before the ``error`` label (see the callers).
-        """
-        key = (level, acc_index, kind)
-        attrs = self._mg_attrs.get(key)
-        if attrs is None:
-            attrs = self._mg_attrs[key] = {
-                "level": level, "acc": acc_index, "ndim": self.ndim, "kind": kind
-            }
-        parent = self._span_parent
-        if parent is None:
-            parent = self.tracer.current()
-        span = self.tracer.begin("mg.level", attrs, parent)
-        self._span_parent = span
-        return span
-
-    def _run_v(
+    def run(
         self,
-        plan: TunedVPlan,
+        plan: TunedVPlan | TunedFullMGPlan,
         x: np.ndarray,
         b: np.ndarray,
-        level: int,
-        acc_index: int,
-    ) -> None:
-        if self._observed and self.tracer.enabled:
-            prev = self._span_parent
-            span = self._level_span(level, acc_index, "v")
-            try:
-                self._apply(plan, x, b, level, plan.choice(level, acc_index))
-            except BaseException as exc:
-                span.attrs = dict(span.attrs)  # never poison the shared dict
-                span.attrs.setdefault("error", type(exc).__name__)
-                raise
-            finally:
-                self._span_parent = prev
-                self.tracer.finish(span)
-        else:
-            self._apply(plan, x, b, level, plan.choice(level, acc_index))
-
-    def _apply(
-        self,
-        plan: TunedVPlan,
-        x: np.ndarray,
-        b: np.ndarray,
-        level: int,
-        choice: DirectChoice | SORChoice | RecurseChoice,
-    ) -> None:
-        """One application of a V-type ``choice`` at ``level``: a direct
-        solve, SOR(omega_opt) sweeps, or RECURSE over ``plan``."""
-        if isinstance(choice, DirectChoice):
-            self._direct(self._op(level), x, b, level)
-        elif isinstance(choice, SORChoice):
-            self._kernels(level, plan.backend_at(level)).sor_sweeps(
-                x, b, self._op(level).omega_opt(), choice.iterations
-            )
-        elif isinstance(choice, RecurseChoice):
-            for _ in range(choice.iterations):
-                self._recurse_once(plan, x, b, level, choice.sub_accuracy)
-        else:  # pragma: no cover - plan validation forbids this
-            raise TypeError(f"invalid V choice {choice!r}")
-
-    def _recurse_once(
-        self,
-        plan: TunedVPlan,
-        x: np.ndarray,
-        b: np.ndarray,
-        level: int,
-        sub_accuracy: int,
-    ) -> None:
-        """One RECURSE application: relax, coarse correction via the tuned
-        sub-plan, relax (paper section 2.3, RECURSE_i)."""
-        kernels = self._kernels(level, plan.backend_at(level))
-        kernels.sor_sweeps(x, b, OMEGA_RECURSE, 1)
-        rc = kernels.restrict(kernels.residual(x, b))
-        ec = np.zeros_like(rc)
-        self._run_v(plan, ec, rc, level - 1, sub_accuracy)
-        kernels.interpolate_correction(x, ec)
-        kernels.sor_sweeps(x, b, OMEGA_RECURSE, 1)
-
-    # -- FULL-MULTIGRID ---------------------------------------------------
-
-    def run_full_mg(
-        self,
-        plan: TunedFullMGPlan,
-        x: np.ndarray,
-        b: np.ndarray,
-        acc_index: int,
-        meter: OpMeter | None = None,
+        program: tuple[TraceEvent, ...],
     ) -> np.ndarray:
-        """Apply FULL-MULTIGRID_{acc_index} to (x, b) in place; a given
-        ``meter`` is charged the plan's op multiset of the call."""
-        level = level_of_size(x.shape[0])
-        if level > plan.max_level:
-            raise ValueError(
-                f"plan tuned up to level {plan.max_level}, input is level {level}"
-            )
-        if self._observed:
-            self._refresh_tids()
-        self._run_full(plan, x, b, level, acc_index)
-        if meter is not None:
-            meter.merge(plan.unit_meter(level, acc_index))
+        """Run ``program`` — a slot's or one choice's steps, as ``plan``
+        compiles them — on (x, b) in place.
+
+        Every op step at or above the op-span floor is timed when
+        observed: one leaf record (parent: the enclosing ``mg.level``
+        span) and one profiler row per kernel call.  If a step raises,
+        every open ``mg.level`` span finishes labelled with the error.
+        """
+        top = level_of_size(x.shape[0])
+        kernels: list[LevelKernels | None] = [None] * (top + 1)  # bound on first use
+        observed = traced = self._observed
+        if observed:
+            tracer, profiler = self.tracer, self.profiler
+            traced = tracer.enabled
+            now, floor = self._obs_tracer.clock.now_fn, self._op_span_min_level
+            emit = tracer.sink.append_raw if traced else None
+            backends = [None, *map(plan.backend_at, range(1, top + 1))]
+            labels = [None, *(self._span_attrs(lv, backends[lv]) for lv in range(1, top + 1))]
+            pid, tid = os.getpid(), get_ident()
+            root = parent = tracer.current() if traced else None
+
+            def record(name: str, attrs: dict, level: int, start_s: float) -> float:
+                end_s = now()
+                if emit is not None:
+                    emit((f"op.{name}", attrs, start_s, end_s, parent, pid, tid))
+                if profiler is not None:
+                    profiler.record(level, name, attrs["backend"], end_s - start_s)
+                return end_s
+
+        spans: list = []  # the open mg.level spans, innermost last
+        finer: list[tuple[np.ndarray, np.ndarray]] = []  # (x, b) above each descent
+        # An enter calls a full-MG slot after `estimate`, a V slot after `relax`.
+        call = "full" if isinstance(plan, TunedFullMGPlan) else "v"
+        kernel_steps = _KERNEL_STEPS
+        try:
+            for kind, level, detail in program:
+                if kind in kernel_steps:  # the most frequent steps first
+                    k = kernels[level]
+                    if k is None:
+                        k = kernels[level] = self._kernels(level, plan.backend_at(level))
+                    timed = observed and level >= floor
+                    if timed:
+                        start_s = now()
+                    if kind == "relax":
+                        call = "v"
+                        k.sor_sweeps(x, b, OMEGA_RECURSE, 1)
+                        if timed:
+                            record("relax", self._span_attrs(level, backends[level], 1), level, start_s)
+                    elif kind == "descend":
+                        r = k.residual(x, b)
+                        if timed:
+                            start_s = record("residual", labels[level], level, start_s)
+                        rc = k.restrict(r)
+                        if timed:
+                            record("restrict", labels[level], level, start_s)
+                        finer.append((x, b))
+                        x, b = np.zeros_like(rc), rc
+                    elif kind == "ascend":
+                        ec = x
+                        x, b = finer.pop()
+                        k.interpolate_correction(x, ec)
+                        if timed:
+                            record("interpolate", labels[level], level, start_s)
+                    else:  # sor
+                        k.sor_sweeps(x, b, self._op(level).omega_opt(), detail)
+                        if timed:
+                            attrs = self._span_attrs(level, backends[level], detail)
+                            record("relax", attrs, level, start_s)
+                elif kind == "enter":
+                    if traced:
+                        attrs = self._span_attrs("mg", level, detail, call)
+                        parent = tracer.begin("mg.level", attrs, parent)
+                        spans.append(parent)
+                elif kind == "exit":
+                    if traced:
+                        tracer.finish(spans.pop())
+                        parent = spans[-1] if spans else root
+                elif kind == "estimate":
+                    call = "full"
+                else:  # direct
+                    timed = observed and level >= floor
+                    if timed:
+                        start_s = now()
+                    self._op(level).direct_solve(x, b)
+                    if timed:
+                        record("direct", self._span_attrs(level, "direct"), level, start_s)
+        except BaseException as exc:
+            while spans:
+                span = spans.pop()
+                span.attrs = dict(span.attrs, error=type(exc).__name__)  # never poison the shared dict
+                tracer.finish(span)
+            raise
         return x
-
-    def _run_full(
-        self,
-        plan: TunedFullMGPlan,
-        x: np.ndarray,
-        b: np.ndarray,
-        level: int,
-        acc_index: int,
-    ) -> None:
-        if self._observed and self.tracer.enabled:
-            prev = self._span_parent
-            span = self._level_span(level, acc_index, "full")
-            try:
-                self._run_full_choice(plan, x, b, level, acc_index)
-            except BaseException as exc:
-                span.attrs = dict(span.attrs)  # never poison the shared dict
-                span.attrs.setdefault("error", type(exc).__name__)
-                raise
-            finally:
-                self._span_parent = prev
-                self.tracer.finish(span)
-        else:
-            self._run_full_choice(plan, x, b, level, acc_index)
-
-    def _run_full_choice(
-        self,
-        plan: TunedFullMGPlan,
-        x: np.ndarray,
-        b: np.ndarray,
-        level: int,
-        acc_index: int,
-    ) -> None:
-        choice = plan.choice(level, acc_index)
-        if isinstance(choice, EstimateChoice):
-            self._estimate(plan, x, b, level, choice.estimate_accuracy)
-            # Solve phase: iterate the chosen V-type method.
-            choice = choice.solver
-        elif not isinstance(choice, DirectChoice):  # pragma: no cover
-            raise TypeError(f"invalid full-MG choice {choice!r}")
-        self._apply(plan.vplan, x, b, level, choice)
-
-    def _estimate(
-        self,
-        plan: TunedFullMGPlan,
-        x: np.ndarray,
-        b: np.ndarray,
-        level: int,
-        estimate_accuracy: int,
-    ) -> None:
-        """ESTIMATE_j at ``level``: a correction-form FULL-MULTIGRID_j call
-        on the restricted residual.  Full-MG solves run it before their
-        solve phase; :class:`~repro.tuner.full_mg.FullMGTuner` trains its
-        solver variants from the states it leaves."""
-        kernels = self._kernels(level, plan.backend_at(level))
-        rc = kernels.restrict(kernels.residual(x, b))
-        ec = np.zeros_like(rc)
-        self._run_full(plan, ec, rc, level - 1, estimate_accuracy)
-        kernels.interpolate_correction(x, ec)
 
 
 class TrainingExecutor(PlanExecutor):

@@ -13,11 +13,11 @@ The DP tunes the V family first (it is the solve-phase building block),
 then builds FULL-MULTIGRID bottom-up the same way — the V tuner's slot
 loop (:class:`~repro.tuner.dp.SlotTuner`) with this module's candidate
 list: level k is tuned on the full-MG plan built through level k-1, its
-ESTIMATE_j runs as the executor's estimation step on that plan (on the
-fastest available kernels, as every priced training run), the solver
-steps run on the V plan, and every candidate is
-priced from the plans' meters.  Each distinct estimation call tree
-(:meth:`TunedFullMGPlan.call_key
+ESTIMATE_j runs as the program of ``EstimateChoice(j, SORChoice(0))``
+on that plan (on the fastest available kernels, as every priced
+training run), the solver steps run as programs of the V plan, and
+every candidate is priced from the meters of the same programs.  Each
+distinct estimation program (:meth:`TunedFullMGPlan.call_key
 <repro.tuner.plan.TunedFullMGPlan.call_key>` one level down) runs once
 per level, each (estimation tree, solver step) pair is trained once from
 the states it leaves, and every accuracy slot reads its iteration count

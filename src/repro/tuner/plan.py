@@ -2,27 +2,33 @@
 
 A plan is the paper's "family of functions MULTIGRID-V_i" (and
 FULL-MULTIGRID_i): for every level k and accuracy index i it stores the
-choice the DP selected.  Plans are:
+choice the DP selected.  Execution is open-loop with trained iteration
+counts, so what one call does follows from the table alone: each slot
+compiles once into a *program*, the flat tuple of
+:class:`~repro.tuner.trace.TraceEvent` steps the call runs
+(:meth:`TunedVPlan.program`), cached on the plan.  The program is the
+one source for every reader:
 
-* executable (:mod:`repro.tuner.executor`),
-* exactly priceable — execution is open-loop with trained iteration
-  counts, so the multiset of primitive ops is known analytically
-  (:meth:`TunedVPlan.unit_meter`),
-* traceable without running — the order of those ops is fixed too
-  (:meth:`TunedVPlan.trace`; Figures 5, 9 and 14 read it), and
-* serializable (:mod:`repro.tuner.config`), playing the role of the
-  PetaBricks configuration file.
+* the executor (:mod:`repro.tuner.executor`) runs it, one loop over its
+  steps;
+* :meth:`~TunedVPlan.unit_meter` and :meth:`~TunedVPlan.choice_meter`
+  count its op steps, the exact op multiset the tuners price;
+* :meth:`~TunedVPlan.trace` returns it (Figures 4, 5 and 14 read it);
+* :meth:`~TunedVPlan.call_key` is its op steps alone: untraced calls
+  and training steps run it, and the tuners train two slots that
+  compute alike once.
 
-The tuners build level k on the plan tuned through level k-1: they
-price each candidate with its :meth:`~TunedVPlan.choice_meter` and train
-and run it on that plan through the executor, so this module is the one
-place that knows a choice's op multiset and op order; the executor only
-computes.
+The tuners build level k on the plan tuned through level k-1: a
+candidate compiles there too (:meth:`~TunedVPlan.choice_program`) and is
+priced, keyed and run the same way.  Plans serialize through
+:mod:`repro.tuner.config`, playing the role of the PetaBricks
+configuration file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.machines.meter import OpMeter, backend_op, dim_op
@@ -34,7 +40,7 @@ from repro.tuner.choices import (
     RecurseChoice,
     SORChoice,
 )
-from repro.tuner.trace import TraceEvent
+from repro.tuner.trace import OP_STEPS, TraceEvent
 from repro.util.validation import size_of_level
 
 if TYPE_CHECKING:
@@ -111,6 +117,13 @@ def level_backend(
     return backend if accelerated <= reference else "numpy"
 
 
+@lru_cache(maxsize=None)
+def _stencil_ops(ndim: int, backend: str) -> tuple[str, str, str, str]:
+    """Meter names of relax, residual, restrict and interpolate."""
+    ops = ("relax", "residual", "restrict", "interpolate")
+    return tuple(backend_op(dim_op(op, ndim), backend) for op in ops)
+
+
 def _check_table(
     table: Mapping[tuple[int, int], Choice],
     accuracies: tuple[float, ...],
@@ -151,8 +164,168 @@ def _check_table(
                 raise ValueError(f"sub accuracy index {sub} out of range [0, {m})")
 
 
+#: Interned program steps: a compile reuses one event per (kind, level,
+#: detail) instead of building it again.
+_step = lru_cache(maxsize=None)(TraceEvent)
+
+
+class _StepKey(tuple):
+    """A training key: op steps that hash once.  A plain tuple rehashes
+    every step on every lookup, and a tune looks a key up once per
+    candidate."""
+
+    def __new__(cls, steps):
+        key = super().__new__(cls, steps)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # string hashes differ between processes
+        return type(self), (tuple(self),)
+
+
+class _CompiledPlan:
+    """What both plan families share: the program of each slot, cached,
+    and its readers.  A family supplies the table, ``vplan`` (the plan
+    its solver steps run on), :meth:`backend_at` and ``_compile``, the
+    steps of one choice."""
+
+    accuracies: tuple[float, ...]
+    table: dict[tuple[int, int], Choice]
+    ndim: int
+
+    def _clear_programs(self) -> None:
+        self._programs: dict[tuple[int, int], tuple[TraceEvent, ...]] = {}
+        self._bodies: dict[tuple[int, Choice], tuple[TraceEvent, ...]] = {}
+        self._keys: dict[tuple[int, Choice], _StepKey] = {}
+        self._meters: dict[tuple[int, Choice], OpMeter] = {}
+
+    @property
+    def num_accuracies(self) -> int:
+        return len(self.accuracies)
+
+    def accuracy_index(self, target: float) -> int:
+        """Smallest ladder index whose accuracy is >= target."""
+        for i, p in enumerate(self.accuracies):
+            if p >= target - 1e-12:
+                return i
+        raise ValueError(
+            f"target accuracy {target:g} above the ladder {self.accuracies}"
+        )
+
+    def choice(self, level: int, acc_index: int) -> Choice:
+        return self.table[(level, acc_index)]
+
+    def backend_at(self, level: int) -> str:
+        raise NotImplementedError
+
+    def choice_program(self, level: int, choice: Choice) -> tuple[TraceEvent, ...]:
+        """Steps of one application of ``choice`` at ``level``: the body
+        of an enter/exit pair, compiled once per (level, choice).  The
+        choice need not be in the table; its coarse-grid calls run this
+        plan's slots below ``level``."""
+        body = self._bodies.get((level, choice))
+        if body is None:
+            body = self._bodies[(level, choice)] = self._compile(level, choice)
+        return body
+
+    def _compile(self, level: int, choice: Choice) -> tuple[TraceEvent, ...]:
+        raise NotImplementedError
+
+    # -- the program ------------------------------------------------------
+
+    def program(self, level: int, acc_index: int) -> tuple[TraceEvent, ...]:
+        """Steps of one call of slot (``level``, ``acc_index``), in the
+        order the executor runs them; compiled once per slot."""
+        slot = (level, acc_index)
+        program = self._programs.get(slot)
+        if program is None:
+            body = self.choice_program(level, self.table[slot])
+            program = self._programs[slot] = (
+                _step("enter", level, acc_index), *body, _step("exit", level)
+            )
+        return program
+
+    def trace(self, level: int, acc_index: int) -> tuple[TraceEvent, ...]:
+        """Event sequence of one call: its :meth:`program`."""
+        return self.program(level, acc_index)
+
+    def call_key(self, level: int, acc_index: int) -> _StepKey:
+        """The op steps of one call of slot (``level``, ``acc_index``).
+        Two slots with equal keys run the same kernels in the same
+        order, so the tuners train a step over either once."""
+        return self.choice_key(level, self.table[(level, acc_index)])
+
+    def choice_key(self, level: int, choice: Choice) -> _StepKey:
+        """:meth:`call_key` of ``choice`` applied once at ``level``;
+        computed once per (level, choice)."""
+        key = self._keys.get((level, choice))
+        if key is None:
+            body = self.choice_program(level, choice)
+            key = self._keys[(level, choice)] = _StepKey(e for e in body if e.kind in OP_STEPS)
+        return key
+
+    # -- pricing ----------------------------------------------------------
+
+    def unit_meter(self, level: int, acc_index: int) -> OpMeter:
+        """Exact op multiset of one call of slot (``level``, ``acc_index``)."""
+        return self.choice_meter(level, self.table[(level, acc_index)])
+
+    def choice_meter(self, level: int, choice: Choice) -> OpMeter:
+        """Exact op multiset of one application of ``choice`` at
+        ``level``: its program's op steps, counted once per (level,
+        choice).  The meter is shared: read it, never charge it."""
+        meter = self._meters.get((level, choice))
+        if meter is None:
+            meter = self._meters[(level, choice)] = self._count(level, choice)
+        return meter
+
+    def _count(self, level: int, choice: Choice) -> OpMeter:
+        """A nested call counts as its slot's meter.  Ops are keyed in
+        the order every price sums them: a V-cycle's interpolation with
+        its descent, an estimation phase's after its coarse call.  N
+        RECURSE iterations count as N copies of one."""
+        if isinstance(choice, RecurseChoice) and choice.iterations > 1:
+            once = RecurseChoice(choice.sub_accuracy, 1)
+            return self.choice_meter(level, once).scaled(choice.iterations)
+        n = size_of_level(level)
+        relax, residual, restrict, interpolate = _stencil_ops(self.ndim, self.backend_at(level))
+        body = self.choice_program(level, choice)
+        meter, vplan, callee, i = OpMeter(), self.vplan, self, 0
+        while i < len(body):
+            kind, sub_level, detail = body[i]
+            i += 1
+            if kind == "enter":  # a nested call: full MG after estimate, V after relax
+                meter.merge(callee.unit_meter(sub_level, detail))
+                i += len(callee.program(sub_level, detail)) - 1
+            elif kind == "estimate":
+                callee = self
+            elif kind == "direct":
+                meter.charge(dim_op("direct", self.ndim), n)
+            elif kind in ("relax", "sor"):
+                callee = vplan
+                meter.charge(relax, n, detail if kind == "sor" else 1)
+            elif kind == "descend":
+                meter.charge(residual, n)
+                meter.charge(restrict, n)
+                if callee is vplan:
+                    meter.charge(interpolate, n)
+            elif kind == "ascend" and callee is not vplan:
+                meter.charge(interpolate, n)
+        return meter
+
+    def time_on(self, profile: MachineProfile, level: int, acc_index: int) -> float:
+        """Simulated seconds of one call under ``profile``."""
+        return profile.price(self.unit_meter(level, acc_index))
+
+    def invalidate_pricing_cache(self) -> None:
+        self._clear_programs()
+
+
 @dataclass
-class TunedVPlan:
+class TunedVPlan(_CompiledPlan):
     """Tuned MULTIGRID-V_i family over levels 1..max_level.
 
     ``ndim`` is the grid dimensionality the plan was tuned for; it
@@ -180,119 +353,30 @@ class TunedVPlan:
             for level, name in (self.backends or {}).items()
             if name != "numpy"
         }
-        self._meters: dict[tuple[int, int], OpMeter] = {}
-
-    # -- lookups ----------------------------------------------------------
+        self._clear_programs()
 
     @property
-    def num_accuracies(self) -> int:
-        return len(self.accuracies)
-
-    def accuracy_index(self, target: float) -> int:
-        """Smallest ladder index whose accuracy is >= target."""
-        for i, p in enumerate(self.accuracies):
-            if p >= target - 1e-12:
-                return i
-        raise ValueError(
-            f"target accuracy {target:g} above the ladder {self.accuracies}"
-        )
-
-    def choice(self, level: int, acc_index: int) -> Choice:
-        return self.table[(level, acc_index)]
+    def vplan(self) -> "TunedVPlan":
+        """The plan solver steps run on: itself (a full-MG plan's field)."""
+        return self
 
     def backend_at(self, level: int) -> str:
         """The kernel backend executing stencil ops at ``level``."""
         return self.backends.get(level, "numpy")
 
-    def call_key(self, level: int, acc_index: int):
-        """The choice tree of one MULTIGRID-V_{acc_index} call at ``level``.
-
-        ``direct`` and ``sor(xN)`` are their own keys; ``recurse(j, xN)``
-        is ``(N, call_key(level - 1, j))``.  Two slots with equal keys run
-        the same kernels in the same order, so the tuners train a step
-        over either once.
-        """
-        return self.choice_key(level, self.table[(level, acc_index)])
-
-    def choice_key(self, level: int, choice: Choice):
-        """:meth:`call_key` of ``choice`` applied once at ``level``."""
+    def _compile(self, level: int, choice: Choice) -> tuple[TraceEvent, ...]:
+        """``direct``, ``sor`` (none for zero sweeps), or per RECURSE
+        iteration: relax, descend, the coarse call, ascend, relax."""
+        if isinstance(choice, DirectChoice):
+            return (_step("direct", level),)
+        if isinstance(choice, SORChoice):
+            return (_step("sor", level, choice.iterations),) if choice.iterations else ()
         if isinstance(choice, RecurseChoice):
-            return (choice.iterations, self.call_key(level - 1, choice.sub_accuracy))
-        if isinstance(choice, (DirectChoice, SORChoice)):
-            return choice
+            relax = _step("relax", level)
+            coarse = self.program(level - 1, choice.sub_accuracy)
+            once = (relax, _step("descend", level), *coarse, _step("ascend", level), relax)
+            return once * choice.iterations
         raise TypeError(f"invalid V-plan choice {choice!r}")
-
-    # -- pricing ----------------------------------------------------------
-
-    def unit_meter(self, level: int, acc_index: int) -> OpMeter:
-        """Exact op multiset of one MULTIGRID-V_{acc_index} call at ``level``."""
-        key = (level, acc_index)
-        meter = self._meters.get(key)
-        if meter is None:
-            meter = self._meters[key] = self.choice_meter(level, self.table[key])
-        return meter
-
-    def choice_meter(self, level: int, choice: Choice) -> OpMeter:
-        """Exact op multiset of one application of ``choice`` at ``level``.
-
-        The choice need not be in the table: coarse-grid calls price
-        this plan's levels below, so a plan tuned through ``level - 1``
-        prices every candidate the tuners weigh for ``level``.
-        """
-        n = size_of_level(level)
-        backend = self.backend_at(level)
-        meter = OpMeter()
-        if isinstance(choice, DirectChoice):
-            meter.charge(dim_op("direct", self.ndim), n)
-        elif isinstance(choice, SORChoice):
-            meter.charge(
-                backend_op(dim_op("relax", self.ndim), backend), n, choice.iterations
-            )
-        elif isinstance(choice, RecurseChoice):
-            wrapper = recurse_wrapper_meter(n, self.ndim, backend)
-            wrapper.merge(self.unit_meter(level - 1, choice.sub_accuracy))
-            meter.merge(wrapper, times=choice.iterations)
-        else:
-            raise TypeError(f"invalid V-plan choice {choice!r}")
-        return meter
-
-    def time_on(self, profile: MachineProfile, level: int, acc_index: int) -> float:
-        """Simulated seconds of one call under ``profile``."""
-        return profile.price(self.unit_meter(level, acc_index))
-
-    # -- tracing ----------------------------------------------------------
-
-    def trace(self, level: int, acc_index: int) -> tuple[TraceEvent, ...]:
-        """Event sequence of one MULTIGRID-V_{acc_index} call at ``level``,
-        in the order the executor runs its ops."""
-        events: list[TraceEvent] = []
-        self._trace_into(events, level, acc_index)
-        return tuple(events)
-
-    def _trace_into(self, events: list[TraceEvent], level: int, acc_index: int) -> None:
-        events.append(TraceEvent("enter", level, acc_index))
-        self._choice_trace_into(events, level, self.table[(level, acc_index)])
-        events.append(TraceEvent("exit", level))
-
-    def _choice_trace_into(
-        self, events: list[TraceEvent], level: int, choice: Choice
-    ) -> None:
-        """Events of one application of ``choice`` (the body of an
-        enter/exit pair); RECURSE is relax, coarse call, relax."""
-        if isinstance(choice, DirectChoice):
-            events.append(TraceEvent("direct", level))
-        elif isinstance(choice, SORChoice):
-            events.append(TraceEvent("sor", level, choice.iterations))
-        elif isinstance(choice, RecurseChoice):
-            for _ in range(choice.iterations):
-                events += (TraceEvent("relax", level), TraceEvent("descend", level))
-                self._trace_into(events, level - 1, choice.sub_accuracy)
-                events += (TraceEvent("ascend", level), TraceEvent("relax", level))
-        else:
-            raise TypeError(f"invalid V-plan choice {choice!r}")
-
-    def invalidate_pricing_cache(self) -> None:
-        self._meters.clear()
 
 
 def fixed_vplan(choices: Sequence[Choice], ndim: int = 2) -> "TunedVPlan":
@@ -302,7 +386,7 @@ def fixed_vplan(choices: Sequence[Choice], ndim: int = 2) -> "TunedVPlan":
 
 
 @dataclass
-class TunedFullMGPlan:
+class TunedFullMGPlan(_CompiledPlan):
     """Tuned FULL-MULTIGRID_i family; solve-phase recursion uses ``vplan``."""
 
     accuracies: tuple[float, ...]
@@ -323,17 +407,7 @@ class TunedFullMGPlan:
             raise ValueError("V plan must cover at least the full-MG plan's levels")
         if self.vplan.ndim != self.ndim:
             raise ValueError("full-MG plan and V plan must share ndim")
-        self._meters: dict[tuple[int, int], OpMeter] = {}
-
-    @property
-    def num_accuracies(self) -> int:
-        return len(self.accuracies)
-
-    def accuracy_index(self, target: float) -> int:
-        return self.vplan.accuracy_index(target)
-
-    def choice(self, level: int, acc_index: int) -> Choice:
-        return self.table[(level, acc_index)]
+        self._clear_programs()
 
     @property
     def backends(self) -> dict[int, str]:
@@ -343,78 +417,24 @@ class TunedFullMGPlan:
     def backend_at(self, level: int) -> str:
         return self.vplan.backend_at(level)
 
-    def call_key(self, level: int, acc_index: int):
-        """The choice tree of one FULL-MULTIGRID_{acc_index} call at
-        ``level``, as :meth:`TunedVPlan.call_key`: ``direct`` is its own
-        key, and ``estimate(j) -> solver`` is this plan's key of j one
-        level down paired with the V plan's key of the solver."""
-        choice = self.table[(level, acc_index)]
+    def _compile(self, level: int, choice: Choice) -> tuple[TraceEvent, ...]:
+        """``direct``, or ESTIMATE_j (estimate, descend, this plan's
+        FULL-MULTIGRID_j one level down, ascend) followed by the V plan's
+        program of the solver.  ``EstimateChoice(j, SORChoice(0))`` is
+        the estimation phase alone."""
         if isinstance(choice, DirectChoice):
-            return choice
+            return self.vplan.choice_program(level, choice)
         if not isinstance(choice, EstimateChoice):
             raise TypeError(f"invalid full-MG choice {choice!r}")
+        j = choice.estimate_accuracy
         return (
-            self.call_key(level - 1, choice.estimate_accuracy),
-            self.vplan.choice_key(level, choice.solver),
+            _step("estimate", level, j),
+            _step("descend", level),
+            *self.program(level - 1, j),
+            _step("ascend", level),
+            *self.vplan.choice_program(level, choice.solver),
         )
 
-    def unit_meter(self, level: int, acc_index: int) -> OpMeter:
-        """Exact op multiset of one FULL-MULTIGRID_{acc_index} call."""
-        key = (level, acc_index)
-        meter = self._meters.get(key)
-        if meter is None:
-            meter = self._meters[key] = self.choice_meter(level, self.table[key])
-        return meter
-
-    def choice_meter(self, level: int, choice: Choice) -> OpMeter:
-        """Exact op multiset of one application of ``choice`` at ``level``.
-
-        As :meth:`TunedVPlan.choice_meter`: ESTIMATE_j prices this plan's
-        FULL-MULTIGRID_j one level down, and the solve phase is the V
-        plan's meter of the solver choice.  ``EstimateChoice(j,
-        SORChoice(0))`` is the estimation phase alone.
-        """
-        if isinstance(choice, DirectChoice):
-            return self.vplan.choice_meter(level, choice)
-        if not isinstance(choice, EstimateChoice):
-            raise TypeError(f"invalid full-MG choice {choice!r}")
-        n = size_of_level(level)
-        backend = self.backend_at(level)
-        # Estimation phase: residual, restrict, recursive full-MG call,
-        # interpolate + correct.
-        meter = OpMeter()
-        meter.charge(backend_op(dim_op("residual", self.ndim), backend), n)
-        meter.charge(backend_op(dim_op("restrict", self.ndim), backend), n)
-        meter.merge(self.unit_meter(level - 1, choice.estimate_accuracy))
-        meter.charge(backend_op(dim_op("interpolate", self.ndim), backend), n)
-        meter.merge(self.vplan.choice_meter(level, choice.solver))
-        return meter
-
-    def time_on(self, profile: MachineProfile, level: int, acc_index: int) -> float:
-        return profile.price(self.unit_meter(level, acc_index))
-
-    def trace(self, level: int, acc_index: int) -> tuple[TraceEvent, ...]:
-        """Event sequence of one FULL-MULTIGRID_{acc_index} call at ``level``."""
-        events: list[TraceEvent] = []
-        self._trace_into(events, level, acc_index)
-        return tuple(events)
-
-    def _trace_into(self, events: list[TraceEvent], level: int, acc_index: int) -> None:
-        """As :meth:`choice_meter`: ESTIMATE_j traces this plan one level
-        down, and the solve phase is the V plan's trace of the solver."""
-        choice = self.table[(level, acc_index)]
-        events.append(TraceEvent("enter", level, acc_index))
-        if isinstance(choice, EstimateChoice):
-            j = choice.estimate_accuracy
-            events += (TraceEvent("estimate", level, j), TraceEvent("descend", level))
-            self._trace_into(events, level - 1, j)
-            events.append(TraceEvent("ascend", level))
-            choice = choice.solver
-        elif not isinstance(choice, DirectChoice):
-            raise TypeError(f"invalid full-MG choice {choice!r}")
-        self.vplan._choice_trace_into(events, level, choice)
-        events.append(TraceEvent("exit", level))
-
     def invalidate_pricing_cache(self) -> None:
-        self._meters.clear()
+        super().invalidate_pricing_cache()
         self.vplan.invalidate_pricing_cache()

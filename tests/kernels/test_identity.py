@@ -138,13 +138,16 @@ class TestKernelIdentityAcrossSizes:
     the tiny grids where accelerated backends fall back internally)."""
 
     @pytest.mark.parametrize("backend_name", ACCELERATED)
+    @pytest.mark.parametrize("spec", [s for s in sorted(GOLDEN) if s != "poisson3d"])
     @pytest.mark.parametrize("n", [5, 9, 65])
-    def test_kernels_match_numpy(self, backend_name, n):
+    def test_kernels_match_numpy(self, backend_name, spec, n):
+        """Every 2-D family: a last-bit change in a weighted kernel can
+        hide at the golden size and show at another."""
         backend = _available(backend_name)
-        op = shared_operator("poisson", n)
+        op = shared_operator(spec, n)
         fast = backend.bind(op)
         if fast is None:
-            pytest.skip(f"{backend_name} does not bind poisson at n={n}")
+            pytest.skip(f"{backend_name} does not bind {spec} at n={n}")
         ref_out = _kernel_outputs(get_backend("numpy").bind(op), op)
         fast_out = _kernel_outputs(fast, op)
         for name in ref_out:

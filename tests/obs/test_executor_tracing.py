@@ -1,4 +1,5 @@
-"""Executor observation: span trees, the op-span floor, numeric identity."""
+"""Executor observation: span trees, the op-span floor, numeric
+identity, and the spans a failing solve leaves."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from repro.machines.presets import INTEL_HARPERTOWN
 from repro.obs.profile import SolveProfiler
 from repro.obs.trace import Tracer
 from repro.tuner.dp import VCycleTuner
+from repro.tuner.choices import DirectChoice, RecurseChoice
 from repro.tuner.executor import OP_SPAN_MIN_POINTS, PlanExecutor
+from repro.tuner.plan import fixed_vplan
 from repro.tuner.timing import CostModelTiming
 from repro.tuner.training import TrainingData
 from repro.util.clock import ManualClock
@@ -148,3 +151,80 @@ class TestNumericIdentity:
         solve(executor, tuned_plan)
         root = next(s for s in tracer.spans() if s.parent_id is None)
         assert root.end_s is not None and root.duration_s == 0.0  # manual time
+
+
+class _KernelFault(RuntimeError):
+    pass
+
+
+class _FaultyExecutor(PlanExecutor):
+    """Binds kernels whose interpolation at ``fault_level`` raises while
+    ``armed``: the solve fails inside that level's coarse-grid
+    correction, with the levels above it still open."""
+
+    fault_level = 3
+    armed = True
+
+    def _kernels(self, level, backend):
+        kernels = super()._kernels(level, backend)
+        if level != self.fault_level:
+            return kernels
+        executor = self
+
+        class Faulty:
+            def __getattr__(self, name):
+                return getattr(kernels, name)
+
+            def interpolate_correction(self, x, ec):
+                if executor.armed:
+                    raise _KernelFault("injected")
+                return kernels.interpolate_correction(x, ec)
+
+        return Faulty()
+
+
+class TestFaultPath:
+    """A kernel that raises mid-solve: the flat program loop must close
+    what the nested calls of a recursive executor closed on unwind."""
+
+    PLAN = fixed_vplan([DirectChoice(), *[RecurseChoice(0, 1)] * 3])
+
+    def _solve(self, executor):
+        problem = make_problem("unbiased", size_of_level(4), 0, operator="poisson")
+        x = problem.initial_guess()
+        executor.run_v(self.PLAN, x, problem.b, 0)
+        return x
+
+    def test_open_level_spans_finish_with_the_error(self):
+        tracer = Tracer()
+        executor = _FaultyExecutor(operator="poisson", tracer=tracer, op_span_min_points=0)
+        with pytest.raises(_KernelFault):
+            self._solve(executor)
+        levels = {s.attrs["level"]: s for s in tracer.spans() if s.name == "mg.level"}
+        assert sorted(levels) == [1, 2, 3, 4]  # every span that opened finished
+        assert all(s.end_s is not None for s in levels.values())
+        for level, span in levels.items():
+            expected = "_KernelFault" if level >= executor.fault_level else None
+            assert span.attrs.get("error") == expected, level
+        assert levels[4].parent_id is None
+        assert levels[3].parent_id == levels[4].span_id
+        assert tracer.current() is None
+
+    def test_next_solve_records_one_clean_tree(self):
+        tracer = Tracer()
+        executor = _FaultyExecutor(operator="poisson", tracer=tracer, op_span_min_points=0)
+        with pytest.raises(_KernelFault):
+            self._solve(executor)
+        tracer.sink.clear()
+        executor.armed = False
+        x = self._solve(executor)
+        assert np.array_equal(x, self._solve(PlanExecutor(operator="poisson")))
+        spans = tracer.spans()
+        roots = [s for s in spans if s.parent_id is None]
+        assert [s.name for s in roots] == ["mg.level"]
+        assert roots[0].attrs["level"] == 4
+        ids = {s.span_id for s in spans}
+        assert all(s.parent_id in ids for s in spans if s.parent_id is not None)
+        # the span attrs dicts solves share were not labelled in place
+        assert not any("error" in s.attrs for s in spans)
+        assert sum(s.name == "mg.level" for s in spans) == 4

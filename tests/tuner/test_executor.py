@@ -9,7 +9,7 @@ from repro.machines.presets import INTEL_HARPERTOWN
 from repro.obs.trace import Tracer
 from repro.relax.sor import sor_redblack
 from repro.relax.weights import omega_opt
-from repro.tuner.choices import DirectChoice, SORChoice
+from repro.tuner.choices import DirectChoice, EstimateChoice, SORChoice
 from repro.tuner.executor import PlanExecutor
 from repro.tuner.plan import TunedVPlan
 from repro.tuner.spec import TuneKey, TuneSpec, tune
@@ -141,6 +141,32 @@ class TestKernelCallInvariant:
         for _ in range(2):
             PlanExecutor().run_v(tuned_plan, problem.initial_guess(), problem.b, 2, meter)
         assert meter == tuned_plan.unit_meter(5, 2).scaled(2)
+
+
+class TestEstimationPhaseProgram:
+    """``EstimateChoice(j, SORChoice(0))`` is the estimation phase alone:
+    the full-MG tuner prices a candidate's ESTIMATE_j by its meter and
+    runs its program to make the states the candidate's solver step
+    trains from.  Both must be the same ops."""
+
+    def test_program_runs_exactly_its_meter(self, plan_pair):
+        operator, plan = plan_pair
+        for level in range(2, plan.max_level + 1):
+            for j in range(plan.num_accuracies):
+                estimate = EstimateChoice(j, SORChoice(0))
+                problem = make_problem(
+                    "unbiased", size_of_level(level), seed=83 + j, operator=operator
+                )
+                tracer = Tracer(capacity=1 << 20)
+                executor = PlanExecutor(
+                    operator=operator, tracer=tracer, op_span_min_points=0
+                )
+                program = plan.choice_program(level, estimate)
+                executor.run(plan, problem.initial_guess(), problem.b, program)
+                ran = _kernel_call_meter(tracer.spans(), plan.ndim)
+                assert ran == plan.choice_meter(level, estimate), (level, j)
+                assert not any(e.kind in ("relax", "sor") and e.level == level
+                               for e in program)  # no solve phase
 
 
 class TestTracing:
