@@ -26,6 +26,7 @@ import argparse
 import sys
 import time
 
+from repro.kernels import BACKEND_PRIORITY
 from repro.util import format_table
 
 __all__ = ["main"]
@@ -109,12 +110,12 @@ def _add_campaign_grid_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
+        choices=("auto", *BACKEND_PRIORITY),
         default="numpy",
-        metavar="NAME",
         help="kernel backend the tuner may place on fine levels: numpy "
-        "(default, the reference), cnative, numba, or auto (best backend "
-        "available on the tuning host; each fleet worker resolves it "
-        "against its own availability)",
+        "(default, the reference), cnative, or auto (cnative where the "
+        "tuning host can run it; each fleet worker resolves it against "
+        "its own availability)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--instances", type=int, default=2)
@@ -507,10 +508,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
+        choices=("auto", *BACKEND_PRIORITY),
         default="numpy",
-        metavar="NAME",
         help="kernel backend served plans are tuned against: numpy "
-        "(default), cnative, numba, or auto (best available on this host)",
+        "(default), cnative, or auto (cnative where this host can run it)",
     )
     parser.add_argument(
         "--requests", type=int, default=64, help="bench mode: total requests"

@@ -1,20 +1,18 @@
 """Pluggable kernel backends: the hot loops as a tuning dimension.
 
-The registry exposes the known backends by name:
+The registry exposes the two backends by name:
 
 * ``numpy`` — the vectorized reference implementation (always
   available, always byte-identical to itself: it *is* the ground
   truth);
 * ``cnative`` — C kernels compiled on demand by the host's ``gcc``
-  and loaded via ctypes;
-* ``numba`` — JIT kernels behind an optional ``numba`` install.
+  and loaded via ctypes.
 
-``resolve_backend("auto")`` picks the fastest available backend
-(``numba`` > ``cnative`` > ``numpy``); tuners, the store, and the
-serve layer all accept ``"auto"`` and persist the resolved name.
-Every non-numpy backend is byte-identical to numpy by contract (see
-:mod:`repro.kernels.base`), so backend choice changes wall-clock only,
-never numerics.
+``resolve_backend("auto")`` picks ``cnative`` where it can run, else
+``numpy``; tuners, the store, and the serve layer all accept ``"auto"``
+and persist the resolved name.  ``cnative`` is byte-identical to numpy
+by contract (see :mod:`repro.kernels.base`), so backend choice changes
+wall-clock only, never numerics.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Any
 
 from repro.kernels.base import KernelBackend, LevelKernels
 from repro.kernels.cnative import CNativeBackend, kernel_cache_dir
-from repro.kernels.numba_backend import NumbaBackend
 from repro.kernels.numpy_backend import NumpyBackend
 
 __all__ = [
@@ -31,7 +28,6 @@ __all__ = [
     "KernelBackend",
     "LevelKernels",
     "available_backends",
-    "backend_names",
     "backend_provenance",
     "get_backend",
     "kernel_cache_dir",
@@ -39,7 +35,7 @@ __all__ = [
 ]
 
 #: "auto" resolution order: fastest first, numpy as the always-on floor.
-BACKEND_PRIORITY: tuple[str, ...] = ("numba", "cnative", "numpy")
+BACKEND_PRIORITY: tuple[str, ...] = ("cnative", "numpy")
 
 _backends: dict[str, KernelBackend] = {}
 
@@ -57,18 +53,9 @@ def get_backend(name: str) -> KernelBackend:
         )
     backend = _backends.get(name)
     if backend is None:
-        factory = {
-            "numpy": NumpyBackend,
-            "cnative": CNativeBackend,
-            "numba": NumbaBackend,
-        }[name]
+        factory = {"numpy": NumpyBackend, "cnative": CNativeBackend}[name]
         backend = _backends[name] = factory()
     return backend
-
-
-def backend_names() -> tuple[str, ...]:
-    """Every registered backend name, in priority order."""
-    return BACKEND_PRIORITY
 
 
 def available_backends() -> tuple[str, ...]:

@@ -58,10 +58,10 @@ class KernelBackend(Protocol):
 
     ``supports`` is a static capability check (no compilation, no heavy
     imports); ``available`` probes whether the backend can actually run
-    here (optional dependency importable, toolchain present) and caches
-    the answer; ``bind`` returns the kernels for a concrete operator or
-    ``None`` when the family is unsupported; ``warmup`` performs the
-    one-time compile/JIT so that cost never lands inside a timed trial.
+    here (toolchain present, library built) and caches the answer;
+    ``bind`` returns the kernels for a concrete operator or ``None`` when
+    the family is unsupported; ``warmup`` performs the one-time compile
+    so that cost never lands inside a timed trial.
     """
 
     name: str
@@ -84,7 +84,7 @@ class KernelBackend(Protocol):
         ...
 
     def warmup(self) -> None:
-        """One-time compile/JIT of every kernel (idempotent)."""
+        """One-time compile of every kernel (idempotent)."""
         ...
 
     def provenance(self) -> dict[str, Any]:

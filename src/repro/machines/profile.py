@@ -93,7 +93,7 @@ class BackendCostModel:
     ``interpolate``; 2-D and 3-D share a family) to the speedup over the
     NumPy reference on the roofline term; ``op_overhead_scale`` scales the
     fixed per-op dispatch cost — accelerated backends pay *more* dispatch
-    (ctypes / JIT boundary crossing), which is exactly why tuned plans mix
+    (the ctypes boundary crossing), which is exactly why tuned plans mix
     backends: tiny coarse grids stay on NumPy while fine grids accelerate.
     """
 
@@ -103,15 +103,8 @@ class BackendCostModel:
     def gain_for(self, op_family: str) -> float:
         return float(self.gains.get(op_family, 1.0))
 
-    def to_dict(self) -> dict:
-        return {
-            "gains": {op: float(g) for op, g in sorted(self.gains.items())},
-            "op_overhead_scale": self.op_overhead_scale,
-        }
 
-
-#: Fallback per-backend cost models, used when a profile carries no
-#: measured ``backend_costs`` entry for a backend.  Numbers come from
+#: Per-backend cost models of every profile.  Numbers come from
 #: microbenchmarks of the scalar C kernels vs the vectorized NumPy loops
 #: (see ``benchmarks/bench_kernels.py``); they only need the right *shape*
 #: — accelerated work is several times cheaper, dispatch is costlier — for
@@ -120,10 +113,6 @@ DEFAULT_BACKEND_GAINS: dict[str, BackendCostModel] = {
     "cnative": BackendCostModel(
         gains={"relax": 6.0, "residual": 5.0, "restrict": 5.0, "interpolate": 4.0},
         op_overhead_scale=2.5,
-    ),
-    "numba": BackendCostModel(
-        gains={"relax": 7.0, "residual": 5.5, "restrict": 4.5, "interpolate": 3.5},
-        op_overhead_scale=3.0,
     ),
 }
 
@@ -164,9 +153,6 @@ class MachineProfile:
     direct_includes_memory: bool = True
     description: str = ""
     op_shapes: dict[str, OpShape] = field(default_factory=lambda: dict(OP_SHAPES))
-    #: measured per-backend cost models; empty means "use
-    #: :data:`DEFAULT_BACKEND_GAINS`" and keeps the fingerprint unchanged
-    backend_costs: dict[str, BackendCostModel] = field(default_factory=dict)
 
     # -- identity ---------------------------------------------------------
 
@@ -177,7 +163,7 @@ class MachineProfile:
         profiles with identical cost landscapes serialize identically; the
         persistent tuning store keys plans by this content, not by label.
         """
-        payload = {
+        return {
             "cores": self.cores,
             "flop_rate": self.flop_rate,
             "mem_bw": self.mem_bw,
@@ -195,14 +181,6 @@ class MachineProfile:
                 for op, s in sorted(self.op_shapes.items())
             },
         }
-        # Only serialized when measured: default-gain profiles keep the
-        # exact pre-backend fingerprint, so every stored plan stays valid.
-        if self.backend_costs:
-            payload["backend_costs"] = {
-                name: model.to_dict()
-                for name, model in sorted(self.backend_costs.items())
-            }
-        return payload
 
     @classmethod
     def from_dict(cls, data: dict, name: str = "profile") -> "MachineProfile":
@@ -211,8 +189,15 @@ class MachineProfile:
         The inverse of :meth:`to_dict` up to display fields (``name`` is
         caller-supplied, ``description`` empty), so a round-tripped
         profile has the same :meth:`fingerprint` — the property the
-        store's serialized model artifacts rely on.
+        store's serialized model artifacts rely on.  A payload carrying
+        per-backend ``backend_costs`` (no longer a profile field) is
+        refused rather than silently repriced with the default gains.
         """
+        if "backend_costs" in data:
+            raise ValueError(
+                "profile payload carries 'backend_costs', which profiles no "
+                "longer hold; backends price with DEFAULT_BACKEND_GAINS"
+            )
         op_shapes = {
             op: OpShape(
                 flops_per_point=float(s[0]),
@@ -220,13 +205,6 @@ class MachineProfile:
                 barriers=int(s[2]),
             )
             for op, s in data.get("op_shapes", {}).items()
-        }
-        backend_costs = {
-            backend: BackendCostModel(
-                gains=dict(model.get("gains", {})),
-                op_overhead_scale=float(model.get("op_overhead_scale", 1.0)),
-            )
-            for backend, model in data.get("backend_costs", {}).items()
         }
         return cls(
             name=name,
@@ -243,7 +221,6 @@ class MachineProfile:
             working_set_factor=float(data.get("working_set_factor", 24.0)),
             direct_includes_memory=bool(data.get("direct_includes_memory", True)),
             op_shapes=op_shapes or dict(OP_SHAPES),
-            backend_costs=backend_costs,
         )
 
     def fingerprint(self) -> str:
@@ -343,14 +320,12 @@ class MachineProfile:
         return t + self.op_overhead + self.direct_overhead
 
     def backend_model(self, backend: str) -> BackendCostModel:
-        """The cost model for an accelerated backend (measured or default).
+        """The cost model of a kernel backend.
 
         Unknown backends (and ``numpy`` itself) price as the identity model,
         so a plan qualified for a backend this profile knows nothing about
         degrades to reference pricing rather than failing.
         """
-        if backend in self.backend_costs:
-            return self.backend_costs[backend]
         return DEFAULT_BACKEND_GAINS.get(backend, _IDENTITY_BACKEND)
 
     def _backend_op_seconds(self, base: str, backend: str, n: int) -> float:

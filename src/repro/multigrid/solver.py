@@ -6,12 +6,15 @@ every tuned plan and carry the one-rung
 :data:`~repro.tuner.plan.FIXED_LADDER`.  Each solver step runs one fixed
 plan; ``accuracy_of`` — typically
 :meth:`repro.accuracy.AccuracyJudge.accuracy_of`, the error-ratio metric
-the tuner optimizes for — decides when to stop.
+the tuner optimizes for — decides when to stop.  The fixed plans are
+built once per ``(level, ndim)`` and shared, so their compiled programs
+are too; no caller changes a plan it is handed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -42,11 +45,13 @@ __all__ = [
 AccuracyFn = Callable[[np.ndarray], float]
 
 
+@lru_cache(maxsize=None)
 def v_plan(level: int, ndim: int = 2) -> TunedVPlan:
     """The standard V(1,1) cycle from ``level`` down to a 3x3 direct solve."""
     return fixed_vplan([DirectChoice()] + [RecurseChoice(0, 1)] * (level - 1), ndim)
 
 
+@lru_cache(maxsize=None)
 def full_mg_plan(level: int, ndim: int = 2) -> TunedFullMGPlan:
     """The standard full multigrid cycle: estimate by recursion, then one V."""
     table: dict[tuple[int, int], Choice] = {(1, 0): DirectChoice()}
@@ -55,6 +60,7 @@ def full_mg_plan(level: int, ndim: int = 2) -> TunedFullMGPlan:
     return TunedFullMGPlan(FIXED_LADDER, level, table, v_plan(level, ndim), ndim=ndim)
 
 
+@lru_cache(maxsize=None)
 def sor_plan(level: int, ndim: int = 2) -> TunedVPlan:
     """One SOR(omega_opt) sweep at ``level``."""
     return fixed_vplan([SORChoice(1)] * level, ndim)

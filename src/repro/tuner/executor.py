@@ -112,10 +112,10 @@ class PlanExecutor:
         """Bound kernels for (level, backend); falls back to NumPy.
 
         A plan may record a backend that cannot run on this host (tuned
-        elsewhere, optional dependency missing).  Since every backend is
-        byte-identical by contract, silently executing the reference
-        kernels preserves the plan's numerics exactly — only wall-clock
-        differs from what the tuner priced.
+        elsewhere, no C compiler, or a name no longer registered).  Since
+        every backend is byte-identical by contract, silently executing
+        the reference kernels preserves the plan's numerics exactly — only
+        wall-clock differs from what the tuner priced.
         """
         key = (level, backend)
         kernels = self._kernels_cache.get(key)

@@ -123,6 +123,14 @@ def test_enqueue_rejects_mismatched_ndim(db_path):
         )
 
 
+@pytest.mark.parametrize("name", ["numba", "bogus"])
+def test_enqueue_rejects_unknown_backend(db_path, name, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["fleet", "--db", db_path, "enqueue", "--campaign", "bad", "--backend", name])
+    assert err.value.code == 2
+    assert f"invalid choice: '{name}'" in capsys.readouterr().err
+
+
 def test_work_machine_filter(db_path, capsys):
     main(["fleet", "--db", db_path, "enqueue", *GRID])
     capsys.readouterr()

@@ -6,7 +6,6 @@ from repro.kernels import (
     BACKEND_PRIORITY,
     KernelBackend,
     available_backends,
-    backend_names,
     backend_provenance,
     get_backend,
     resolve_backend,
@@ -15,6 +14,9 @@ from repro.operators.spec import shared_operator
 
 
 class TestGetBackend:
+    def test_cnative_then_numpy(self):
+        assert BACKEND_PRIORITY == ("cnative", "numpy")
+
     def test_known_names_resolve(self):
         for name in BACKEND_PRIORITY:
             backend = get_backend(name)
@@ -26,6 +28,12 @@ class TestGetBackend:
         # tune against the wrong backend.
         with pytest.raises(ValueError, match="unknown kernel backend"):
             get_backend("cuda")
+
+    def test_retired_numba_backend_is_unknown(self):
+        # A stored plan that still names it runs on NumPy (see
+        # tests/kernels/test_identity.py); new requests are refused.
+        with pytest.raises(ValueError, match="unknown kernel backend 'numba'"):
+            get_backend("numba")
 
     def test_auto_is_not_a_backend(self):
         with pytest.raises(ValueError):
@@ -66,9 +74,6 @@ class TestAvailability:
         assert names[-1] == "numpy"
         priorities = [BACKEND_PRIORITY.index(n) for n in names]
         assert priorities == sorted(priorities)
-
-    def test_backend_names_lists_every_backend(self):
-        assert backend_names() == BACKEND_PRIORITY
 
     def test_unavailable_backend_binds_none(self):
         op = shared_operator("poisson", 9)

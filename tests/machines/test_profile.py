@@ -10,6 +10,7 @@ from repro.machines.presets import (
     SUN_NIAGARA,
     get_preset,
 )
+from repro.machines.profile import MachineProfile
 
 
 class TestStencilPricing:
@@ -103,3 +104,16 @@ class TestPresets:
 
     def test_niagara_threads(self):
         assert SUN_NIAGARA.cores == 32
+
+
+class TestSerialization:
+    def test_payload_with_backend_costs_is_refused(self):
+        # Profiles price every backend with DEFAULT_BACKEND_GAINS; an old
+        # payload with its own per-backend costs must not be repriced
+        # silently under the defaults.
+        payload = INTEL_HARPERTOWN.to_dict()
+        payload["backend_costs"] = {
+            "cnative": {"gains": {"relax": 9.0}, "op_overhead_scale": 1.0}
+        }
+        with pytest.raises(ValueError, match="backend_costs"):
+            MachineProfile.from_dict(payload)

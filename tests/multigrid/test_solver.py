@@ -10,6 +10,9 @@ from repro.multigrid.solver import (
     ReferenceFullMGSolver,
     ReferenceVSolver,
     SORSolver,
+    full_mg_plan,
+    sor_plan,
+    v_plan,
 )
 from repro.workloads.distributions import make_problem
 
@@ -75,3 +78,13 @@ class TestRelativeBehaviour:
         v_iters = ReferenceVSolver().solve(xv, problem.b, jv.accuracy_of, 1e7)
         f_iters = ReferenceFullMGSolver().solve(xf, problem.b, jf.accuracy_of, 1e7)
         assert f_iters <= v_iters
+
+
+class TestFixedPlans:
+    def test_built_once_per_level_and_ndim(self):
+        # Shared plans share their compiled programs across solves.
+        for build in (v_plan, full_mg_plan, sor_plan):
+            assert build(5) is build(5)
+            assert build(4, 3) is build(4, 3)
+            assert build(4, 3) is not build(4)
+        assert full_mg_plan(5, 2).vplan is v_plan(5, 2)

@@ -142,3 +142,10 @@ class TestStoreParser:
     def test_unknown_subcommand_exits(self, db_path):
         with pytest.raises(SystemExit):
             main(["store", "--db", db_path, "frobnicate"])
+
+    @pytest.mark.parametrize("name", ["numba", "bogus"])
+    def test_unknown_backend_is_a_usage_error(self, db_path, name, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(tune_args(db_path, "--backend", name))
+        assert err.value.code == 2  # argparse usage error, no traceback
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err

@@ -88,6 +88,13 @@ class TestServeCLI:
             assert err.value.code == 2  # argparse usage error, no traceback
             capsys.readouterr()
 
+    @pytest.mark.parametrize("name", ["numba", "bogus"])
+    def test_unknown_backend_is_a_usage_error(self, name, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "warm", "--backend", name])
+        assert err.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
+
     def test_serve_has_no_latency_target_flag(self, capsys):
         """Every request is served at the accuracy it asks for; no flag
         trades accuracy for latency."""

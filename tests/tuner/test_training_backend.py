@@ -23,7 +23,6 @@ import pytest
 from repro.accuracy.reference import reference_solution
 from repro.kernels import get_backend
 from repro.kernels.cnative import CNativeBackend
-from repro.kernels.numba_backend import NumbaBackend
 from repro.machines.presets import INTEL_HARPERTOWN
 from repro.modeltuner import BOSearch
 from repro.parallel import tasks
@@ -55,23 +54,20 @@ def fresh_tuner_cache():
     tasks._TUNERS.clear()
 
 
-def _force_unavailable(monkeypatch, *backends) -> None:
-    for backend in backends:
-        monkeypatch.setattr(backend, "available", lambda self: False)
+def _cnative_off(monkeypatch) -> None:
+    monkeypatch.setattr(CNativeBackend, "available", lambda self: False)
     tasks._TUNERS.clear()
 
 
 @pytest.fixture
 def numpy_only(monkeypatch):
     """No accelerated backend: training falls back to NumPy."""
-    _force_unavailable(monkeypatch, CNativeBackend, NumbaBackend)
+    _cnative_off(monkeypatch)
 
 
 @pytest.fixture
 def cnative_binds(monkeypatch):
-    """Levels of every ``CNativeBackend.bind``, with ``cnative`` the
-    fastest backend (numba, where installed, forced off)."""
-    _force_unavailable(monkeypatch, NumbaBackend)
+    """Levels of every ``CNativeBackend.bind``."""
     levels: list[int] = []
     bind = CNativeBackend.bind
 
@@ -140,7 +136,7 @@ TUNES = {
 @pytest.mark.parametrize("name", sorted(TUNES))
 def test_plan_and_audit_do_not_depend_on_the_training_backend(name, monkeypatch):
     accelerated = _digests(TUNES[name]())
-    _force_unavailable(monkeypatch, CNativeBackend, NumbaBackend)
+    _cnative_off(monkeypatch)
     assert _digests(TUNES[name]()) == accelerated
 
 
@@ -191,7 +187,7 @@ def test_iterative_reference_keeps_its_numpy_bytes(
     problem = make_problem("unbiased", n, seed=5, operator=operator)
     fast = reference_solution(problem, cutoff)
     assert level_of_size(n) in cnative_binds
-    _force_unavailable(monkeypatch, CNativeBackend)
+    _cnative_off(monkeypatch)
     reference = reference_solution(problem, cutoff)
     assert fast.tobytes() == reference.tobytes()
     assert np.all(np.isfinite(reference))
